@@ -43,6 +43,17 @@ class SearchBudget:
                     f"time budget exceeded ({elapsed:.1f}s > {self.max_seconds}s)"
                 )
 
+    def remaining(self) -> "SearchBudget":
+        """An unstarted budget with the time left of this one.
+
+        The candidate cap carries over unchanged: it bounds each search
+        on its own count, not a total across searches.
+        """
+        seconds = self.max_seconds
+        if seconds is not None and self._started:
+            seconds = max(0.0, seconds - (time.monotonic() - self._started))
+        return type(self)(max_seconds=seconds, max_candidates=self.max_candidates)
+
     @staticmethod
     def unlimited() -> "SearchBudget":
         return SearchBudget(max_seconds=None, max_candidates=None)

@@ -207,7 +207,8 @@ def _cached_report(m, n, exclude_standard, cache, budget) -> ConditionReport:
         report = check_condition(
             m, n=n, exclude_standard=exclude_standard, budget=budget, basis=basis
         )
-        cache.put_report(report)
+        if report.complete:
+            cache.put_report(report)
     return report
 
 
@@ -332,7 +333,7 @@ def cmd_verify_33(args) -> int:
     if not non_standard:
         failures.append("non-standard")
     pool = LevelPool(m=33, levels={y: tuple(_cached_level(33, y, cache)) for y in (1, 2, 3)})
-    not_quasi = member and is_quasi_decomposable(x, 33, pool.levels[1], pool) is None
+    not_quasi = member and is_quasi_decomposable(x, 33, pool=pool) is None
     print(f"not-quasi-decomposable: {'confirmed' if not_quasi else 'FAILED'}")
     if not not_quasi:
         failures.append("not-quasi-decomposable")

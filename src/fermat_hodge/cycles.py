@@ -25,8 +25,8 @@ from .errors import (
     IncompletePoolError,
     MembershipError,
 )
-from .hilbert import HilbertBasis, hilbert_basis, level_one
-from .monoid import MonoidVector, check_modulus, enumerate_level, is_member, sort_key
+from .hilbert import HilbertBasis, _levelwise, hilbert_basis
+from .monoid import MonoidVector, check_modulus, is_member, level_rows, sort_key
 
 __all__ = [
     "QuasiWitness",
@@ -84,23 +84,43 @@ class StandardSet:
 
 @dataclass
 class LevelPool:
-    """Exhaustive level slices 1..max_level, each in canonical order."""
+    """Exhaustive level slices 1..max_level, each in canonical order.
+
+    A slice is held as the (N, m) int64 array of rows (x..., y) that
+    ``level_rows`` produces; sequences of ``MonoidVector`` are accepted
+    and converted once.
+    """
 
     m: int
-    levels: dict[int, tuple[MonoidVector, ...]]
+    levels: dict[int, np.ndarray]
+    _stacked: dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
-    def slice_rows(self, y: int) -> np.ndarray:
-        if y not in self.levels:
-            raise IncompletePoolError(f"pool for m={self.m} is missing level {y}")
-        return np.asarray([v.row() for v in self.levels[y]], dtype=np.int64).reshape(
-            len(self.levels[y]), self.m
-        )
+    def __post_init__(self) -> None:
+        self.levels = {y: _rows(s, self.m) for y, s in self.levels.items()}
+
+    def stacked(self, top: int) -> np.ndarray:
+        """Levels 1..top stacked in search order: by level, then lexicographic."""
+        if top not in self._stacked:
+            wanted = range(1, top + 1)
+            for y in wanted:
+                if y not in self.levels:
+                    raise IncompletePoolError(f"pool for m={self.m} is missing level {y}")
+            self._stacked[top] = np.concatenate([self.levels[y] for y in wanted])
+        return self._stacked[top]
+
+
+def _rows(vectors, m: int) -> np.ndarray:
+    if isinstance(vectors, np.ndarray):
+        return vectors
+    return np.asarray([v.row() for v in vectors], dtype=np.int64).reshape(-1, m)
 
 
 def build_pool(m: int, max_level: int, budget: SearchBudget | None = None) -> LevelPool:
     check_modulus(m)
     return LevelPool(
-        m=m, levels={y: tuple(enumerate_level(m, y)) for y in range(1, max_level + 1)}
+        m=m, levels={y: level_rows(m, y, budget) for y in range(1, max_level + 1)}
     )
 
 
@@ -114,35 +134,39 @@ def is_quasi_decomposable(
 
     For each level-1 b and each pool element c <= x + b with level
     between 1 and the level of x, the difference d = x + b - c is a
-    member by linearity, so a subtraction test replaces the literal
-    three-way product scan.  Search order: b, then c by ascending level
-    and lexicographic position.
+    member by linearity, and d has level >= 1 because c's level is at
+    most x's, so a subtraction test replaces the literal three-way
+    product scan.  Search order: b (the pool's level 1 unless given),
+    then c by ascending level and lexicographic position.  d == x
+    exactly when c == b.
     """
     if not is_member(x, m):
         raise MembershipError(f"not a member of the degree-{m} monoid: {x}")
-    if level_one_elements is None:
-        level_one_elements = level_one(m)
     if pool is None:
         pool = build_pool(m, x.y)
-    for y in range(1, x.y + 1):
-        if y not in pool.levels:
-            raise IncompletePoolError(f"pool for m={m} is missing level {y}")
+    rows = pool.stacked(x.y)
+    if level_one_elements is None:
+        ones = pool.levels[1]
+    else:
+        ones = _rows(level_one_elements, m)
     x_row = np.asarray(x.row(), dtype=np.int64)
-    for b in level_one_elements:
-        target = x_row + np.asarray(b.row(), dtype=np.int64)
-        for y in range(1, x.y + 1):
-            rows = pool.slice_rows(y)
-            if not len(rows):
-                continue
-            fits = np.flatnonzero((rows <= target).all(axis=1))
-            for idx in fits:
-                c = pool.levels[y][idx]
-                if c == x:
-                    continue
-                d = MonoidVector.from_row(target - rows[idx])
-                if d == x or d.y < 1:
-                    continue
-                return QuasiWitness(b=b, c=c, d=d)
+    # c <= x + b iff b covers c's excess over x; only rows whose excess
+    # is no larger than some b can fit at all
+    excess = np.maximum(rows - x_row, 0)
+    near = np.flatnonzero(excess.sum(axis=1) <= ones.sum(axis=1).max(initial=0))
+    excess, near_rows = excess[near], rows[near]
+    allowed = (near_rows != x_row).any(axis=1)
+    for b in ones:
+        fits = np.flatnonzero(
+            allowed & (excess <= b).all(axis=1) & (near_rows != b).any(axis=1)
+        )
+        if len(fits):
+            c = near_rows[fits[0]]
+            return QuasiWitness(
+                b=MonoidVector.from_row(b.tolist()),
+                c=MonoidVector.from_row(c.tolist()),
+                d=MonoidVector.from_row((x_row + b - c).tolist()),
+            )
     return None
 
 
@@ -270,6 +294,7 @@ def check_condition(
     """
     check_modulus(m)
     budget = budget or SearchBudget()
+    pool = None
     if n is not None:
         if n < 0 or n % 2:
             raise ValueError(f"dimension must be even and >= 0, got {n}")
@@ -278,9 +303,11 @@ def check_condition(
             elements = [b for b in basis.elements if 3 <= b.y <= top]
             complete = True
         else:
-            sieve = hilbert_basis(m, max_level=top, algorithm="levelwise", budget=budget)
+            # the sieved slices become the pool of the quasi search
+            sieve, slices = _levelwise(m, top, None, budget)
             elements = [b for b in sieve.elements if b.y >= 3]
-            complete = True  # the level range itself is exhaustive
+            complete = sieve.max_level_seen >= top
+            pool = LevelPool(m, levels=slices)
     else:
         if basis is None:
             basis = hilbert_basis(m, budget=budget)
@@ -292,11 +319,9 @@ def check_condition(
         elements = [b for b in basis.elements if b.y >= 3]
         complete = True
     standards = standard_elements(m)
-    max_y = max((e.y for e in elements), default=0)
-    pool = build_pool(m, max_y, budget=budget) if elements else None
-    ones = level_one(m)
+    elements = sorted(elements, key=sort_key)
     outcomes = []
-    for e in sorted(elements, key=sort_key):
+    for e in elements:
         if exclude_standard and e in standards:
             outcomes.append(
                 ConditionOutcome(
@@ -304,7 +329,9 @@ def check_condition(
                 )
             )
             continue
-        witness = is_quasi_decomposable(e, m, ones, pool)
+        if pool is None:
+            pool = build_pool(m, elements[-1].y, budget=budget)
+        witness = is_quasi_decomposable(e, m, pool=pool)
         if witness is not None:
             outcomes.append(ConditionOutcome(element=e, kind="QUASI", witness=witness))
         else:

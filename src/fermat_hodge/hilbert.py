@@ -34,6 +34,7 @@ from .monoid import (
     check_modulus,
     enumerate_level,
     is_member,
+    level_rows,
     sort_key,
 )
 
@@ -499,26 +500,20 @@ def _minimalize(rows: list[tuple[int, ...]], m: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _indecomposable_in_slice(
-    slice_rows: list[MonoidVector], basis_lower: list[MonoidVector]
-) -> list[MonoidVector]:
-    """Elements of a level slice not dominating any lower-level basis element.
+def _indecomposable_in_slice(rows: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
+    """Rows of a level slice not dominating any lower-level basis row.
 
     If v = c + d then some indecomposable of level <= y/2 fits under v,
     so testing against basis elements of level <= y/2 is exact.
     """
-    if not slice_rows:
-        return []
-    y = slice_rows[0].y
-    witnesses = [b for b in basis_lower if 1 <= b.y <= y // 2]
-    if not witnesses:
-        return list(slice_rows)
-    arr = np.asarray([v.x for v in slice_rows], dtype=np.int64)
-    decomposable = np.zeros(len(slice_rows), dtype=bool)
-    for b in witnesses:
-        bx = np.asarray(b.x, dtype=np.int64)
-        decomposable |= (arr >= bx).all(axis=1)
-    return [v for v, dec in zip(slice_rows, decomposable) if not dec]
+    if not len(rows):
+        return rows
+    y = int(rows[0, -1])
+    decomposable = np.zeros(len(rows), dtype=bool)
+    for level in basis[: y // 2]:
+        for b in level:
+            decomposable |= (rows >= b).all(axis=1)
+    return rows[~decomposable]
 
 
 def _levelwise(
@@ -526,8 +521,16 @@ def _levelwise(
     max_level: int | None,
     trusted_bound: int | None,
     budget: SearchBudget,
-) -> HilbertBasis:
-    basis: list[MonoidVector] = []
+) -> tuple[HilbertBasis, dict[int, np.ndarray]]:
+    """Sieve level slices upwards; the basis and the slices it read.
+
+    The slices (``level_rows`` arrays for levels 1..max_level_seen) are
+    handed back so that a caller searching the same levels, like the
+    quasi search of ``check_condition``, reads them instead of
+    enumerating them again.
+    """
+    basis: list[np.ndarray] = []  # indecomposable rows, one array per level
+    slices: dict[int, np.ndarray] = {}
     budget.start()
     last_new = 0
     y = 0
@@ -542,31 +545,34 @@ def _levelwise(
             y -= 1
             break
         try:
-            slice_rows = enumerate_level(m, y, budget=budget)
-            processed += len(slice_rows)
+            rows = level_rows(m, y, budget=budget)
+            processed += len(rows)
             budget.check(processed)
         except BudgetExceededError:
             # report the last fully sieved level instead of failing
             y -= 1
             truncated = True
             break
-        fresh = _indecomposable_in_slice(slice_rows, basis)
-        if fresh:
-            basis.extend(fresh)
+        slices[y] = rows
+        fresh = _indecomposable_in_slice(rows, basis)
+        basis.append(fresh)
+        if len(fresh):
             last_new = y
         if max_level is None and trusted_bound is None:
             # heuristic stop: far past the last discovery; not a certificate
-            max_basis = max((b.y for b in basis), default=0)
-            if basis and y >= 2 * max_basis and last_new <= y // 2:
+            if last_new and y >= 2 * last_new:
                 break
     complete = not truncated and trusted_bound is not None and y >= trusted_bound
-    basis.sort(key=sort_key)
-    return HilbertBasis(
-        m=m,
-        elements=tuple(basis),
-        complete=complete,
-        max_level_seen=y,
-        algorithm="levelwise",
+    elements = tuple(MonoidVector.from_row(r) for b in basis for r in b.tolist())
+    return (
+        HilbertBasis(
+            m=m,
+            elements=elements,
+            complete=complete,
+            max_level_seen=y,
+            algorithm="levelwise",
+        ),
+        slices,
     )
 
 
@@ -592,23 +598,19 @@ def hilbert_basis(
     check_modulus(m)
     budget = budget or SearchBudget()
     if algorithm == "levelwise":
-        return _levelwise(m, max_level, trusted_bound, budget)
+        return _levelwise(m, max_level, trusted_bound, budget)[0]
     if algorithm != "completion":
         raise ValueError(f"unknown algorithm {algorithm!r}")
     try:
         rows = _completion_rows(m, budget)
     except BudgetExceededError:
-        # salvage an uncertified levelwise sweep within a small budget
-        try:
-            partial = _levelwise(m, max_level, None, SearchBudget(5.0, 10**6))
-            elements, seen = partial.elements, partial.max_level_seen
-        except BudgetExceededError:
-            elements, seen = (), 0
+        # salvage an uncertified levelwise sweep in what is left of the budget
+        partial = _levelwise(m, max_level, None, budget.remaining())[0]
         return HilbertBasis(
             m=m,
-            elements=elements,
+            elements=partial.elements,
             complete=False,
-            max_level_seen=seen,
+            max_level_seen=partial.max_level_seen,
             algorithm="completion",
         )
     elements = sorted((MonoidVector.from_row(r) for r in rows), key=sort_key)

@@ -10,14 +10,23 @@ Adding the constraints for t and m-t shows sum_i x_i == 2*y, so each
 level-y slice is a finite set of multisets of size 2y and can be
 enumerated exhaustively.
 
-All arithmetic here uses Python integers, so weighted sums like
-sum i*x_i never overflow regardless of m or y.
+Slices are enumerated once, by meet in the middle (Horowitz and Sahni,
+J. ACM 21(2), 1974): each sorted multiset of size 2y is its y smallest
+indices followed by its y largest, and the level equations become a
+join of size-y half-multisets on their weight vectors.  The result is
+one (N, m) int64 array of rows (x..., y) per level, which the sieve and
+the quasi search read directly; ``MonoidVector`` objects are built only
+by ``enumerate_level``.  Indices are int16 and half weights int32 (a
+weight is at most y*(m-1)).  Membership tests use Python integers.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
+
+import numpy as np
 
 from .errors import InvalidModulusError, ShapeError
 
@@ -26,9 +35,14 @@ __all__ = [
     "units",
     "is_member",
     "enumerate_level",
+    "level_rows",
     "format_vector",
     "parse_vector",
 ]
+
+
+# L rows joined per budget check
+_CHUNK = 1 << 12
 
 
 def check_modulus(m: int) -> None:
@@ -124,88 +138,107 @@ def is_member(v: MonoidVector, m: int) -> bool:
     return True
 
 
-def _enumerate_rows(
-    m: int, y: int, caps: tuple[int, ...] | None = None, budget=None
-) -> list[tuple[int, ...]]:
-    """All x-tuples of the level-y slice, sorted lexicographically.
+def _halves(m: int, y: int, index_key: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Every size-y multiset of indices 1..m-1 with its weight key.
 
-    Depth-first search over indices i = m-1 down to 1.  The remaining
-    weight for every representative unit and the remaining count are
-    kept as running budgets; a branch dies as soon as any weight falls
-    outside the window achievable with the indices that are left.
-    Optional per-index caps restrict x_i <= caps[i-1].
+    Returns the sorted index positions as y int16 columns (column p
+    holds the (p+1)-th smallest index) and the uint64 keys.  Both grow
+    one position at a time: each row is extended by every index at
+    least its last one, and the key adds the new index's key.
     """
-    half = half_units(m)
-    k = len(half)
-    res = [[(t * i) % m for i in range(m)] for t in half]
-    # prefix extrema of <t*i> over 1..i, used for window pruning
-    pmin = [[0] * m for _ in range(k)]
-    pmax = [[0] * m for _ in range(k)]
-    for u in range(k):
-        lo, hi = m, 0
-        row = res[u]
-        for i in range(1, m):
-            w = row[i]
-            if w < lo:
-                lo = w
-            if w > hi:
-                hi = w
-            pmin[u][i] = lo
-            pmax[u][i] = hi
+    cols = [np.arange(1, m, dtype=np.int16)]
+    key = index_key[1:]
+    for _ in range(1, y):
+        last = cols[-1]
+        fan = (m - last).astype(np.int64)
+        parent = np.repeat(np.arange(len(last)), fan)
+        offset = np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)
+        new = (last[parent] + offset).astype(np.int16)
+        cols = [c[parent] for c in cols] + [new]
+        key = key[parent] + index_key[new]
+    return cols, key
 
-    out: list[tuple[int, ...]] = []
-    x = [0] * (m - 1)
-    rem = [m * y] * k
-    nodes = [0]
 
-    def dfs(i: int, count: int) -> None:
+def level_rows(m: int, y: int, budget=None) -> np.ndarray:
+    """The level-y slice as an (N, m) int64 array of rows (x..., y).
+
+    Rows are in canonical order: lexicographic on x.  Meet in the
+    middle: the 2y indices of a slice element, sorted, split uniquely
+    into L, the y smallest, and R, the y largest, so max(L) <= min(R).
+    Both halves come from one table of the comb(m+y-2, y) multisets of
+    size y, and a pair (L, R) is an element iff w(L) + w(R) == m*y for
+    the weight vectors w over ``half_units(m)``.
+
+    The join runs on a 64-bit linear key of the weight vector: halves
+    are grouped by key (L by key(w), R by key(m*y - w)), and sorting R
+    by (group, min R) puts the partners of each L in one searchsorted
+    range.  A key collision can only add pairs, never hide one, and the
+    int32 weights of every joined pair, added position by position, are
+    checked, so the result is exact.
+
+    The budget is checked with the table size before the table is
+    built, and then per chunk of L with the table size plus the rows
+    found so far, so ``max_candidates`` bounds the memory of a slice.
+    """
+    check_modulus(m)
+    if y < 1:
+        raise ValueError(f"level must be >= 1, got {y}")
+    size = comb(m + y - 2, y)
+    if budget is not None:
+        budget.check(size)
+    half = np.asarray(half_units(m), dtype=np.int32)
+    res = np.arange(m, dtype=np.int32)[:, None] * half[None, :] % m
+    # fixed odd multipliers of the weight key, one per half unit
+    draw = random.Random(0)
+    mix = np.asarray([draw.getrandbits(64) | 1 for _ in half], dtype=np.uint64)
+    cols, key = _halves(m, y, res.astype(np.uint64) @ mix)
+    target = m * y
+    target_key = np.full(len(half), target, dtype=np.uint64) @ mix
+    group = np.unique(np.concatenate([key, target_key - key]), return_inverse=True)[1]
+    # R sorted by (group, min R); L looks up [(group, max L), (group, m))
+    r_key = group[size:] * m + cols[0]
+    r_order = np.argsort(r_key, kind="stable")
+    r_key = r_key[r_order]
+    l_group = group[:size] * m
+    lefts, rights = [], []
+    found = 0
+    for lo in range(0, size, _CHUNK):
+        hi = min(lo + _CHUNK, size)
+        g = l_group[lo:hi]
+        start = np.searchsorted(r_key, g + cols[-1][lo:hi], side="left")
+        fan = np.searchsorted(r_key, g + m, side="left") - start
+        total = int(fan.sum())
+        if total:
+            left = np.repeat(np.arange(lo, hi), fan)
+            first = np.repeat(start - (np.cumsum(fan) - fan), fan)
+            right = r_order[first + np.arange(total)]
+            weights = res[cols[0][left]] + res[cols[0][right]]
+            for c in cols[1:]:
+                weights += res[c[left]] + res[c[right]]
+            exact = (weights == target).all(axis=1)
+            lefts.append(left[exact])
+            rights.append(right[exact])
+            found += len(lefts[-1])
         if budget is not None:
-            nodes[0] += 1
-            if not nodes[0] % 4096:
-                budget.check(nodes[0])
-        cap = count
-        for u in range(k):
-            q = rem[u] // res[u][i]
-            if q < cap:
-                cap = q
-        if caps is not None and caps[i - 1] < cap:
-            cap = caps[i - 1]
-        for c in range(cap + 1):
-            x[i - 1] = c
-            if c:
-                for u in range(k):
-                    rem[u] -= res[u][i]
-            cc = count - c
-            if i > 1:
-                ok = True
-                for u in range(k):
-                    w = rem[u]
-                    if not (cc * pmin[u][i - 1] <= w <= cc * pmax[u][i - 1]):
-                        ok = False
-                        break
-                if ok:
-                    dfs(i - 1, cc)
-            elif cc == 0 and not any(rem):
-                out.append(tuple(x))
-        for u in range(k):
-            rem[u] += res[u][i] * cap
-        x[i - 1] = 0
-
-    if m == 2:
-        # single index: x_1 = 2y always solves the lone constraint
-        return [(2 * y,)] if caps is None or caps[0] >= 2 * y else []
-    dfs(m - 1, 2 * y)
-    out.sort()
-    return out
+            budget.check(size + found)
+    left = np.concatenate(lefts) if lefts else np.zeros(0, dtype=np.int64)
+    right = np.concatenate(rights) if rights else np.zeros(0, dtype=np.int64)
+    seq = [c[left] for c in cols] + [c[right] for c in cols]
+    # equal-length multisets: ascending x is descending sorted sequence
+    order = np.lexsort(seq[::-1])[::-1]
+    rows = np.zeros((found, m), dtype=np.int64)
+    rows[:, -1] = y
+    at = np.arange(found)
+    for s in seq:
+        rows[at, s[order] - 1] += 1
+    return rows
 
 
 def enumerate_level(m: int, y: int, budget=None) -> list[MonoidVector]:
     """All elements of the level-y slice in canonical lexicographic order.
 
-    The optional budget only matters for internal callers that sweep
-    many slices; without one the enumeration always runs to the end.
+    The ``MonoidVector`` view of ``level_rows``; the package's own
+    searches read the array.  The optional budget is checked as there.
     """
-    check_modulus(m)
-    if y < 1:
-        raise ValueError(f"level must be >= 1, got {y}")
-    return [MonoidVector(x=row, y=y) for row in _enumerate_rows(m, y, budget=budget)]
+    rows = level_rows(m, y, budget).tolist()
+    return [MonoidVector(x=tuple(r[:-1]), y=y) for r in rows]

@@ -111,6 +111,21 @@ class TestCheckCommand:
         assert "verdict=true" in out
 
 
+    def test_truncated_check_is_flagged_and_not_cached(self, capsys, tmp_path):
+        argv = ["check", "--m", "33", "--n", "4", "--exclude-standard",
+                "--cache-dir", str(tmp_path)]
+        code, out = run_cli(argv + ["--max-candidates", "100"], capsys)
+        assert code == 3
+        assert "complete=false" in out
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert "verdict=false complete=true" in out
+        assert (
+            "FAIL 0,0,0,0,0,0,1,0,0,1,0,0,1,0,0,0,0,0,1,0,0,1,0,0,0,0,0,1,0,0,0,0;3"
+            in out
+        )
+
+
 class TestScanCommand:
     def test_coprime_range(self, capsys, tmp_path):
         code, out = run_cli(

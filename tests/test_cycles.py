@@ -2,25 +2,103 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermat_hodge import (
     COUNTEREXAMPLE_33,
     MonoidVector,
+    QuasiWitness,
+    SearchBudget,
     VerdictStatus,
     build_pool,
     check_condition,
     enumerate_level,
+    hilbert_basis,
     is_member,
     is_quasi_decomposable,
     level_one,
     newton_identity_check,
+    parse_vector,
     power_sum_identity_holds,
     scan_fourfolds,
     standard_elements,
     verdict,
 )
-from fermat_hodge.errors import IncompleteBasisError, IncompletePoolError
+from fermat_hodge.errors import (
+    BudgetExceededError,
+    IncompleteBasisError,
+    IncompletePoolError,
+)
 from fermat_hodge.cycles import LevelPool, _is_prime, _prime_square
+
+# (m, x, b, c, d): first witnesses of the search, recorded from the
+# b-major scan over per-level MonoidVector slices that the array search
+# replaced; for each degree the first non-standard level-3 element and
+# the one whose witness uses the latest level-one b
+FIRST_WITNESSES = [
+    (12, "0,0,0,2,2,0,0,0,2,0,0;3",
+     "0,0,0,0,0,2,0,0,0,0,0;1",
+     "0,0,0,1,1,1,0,0,1,0,0;2",
+     "0,0,0,1,1,1,0,0,1,0,0;2"),
+    (12, "0,0,2,0,0,1,2,0,0,1,0;3",
+     "0,0,0,1,0,0,0,1,0,0,0;1",
+     "0,0,1,0,0,1,1,1,0,0,0;2",
+     "0,0,1,1,0,0,1,0,0,1,0;2"),
+    (18, "0,0,0,0,0,0,2,2,0,0,0,2,0,0,0,0,0;3",
+     "0,0,0,0,0,0,0,0,2,0,0,0,0,0,0,0,0;1",
+     "0,0,0,0,0,0,1,1,1,0,0,1,0,0,0,0,0;2",
+     "0,0,0,0,0,0,1,1,1,0,0,1,0,0,0,0,0;2"),
+    (18, "0,0,0,0,0,0,2,2,1,0,0,0,0,0,1,0,0;3",
+     "0,0,0,0,0,1,0,0,0,0,0,1,0,0,0,0,0;1",
+     "0,0,0,0,0,0,1,1,1,0,0,1,0,0,0,0,0;2",
+     "0,0,0,0,0,1,1,1,0,0,0,0,0,0,1,0,0;2"),
+    (24, "0,0,0,0,0,0,0,2,0,0,2,0,0,0,0,0,2,0,0,0,0,0,0;3",
+     "0,0,0,0,0,0,0,0,0,0,0,2,0,0,0,0,0,0,0,0,0,0,0;1",
+     "0,0,0,0,0,0,0,1,0,0,1,1,0,0,0,0,1,0,0,0,0,0,0;2",
+     "0,0,0,0,0,0,0,1,0,0,1,1,0,0,0,0,1,0,0,0,0,0,0;2"),
+    (24, "0,0,0,0,0,0,2,0,0,1,0,0,2,0,0,0,0,0,0,0,0,1,0;3",
+     "0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0;1",
+     "0,0,0,0,0,0,1,0,0,1,0,0,1,0,0,0,0,1,0,0,0,0,0;2",
+     "0,0,0,0,0,1,1,0,0,0,0,0,1,0,0,0,0,0,0,0,0,1,0;2"),
+    (32, "0,0,0,0,0,0,0,0,0,2,0,2,0,0,0,0,0,0,0,0,0,0,0,0,0,2,0,0,0,0,0;3",
+     "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0;1",
+     "0,0,0,0,0,0,0,0,0,1,0,1,0,0,0,1,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0;2",
+     "0,0,0,0,0,0,0,0,0,1,0,1,0,0,0,1,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0;2"),
+    (32, "0,0,0,0,0,0,0,1,0,0,0,1,0,1,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1;3",
+     "0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,0,0,0;1",
+     "0,0,0,0,0,0,0,1,0,0,0,1,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,1,0,0,0;2",
+     "0,0,0,1,0,0,0,0,0,0,0,0,0,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1;2"),
+    (33, "0,0,0,0,0,0,0,1,1,1,0,0,0,0,0,0,0,0,1,0,1,0,0,0,0,0,0,0,0,0,0,1;3",
+     "0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,0,0;1",
+     "0,0,0,0,0,0,0,1,1,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,1,0,0;2",
+     "0,0,1,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,1;2"),
+    (33, "0,0,0,0,0,0,0,1,1,1,0,0,0,0,0,0,0,0,1,0,1,0,0,0,0,0,0,0,0,0,0,1;3",
+     "0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,0,0;1",
+     "0,0,0,0,0,0,0,1,1,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,1,0,0;2",
+     "0,0,1,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,1;2"),
+]
+
+
+def _b_major_scan(x, m):
+    """The replaced search, literally: b in level-one order, then c by
+    level and lexicographic position, skipping c == x and d == x."""
+    ones = enumerate_level(m, 1)
+    pool = [c for y in range(1, x.y + 1) for c in enumerate_level(m, y)]
+    for b in ones:
+        target = x + b
+        for c in pool:
+            if c != x and all(a <= t for a, t in zip(c.row(), target.row())):
+                d = target - c
+                if d != x:
+                    return QuasiWitness(b=b, c=c, d=d)
+    return None
+
+
+def _nonstandard_level_three(m):
+    std = standard_elements(m)
+    sieve = hilbert_basis(m, max_level=3, algorithm="levelwise")
+    return [e for e in sieve.elements if e.y == 3 and e not in std]
 
 
 class TestStandardElements:
@@ -105,7 +183,83 @@ class TestQuasiDecomposable:
             assert (is_quasi_decomposable(x, m, ones, pool) is not None) == brute
 
 
+class TestWitnessIdentity:
+    @pytest.mark.parametrize("m,x,b,c,d", FIRST_WITNESSES)
+    def test_pinned_first_witness(self, m, x, b, c, d):
+        witness = is_quasi_decomposable(parse_vector(x), m)
+        assert witness == QuasiWitness(
+            b=parse_vector(b), c=parse_vector(c), d=parse_vector(d)
+        )
+
+    @pytest.mark.parametrize("m", [12, 18, 24, 32, 33])
+    def test_equals_b_major_scan(self, m):
+        pool = build_pool(m, 3)
+        for x in _nonstandard_level_three(m):
+            assert is_quasi_decomposable(x, m, pool=pool) == _b_major_scan(x, m), x
+
+    def test_caller_level_one_order_is_kept(self):
+        x = _nonstandard_level_three(24)[0]
+        ones = level_one(24)[::-1]
+        witness = is_quasi_decomposable(x, 24, ones, build_pool(24, 3))
+        first = next(
+            b for b in ones if is_quasi_decomposable(x, 24, [b], build_pool(24, 3))
+        )
+        assert witness.b == first
+
+
+class TestPoolBudget:
+    def test_build_pool_honours_budget(self):
+        with pytest.raises(BudgetExceededError):
+            build_pool(47, 3, SearchBudget(max_seconds=None, max_candidates=10))
+
+
 class TestCheckCondition:
+    def test_truncated_fourfold_check_is_incomplete(self):
+        budget = SearchBudget(max_seconds=None, max_candidates=100)
+        report = check_condition(33, n=4, exclude_standard=True, budget=budget)
+        assert not report.complete
+
+    @settings(max_examples=40)
+    @given(st.integers(min_value=1, max_value=8000))
+    def test_any_candidate_cap_is_incomplete_or_exact(self, cap):
+        budget = SearchBudget(max_seconds=None, max_candidates=cap)
+        report = check_condition(33, n=4, exclude_standard=True, budget=budget)
+        if report.complete:
+            assert report == check_condition(33, n=4, exclude_standard=True)
+
+    def test_truncated_fourfold_verdict_is_undetermined(self):
+        budget = SearchBudget(max_seconds=None, max_candidates=100)
+        assert verdict(33, 4, budget=budget).status == VerdictStatus.UNDETERMINED
+
+    def test_each_slice_enumerated_once(self, monkeypatch):
+        import fermat_hodge.cycles as cycles
+        import fermat_hodge.hilbert as hilbert
+
+        calls = []
+        for module in (cycles, hilbert):
+            original = module.level_rows
+
+            def counted(m, y, budget=None, original=original):
+                calls.append((m, y))
+                return original(m, y, budget)
+
+            monkeypatch.setattr(module, "level_rows", counted)
+        report = check_condition(33, n=4)
+        assert not report.verdict
+        assert sorted(calls) == [(33, 1), (33, 2), (33, 3)]
+
+    def test_no_pool_when_every_element_is_standard(self, monkeypatch, get_basis):
+        import fermat_hodge.cycles as cycles
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool built although nothing is searched")
+
+        monkeypatch.setattr(cycles, "build_pool", no_pool)
+        report = check_condition(25, n=4, exclude_standard=True, basis=get_basis(25))
+        assert report.verdict and report.outcomes
+        assert all(o.kind == "STANDARD" for o in report.outcomes)
+
+
     def test_m21_with_exclusion(self, get_basis):
         report = check_condition(21, exclude_standard=True, basis=get_basis(21))
         assert report.verdict and report.complete

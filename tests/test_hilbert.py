@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from fermat_hodge import (
@@ -92,6 +94,22 @@ class TestHilbertBasis:
             30, budget=SearchBudget(max_seconds=0.5, max_candidates=None)
         )
         assert not basis.complete
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            SearchBudget(max_seconds=1.0, max_candidates=None),
+            SearchBudget(max_seconds=None, max_candidates=1000),
+        ],
+        ids=["seconds", "candidates"],
+    )
+    def test_truncated_completion_stays_within_budget(self, budget):
+        # the levelwise salvage of an overrun completion gets only the
+        # time left of the caller's budget, not a fresh one
+        started = time.monotonic()
+        basis = hilbert_basis(30, budget=budget)
+        assert not basis.complete
+        assert time.monotonic() - started < 1.0 + 1.0
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,15 @@
+import hashlib
 from itertools import product
-from math import gcd
+from math import comb, gcd
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fermat_hodge import MonoidVector, enumerate_level, is_member, units
-from fermat_hodge.errors import InvalidModulusError, ShapeError
-from fermat_hodge.monoid import format_vector, parse_vector
+from fermat_hodge import MonoidVector, SearchBudget, enumerate_level, is_member, units
+from fermat_hodge.errors import BudgetExceededError, InvalidModulusError, ShapeError
+from fermat_hodge.monoid import format_vector, level_rows, parse_vector
 
 V33 = MonoidVector(
     x=tuple(1 if i in (7, 10, 13, 19, 22, 28) else 0 for i in range(1, 33)), y=3
@@ -73,7 +75,7 @@ class TestEnumerateLevel:
             assert is_member(v, m)
             assert sum(v.x) == 2 * y
 
-    @pytest.mark.parametrize("m,y", [(m, y) for m in range(2, 7) for y in (1, 2, 3)])
+    @pytest.mark.parametrize("m,y", [(m, y) for m in range(2, 8) for y in (1, 2, 3)])
     def test_box_oracle(self, m, y):
         expected = set()
         for xs in product(range(2 * y + 1), repeat=m - 1):
@@ -85,6 +87,42 @@ class TestEnumerateLevel:
 
     def test_deterministic(self):
         assert enumerate_level(9, 2) == enumerate_level(9, 2)
+
+    # (count, sha256 of the newline-joined canonical text), recorded from
+    # the depth-first enumerator that the meet-in-the-middle join replaced
+    @pytest.mark.parametrize(
+        "m,y,count,digest",
+        [
+            (33, 3, 990, "ca913398fad67110a0dc0f328d9a816bf7db6fd280fc6d4ec46e11cb5fbb6146"),
+            (47, 3, 2300, "c5a555d9da81996e8f2e820fb249342326900d6ba95ddce94841a61859398482"),
+            (53, 3, 3276, "1452d4edc9b453c775e28644c788a2dd79b76331c852ba6131c88420eee7618c"),
+            (15, 4, 624, "a339a5e93a17971d2cb5c9af9f3a274684669afff990420b132784c867dfef60"),
+        ],
+    )
+    def test_pinned_slices(self, m, y, count, digest):
+        vectors = enumerate_level(m, y)
+        text = "\n".join(format_vector(v) for v in vectors)
+        assert len(vectors) == count
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+class TestLevelRows:
+    @pytest.mark.parametrize("m,y", [(2, 3), (9, 2), (12, 3), (33, 3)])
+    def test_rows_are_the_slice(self, m, y):
+        rows = level_rows(m, y)
+        assert rows.dtype == np.int64 and rows.shape[1] == m
+        assert (rows[:, -1] == y).all()
+        assert [MonoidVector.from_row(r) for r in rows] == enumerate_level(m, y)
+
+    def test_budget_checked_with_half_table_before_building_it(self):
+        with pytest.raises(BudgetExceededError, match=str(comb(47 + 3 - 2, 3))):
+            level_rows(47, 3, SearchBudget(max_seconds=None, max_candidates=10_000))
+
+    def test_budget_counts_rows_found(self):
+        size = comb(33 + 3 - 2, 3)
+        level_rows(33, 3, SearchBudget(max_seconds=None, max_candidates=size + 990))
+        with pytest.raises(BudgetExceededError):
+            level_rows(33, 3, SearchBudget(max_seconds=None, max_candidates=size + 989))
 
 
 class TestSerialization:
