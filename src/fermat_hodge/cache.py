@@ -5,6 +5,12 @@ and degree.  A sha256 digest over the canonical payload is verified on
 read; a mismatch invalidates the entry and the caller recomputes.
 Writes go to a temporary file renamed into place under an advisory
 lock, so a crashed writer never leaves a torn entry.
+
+This module owns the JSON layout of a basis and of a condition report:
+``basis_to_dict`` and ``report_to_dict`` build the payloads that BASIS
+and REPORT entries store and that the CLI prints for ``--format json``,
+and their parsers read them back.  An entry whose payload does not
+parse, or that answers another key than the one asked for, is a miss.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ class ResultCache:
             entry = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return None
-        if entry.get("schema_version") != SCHEMA_VERSION:
+        if not isinstance(entry, dict) or entry.get("schema_version") != SCHEMA_VERSION:
             return None
         if entry.get("kind") != kind:
             return None
@@ -68,14 +74,13 @@ class ResultCache:
             return None
         return payload
 
-    def _write(self, kind: str, name: str, m: int, payload, level=None) -> None:
+    def _write(self, kind: str, name: str, m: int, payload) -> None:
         path = self._path(kind, name)
         path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "schema_version": SCHEMA_VERSION,
             "kind": kind,
             "m": m,
-            "level": level,
             "payload": payload,
             "content_digest": _digest(payload),
         }
@@ -98,62 +103,57 @@ class ResultCache:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
 
+    def _load(self, kind: str, name: str, parse):
+        """Parsed payload of an entry, or None when it is missing or malformed."""
+        payload = self._read(kind, name)
+        if payload is None:
+            return None
+        try:
+            return parse(payload)
+        except (KeyError, TypeError, ValueError, AttributeError):
+            return None
+
     # -- LEVEL ---------------------------------------------------------------
 
     def get_level(self, m: int, y: int) -> list[MonoidVector] | None:
-        payload = self._read("LEVEL", f"m{m}_y{y}")
-        if payload is None or payload.get("m") != m or payload.get("y") != y:
-            return None
-        return [parse_vector(s) for s in payload["vectors"]]
+        def parse(payload):
+            if payload["m"] != m or payload["y"] != y:
+                return None
+            return [parse_vector(s) for s in payload["vectors"]]
+
+        return self._load("LEVEL", f"m{m}_y{y}", parse)
 
     def put_level(self, m: int, y: int, vectors: list[MonoidVector]) -> None:
         payload = {"m": m, "y": y, "vectors": [format_vector(v) for v in vectors]}
-        self._write("LEVEL", f"m{m}_y{y}", m, payload, level=y)
+        self._write("LEVEL", f"m{m}_y{y}", m, payload)
 
     # -- BASIS (complete results only) ----------------------------------------
 
     def get_basis(self, m: int) -> HilbertBasis | None:
-        payload = self._read("BASIS", f"m{m}")
-        if payload is None or payload.get("m") != m or not payload.get("complete"):
+        basis = self._load("BASIS", f"m{m}", basis_from_dict)
+        if basis is None or basis.m != m or not basis.complete:
             return None
-        elements = tuple(
-            sorted((parse_vector(s) for s in payload["elements"]), key=sort_key)
-        )
-        return HilbertBasis(
-            m=m,
-            elements=elements,
-            complete=True,
-            max_level_seen=int(payload["max_level_seen"]),
-            algorithm=str(payload.get("algorithm", "completion")),
-        )
+        return basis
 
     def put_basis(self, basis: HilbertBasis) -> None:
-        if not basis.complete:
-            return
-        payload = {
-            "m": basis.m,
-            "complete": True,
-            "max_level_seen": basis.max_level_seen,
-            "algorithm": basis.algorithm,
-            "elements": [format_vector(v) for v in basis.elements],
-        }
-        self._write("BASIS", f"m{basis.m}", basis.m, payload)
+        if basis.complete:
+            self._write("BASIS", f"m{basis.m}", basis.m, basis_to_dict(basis))
 
     # -- STANDARD --------------------------------------------------------------
 
     def get_standard(self, m: int) -> StandardSet | None:
-        payload = self._read("STANDARD", f"m{m}")
-        if payload is None or payload.get("m") != m:
-            return None
-        vectors = []
-        provenance = {}
-        for item in payload["vectors"]:
-            v = parse_vector(item["vector"])
-            vectors.append(v)
-            provenance[v] = StandardProvenance(
-                p=int(item["p"]), i=int(item["i"]), doubled=bool(item["doubled"])
-            )
-        return StandardSet(m=m, vectors=tuple(vectors), provenance=provenance)
+        def parse(payload):
+            if payload["m"] != m:
+                return None
+            vectors = []
+            provenance = {}
+            for item in payload["vectors"]:
+                v = parse_vector(item["vector"])
+                vectors.append(v)
+                provenance[v] = _provenance(item)
+            return StandardSet(m=m, vectors=tuple(vectors), provenance=provenance)
+
+        return self._load("STANDARD", f"m{m}", parse)
 
     def put_standard(self, std: StandardSet) -> None:
         payload = {
@@ -170,7 +170,7 @@ class ResultCache:
         }
         self._write("STANDARD", f"m{std.m}", std.m, payload)
 
-    # -- REPORT ------------------------------------------------------------------
+    # -- REPORT (complete results only) ------------------------------------------
 
     @staticmethod
     def _report_name(m: int, n: int | None, exclude_standard: bool) -> str:
@@ -180,70 +180,96 @@ class ResultCache:
     def get_report(
         self, m: int, n: int | None, exclude_standard: bool
     ) -> ConditionReport | None:
-        payload = self._read("REPORT", self._report_name(m, n, exclude_standard))
-        if payload is None or payload.get("m") != m:
-            return None
-        outcomes = []
-        for item in payload["outcomes"]:
-            witness = None
-            if item.get("witness"):
-                w = item["witness"]
-                witness = QuasiWitness(
-                    b=parse_vector(w["b"]),
-                    c=parse_vector(w["c"]),
-                    d=parse_vector(w["d"]),
-                )
-            provenance = None
-            if item.get("provenance"):
-                p = item["provenance"]
-                provenance = StandardProvenance(
-                    p=int(p["p"]), i=int(p["i"]), doubled=bool(p["doubled"])
-                )
-            outcomes.append(
-                ConditionOutcome(
-                    element=parse_vector(item["element"]),
-                    kind=item["kind"],
-                    witness=witness,
-                    provenance=provenance,
-                )
-            )
-        return ConditionReport(
-            m=m,
-            n=payload["n"],
-            exclude_standard=bool(payload["exclude_standard"]),
-            outcomes=tuple(outcomes),
-            verdict=bool(payload["verdict"]),
-            complete=bool(payload["complete"]),
-            standard_count=int(payload["standard_count"]),
+        report = self._load(
+            "REPORT", self._report_name(m, n, exclude_standard), report_from_dict
         )
+        if report is None or not report.complete:
+            return None
+        if (report.m, report.n, report.exclude_standard) != (m, n, exclude_standard):
+            return None
+        return report
 
     def put_report(self, report: ConditionReport) -> None:
-        if not report.complete:
-            return
-        outcomes = []
-        for o in report.outcomes:
-            item = {"element": format_vector(o.element), "kind": o.kind}
-            if o.witness is not None:
-                item["witness"] = {
-                    "b": format_vector(o.witness.b),
-                    "c": format_vector(o.witness.c),
-                    "d": format_vector(o.witness.d),
-                }
-            if o.provenance is not None:
-                item["provenance"] = asdict(o.provenance)
-            outcomes.append(item)
-        payload = {
-            "m": report.m,
-            "n": report.n,
-            "exclude_standard": report.exclude_standard,
-            "outcomes": outcomes,
-            "verdict": report.verdict,
-            "complete": report.complete,
-            "standard_count": report.standard_count,
-        }
-        self._write(
-            "REPORT",
-            self._report_name(report.m, report.n, report.exclude_standard),
-            report.m,
-            payload,
+        if report.complete:
+            self._write(
+                "REPORT",
+                self._report_name(report.m, report.n, report.exclude_standard),
+                report.m,
+                report_to_dict(report),
+            )
+
+
+# -- the shared JSON layouts ---------------------------------------------------
+
+
+def basis_to_dict(basis: HilbertBasis) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "m": basis.m,
+        "algorithm": basis.algorithm,
+        "complete": basis.complete,
+        "max_level_seen": basis.max_level_seen,
+        "elements": [format_vector(v) for v in basis.elements],
+    }
+
+
+def basis_from_dict(payload: dict) -> HilbertBasis:
+    elements = sorted((parse_vector(s) for s in payload["elements"]), key=sort_key)
+    return HilbertBasis(
+        m=int(payload["m"]),
+        elements=tuple(elements),
+        complete=bool(payload["complete"]),
+        max_level_seen=int(payload["max_level_seen"]),
+        algorithm=str(payload["algorithm"]),
+    )
+
+
+def report_to_dict(report: ConditionReport) -> dict:
+    outcomes = []
+    for o in report.outcomes:
+        item = {"element": format_vector(o.element), "kind": o.kind}
+        if o.witness is not None:
+            item["witness"] = {k: format_vector(getattr(o.witness, k)) for k in "bcd"}
+        if o.provenance is not None:
+            item["provenance"] = asdict(o.provenance)
+        outcomes.append(item)
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "m": report.m,
+        "n": report.n,
+        "exclude_standard": report.exclude_standard,
+        "verdict": report.verdict,
+        "complete": report.complete,
+        "counts": report.counts,
+        "standard_set": report.standard_count,
+        "outcomes": outcomes,
+    }
+
+
+def report_from_dict(payload: dict) -> ConditionReport:
+    outcomes = []
+    for item in payload["outcomes"]:
+        w, p = item.get("witness"), item.get("provenance")
+        outcomes.append(
+            ConditionOutcome(
+                element=parse_vector(item["element"]),
+                kind=item["kind"],
+                witness=QuasiWitness(*(parse_vector(w[k]) for k in "bcd")) if w else None,
+                provenance=_provenance(p) if p else None,
+            )
         )
+    return ConditionReport(
+        m=int(payload["m"]),
+        n=payload["n"],
+        exclude_standard=bool(payload["exclude_standard"]),
+        outcomes=tuple(outcomes),
+        verdict=bool(payload["verdict"]),
+        complete=bool(payload["complete"]),
+        standard_count=int(payload["standard_set"]),
+    )
+
+
+def _provenance(item: dict) -> StandardProvenance:
+    return StandardProvenance(
+        p=int(item["p"]), i=int(item["i"]), doubled=bool(item["doubled"])
+    )

@@ -12,7 +12,7 @@ import sys
 from multiprocessing import Pool
 
 from .budget import DEFAULT_MAX_CANDIDATES, DEFAULT_MAX_SECONDS, SearchBudget
-from .cache import SCHEMA_VERSION, ResultCache
+from .cache import SCHEMA_VERSION, ResultCache, basis_to_dict, report_to_dict
 from .characters import enumerate_hodge_labels
 from .cycles import (
     COUNTEREXAMPLE_33,
@@ -64,17 +64,6 @@ def _cached_level(m, y, cache):
     return vectors
 
 
-def _basis_payload(basis) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "m": basis.m,
-        "algorithm": basis.algorithm,
-        "complete": basis.complete,
-        "max_level_seen": basis.max_level_seen,
-        "elements": [format_vector(v) for v in basis.elements],
-    }
-
-
 def cmd_basis(args) -> int:
     budget = _budget(args)
     cache = _cache(args)
@@ -89,7 +78,7 @@ def cmd_basis(args) -> int:
         )
         cache.put_basis(basis)
     if args.format == "json":
-        print(json.dumps(_basis_payload(basis), sort_keys=True, indent=1))
+        print(json.dumps(basis_to_dict(basis), sort_keys=True, indent=1))
     else:
         print(
             f"m={basis.m} algorithm={basis.algorithm} "
@@ -169,37 +158,6 @@ def _report_lines(report: ConditionReport) -> list[str]:
     return lines
 
 
-def _report_payload(report: ConditionReport) -> dict:
-    counts = report.counts
-    outcomes = []
-    for o in report.outcomes:
-        item = {"element": format_vector(o.element), "kind": o.kind}
-        if o.witness is not None:
-            item["witness"] = {
-                "b": format_vector(o.witness.b),
-                "c": format_vector(o.witness.c),
-                "d": format_vector(o.witness.d),
-            }
-        if o.provenance is not None:
-            item["provenance"] = {
-                "p": o.provenance.p,
-                "i": o.provenance.i,
-                "doubled": o.provenance.doubled,
-            }
-        outcomes.append(item)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "m": report.m,
-        "n": report.n,
-        "exclude_standard": report.exclude_standard,
-        "verdict": report.verdict,
-        "complete": report.complete,
-        "counts": counts,
-        "standard_set": report.standard_count,
-        "outcomes": outcomes,
-    }
-
-
 def _cached_report(m, n, exclude_standard, cache, budget) -> ConditionReport:
     report = cache.get_report(m, n, exclude_standard)
     if report is None:
@@ -213,16 +171,11 @@ def _cached_report(m, n, exclude_standard, cache, budget) -> ConditionReport:
 
 
 def cmd_check(args) -> int:
-    cache = _cache(args)
-    try:
-        report = _cached_report(
-            args.m, args.n, args.exclude_standard, cache, _budget(args)
-        )
-    except (IncompleteBasisError, BudgetExceededError) as exc:
-        print(f"incomplete: {exc}", file=sys.stderr)
-        return EXIT_INCOMPLETE
+    report = _cached_report(
+        args.m, args.n, args.exclude_standard, _cache(args), _budget(args)
+    )
     if args.format == "json":
-        print(json.dumps(_report_payload(report), sort_keys=True, indent=1))
+        print(json.dumps(report_to_dict(report), sort_keys=True, indent=1))
     else:
         for line in _report_lines(report):
             print(line)
@@ -230,23 +183,9 @@ def cmd_check(args) -> int:
 
 
 def _scan_single(job) -> dict:
-    m, n_max_seconds, n_max_candidates = job
-    budget = SearchBudget(max_seconds=n_max_seconds, max_candidates=n_max_candidates)
-    try:
-        report = check_condition(m, n=4, exclude_standard=True, budget=budget)
-        return _report_payload(report)
-    except (BudgetExceededError, IncompleteBasisError):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "m": m,
-            "n": 4,
-            "exclude_standard": True,
-            "verdict": True,
-            "complete": False,
-            "counts": {"QUASI": 0, "STANDARD": 0, "FAIL": 0},
-            "standard_set": 0,
-            "outcomes": [],
-        }
+    m, max_seconds, max_candidates = job
+    budget = SearchBudget(max_seconds=max_seconds, max_candidates=max_candidates)
+    return report_to_dict(check_condition(m, n=4, exclude_standard=True, budget=budget))
 
 
 def cmd_scan_fourfolds(args) -> int:
@@ -313,7 +252,8 @@ def cmd_verdict(args) -> int:
         f"m={report.m} n={report.n} status={report.status.value} "
         f"justification={report.justification}"
     )
-    return EXIT_OK
+    checked = report.condition_report
+    return EXIT_INCOMPLETE if checked is not None and not checked.complete else EXIT_OK
 
 
 def cmd_verify_33(args) -> int:

@@ -19,12 +19,7 @@ from math import gcd
 import numpy as np
 
 from .budget import SearchBudget
-from .errors import (
-    BudgetExceededError,
-    IncompleteBasisError,
-    IncompletePoolError,
-    MembershipError,
-)
+from .errors import IncompleteBasisError, IncompletePoolError, MembershipError
 from .hilbert import HilbertBasis, _levelwise, hilbert_basis
 from .monoid import MonoidVector, check_modulus, is_member, level_rows, sort_key
 
@@ -355,7 +350,8 @@ def scan_fourfolds(
 ) -> list[ConditionReport]:
     """Fourfold condition reports over a degree range.
 
-    Budget overruns are recorded as incomplete reports, not raised.
+    A degree whose check runs out of budget gets a report with
+    complete=False (see ``check_condition``).
     """
     if m_from < 2 or m_from > m_to:
         raise ValueError(f"invalid range {m_from}..{m_to}")
@@ -364,20 +360,7 @@ def scan_fourfolds(
         if coprime_to is not None and gcd(m, coprime_to) != 1:
             continue
         budget = budget_per_m or SearchBudget()
-        try:
-            reports.append(check_condition(m, n=4, exclude_standard=True, budget=budget))
-        except (BudgetExceededError, IncompleteBasisError):
-            reports.append(
-                ConditionReport(
-                    m=m,
-                    n=4,
-                    exclude_standard=True,
-                    outcomes=(),
-                    verdict=True,
-                    complete=False,
-                    standard_count=0,
-                )
-            )
+        reports.append(check_condition(m, n=4, exclude_standard=True, budget=budget))
     return reports
 
 
@@ -403,7 +386,8 @@ def verdict(m: int, n: int, budget: SearchBudget | None = None) -> VerdictReport
     Theorem facts are recorded, not re-proved; the computational path
     runs the level-range condition with standard exclusion (both the
     quasi-decomposable and the standard classes are algebraic, so the
-    exclusion is sound).
+    exclusion is sound).  A check cut short by the budget is UNDETERMINED
+    and its justification says so.
     """
     check_modulus(m)
     if n < 0 or n % 2:
@@ -438,11 +422,15 @@ def verdict(m: int, n: int, budget: SearchBudget | None = None) -> VerdictReport
             m, n, VerdictStatus.PROVEN_FOURFOLD_COPRIME_6,
             "fourfolds of degree coprime to 6 are settled by the induced structure",
         )
-    try:
-        report = check_condition(m, n=n, exclude_standard=True, budget=budget)
-    except (BudgetExceededError, IncompleteBasisError):
-        report = None
-    if report is not None and report.verdict and report.complete:
+    report = check_condition(m, n=n, exclude_standard=True, budget=budget)
+    if not report.complete:
+        return VerdictReport(
+            m, n, VerdictStatus.UNDETERMINED,
+            "no recorded theorem applies and the level-range check was cut "
+            "short by the budget",
+            condition_report=report,
+        )
+    if report.verdict:
         return VerdictReport(
             m, n, VerdictStatus.PROVEN_BY_PNM_CHECK,
             "every indecomposable in the level range is quasi-decomposable "

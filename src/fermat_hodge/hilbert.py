@@ -17,7 +17,10 @@ independent algorithms are provided:
   by a normal-form completion: close the lattice basis under pairwise
   sums, reducing each sum by sign-compatible subtraction of known
   vectors.  Termination follows from Dickson's lemma and the closure
-  certifies completeness without an a-priori level bound.
+  certifies completeness without an a-priori level bound.  The result
+  needs no minimality pass: the interreduced closure is an antichain
+  under the sign order, which on pair-free rows is componentwise
+  domination, and no pair-free row dominates a level-1 pair.
 """
 
 from __future__ import annotations
@@ -469,30 +472,12 @@ def _completion_rows(m: int, budget: SearchBudget) -> list[tuple[int, ...]]:
             row = _u_to_row(u, m)
             if row is not None:
                 rows.append(row)
-    return _minimalize(rows, m)
-
-
-def _minimalize(rows: list[tuple[int, ...]], m: int) -> list[tuple[int, ...]]:
-    """Keep only rows that do not dominate another row (equal rows merge)."""
-    uniq = sorted(set(rows))
-    if not uniq:
-        return []
-    arr = np.asarray(uniq, dtype=np.int64)
-    norms = arr.sum(axis=1)
-    order = np.argsort(norms, kind="stable")
-    kept: list[int] = []
-    for i in order:
-        row = arr[i]
-        ok = True
-        for j in kept:
-            if norms[j] >= norms[i]:
-                break
-            if (arr[j] <= row).all():
-                ok = False
-                break
-        if ok:
-            kept.append(i)
-    return [uniq[i] for i in sorted(kept)]
+    # The closure ends interreduced, so its rows form an antichain under
+    # the sign order, and pair-free rows cannot dominate the level-one
+    # pairs: no domination pass is needed.  Only the self-paired row
+    # (x_{m/2} = 2; 1) of even m arrives twice, from level one and from
+    # the lattice vector 2e_{m/2}.
+    return sorted(set(rows))
 
 
 # ---------------------------------------------------------------------------

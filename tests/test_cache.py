@@ -3,7 +3,12 @@ import json
 import pytest
 
 from fermat_hodge import check_condition, enumerate_level, hilbert_basis, standard_elements
-from fermat_hodge.cache import ResultCache, default_cache_dir
+from fermat_hodge.cache import (
+    ResultCache,
+    basis_to_dict,
+    default_cache_dir,
+    report_to_dict,
+)
 
 
 @pytest.fixture
@@ -63,6 +68,11 @@ class TestIntegrity:
         path.write_text(json.dumps(entry))
         assert cache.get_level(9, 2) is None
 
+    def test_entry_that_is_not_an_object_is_a_miss(self, cache):
+        cache.put_level(9, 2, enumerate_level(9, 2))
+        cache._path("LEVEL", "m9_y2").write_text("[1, 2]")
+        assert cache.get_level(9, 2) is None
+
     def test_rewrite_after_poisoning_restores(self, cache):
         vectors = enumerate_level(9, 2)
         cache.put_level(9, 2, vectors)
@@ -71,6 +81,46 @@ class TestIntegrity:
         assert cache.get_level(9, 2) is None
         cache.put_level(9, 2, vectors)
         assert cache.get_level(9, 2) == vectors
+
+
+class TestKeysAndLayouts:
+    def test_report_under_another_key_is_a_miss(self, cache):
+        report = check_condition(12, n=4, exclude_standard=True)
+        cache.put_report(report)
+        moved = cache._path("REPORT", "m12_nall_excl0")
+        cache._path("REPORT", "m12_n4_excl1").rename(moved)
+        assert cache.get_report(12, None, False) is None
+
+    def test_basis_under_another_key_is_a_miss(self, cache):
+        cache.put_basis(hilbert_basis(9))
+        cache._path("BASIS", "m9").rename(cache._path("BASIS", "m10"))
+        assert cache.get_basis(10) is None
+
+    def test_report_missing_outcomes_is_a_miss(self, cache):
+        cache.put_report(check_condition(12))
+        _rewrite_payload(cache, "REPORT", "m12_nall_excl0", lambda p: p.pop("outcomes"))
+        assert cache.get_report(12, None, False) is None
+
+    def test_basis_missing_elements_is_a_miss(self, cache):
+        cache.put_basis(hilbert_basis(12))
+        _rewrite_payload(cache, "BASIS", "m12", lambda p: p.pop("elements"))
+        assert cache.get_basis(12) is None
+
+    def test_payload_is_the_cli_json(self, cache):
+        basis, report = hilbert_basis(12), check_condition(12)
+        cache.put_basis(basis)
+        cache.put_report(report)
+        stored = json.loads(cache._path("BASIS", "m12").read_text())["payload"]
+        assert stored == basis_to_dict(basis)
+        stored = json.loads(cache._path("REPORT", "m12_nall_excl0").read_text())
+        assert stored["payload"] == report_to_dict(report)
+
+
+def _rewrite_payload(cache, kind, name, edit):
+    """Apply edit to an entry's payload and store it with a valid digest."""
+    payload = json.loads(cache._path(kind, name).read_text())["payload"]
+    edit(payload)
+    cache._write(kind, name, payload["m"], payload)
 
 
 class TestDefaultDir:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from fermat_hodge.cache import ResultCache
 from fermat_hodge.cli import main
 
 
@@ -146,6 +147,16 @@ class TestScanCommand:
         assert code == 0
         assert "failures at [33]" in out
 
+    def test_truncated_scan_exits_incomplete(self, capsys, tmp_path):
+        code, out = run_cli(
+            ["scan-fourfolds", "--from", "33", "--to", "33", "--max-candidates",
+             "100", "--cache-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 3
+        assert "m=33 verdict=true complete=false" in out
+        assert "summary: incomplete at [33]" in out
+
     def test_jobs_do_not_change_output(self, capsys, tmp_path):
         argv = ["scan-fourfolds", "--from", "5", "--to", "13", "--coprime-to", "6"]
         _, out1 = run_cli(argv + ["--jobs", "1", "--cache-dir", str(tmp_path)], capsys)
@@ -167,6 +178,22 @@ class TestOtherCommands:
         )
         assert code == 0
         assert "status=PROVEN_PRIME_SQUARE" in out
+
+    def test_truncated_verdict_exits_incomplete(self, capsys, tmp_path):
+        code, out = run_cli(
+            ["verdict", "--m", "33", "--n", "4", "--max-candidates", "100",
+             "--cache-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 3
+        assert "status=UNDETERMINED" in out and "cut short" in out
+
+    def test_closed_failing_verdict_exits_ok(self, capsys, tmp_path):
+        code, out = run_cli(
+            ["verdict", "--m", "33", "--n", "4", "--cache-dir", str(tmp_path)], capsys
+        )
+        assert code == 0
+        assert "status=UNDETERMINED" in out and "does not close" in out
 
     def test_newton(self, capsys, tmp_path):
         code, out = run_cli(
@@ -203,6 +230,36 @@ class TestVerify33:
         level_file.write_text(json.dumps(entry))
         code, out2 = run_cli(argv, capsys)
         assert code == 0 and out2 == out1
+
+
+class TestCacheLayouts:
+    """Entries written in the layout the cache used before it stored the
+    CLI's JSON (no schema_version or counts; standard_count for
+    standard_set) are still served or recomputed, never a crash."""
+
+    def test_older_report_entry_is_recomputed_and_rewritten(self, capsys, tmp_path):
+        argv = ["check", "--m", "12", "--format", "json", "--cache-dir", str(tmp_path)]
+        _, fresh = run_cli(argv, capsys)
+        cache, name = ResultCache(tmp_path), "m12_nall_excl0"
+        current = json.loads(cache._path("REPORT", name).read_text())["payload"]
+        older = {k: current[k] for k in
+                 ("m", "n", "exclude_standard", "outcomes", "verdict", "complete")}
+        older["standard_count"] = current["standard_set"]
+        cache._write("REPORT", name, 12, older)
+        code, out = run_cli(argv, capsys)
+        assert code == 0 and out == fresh
+        assert json.loads(cache._path("REPORT", name).read_text())["payload"] == current
+
+    def test_older_basis_entry_is_served(self, capsys, tmp_path):
+        argv = ["basis", "--m", "12", "--format", "json", "--cache-dir", str(tmp_path)]
+        _, fresh = run_cli(argv, capsys)
+        cache = ResultCache(tmp_path)
+        older = json.loads(cache._path("BASIS", "m12").read_text())["payload"]
+        del older["schema_version"]
+        cache._write("BASIS", "m12", 12, older)
+        code, out = run_cli(argv, capsys)
+        assert code == 0 and out == fresh
+        assert json.loads(cache._path("BASIS", "m12").read_text())["payload"] == older
 
 
 class TestDeterminism:

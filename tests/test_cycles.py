@@ -229,7 +229,10 @@ class TestCheckCondition:
 
     def test_truncated_fourfold_verdict_is_undetermined(self):
         budget = SearchBudget(max_seconds=None, max_candidates=100)
-        assert verdict(33, 4, budget=budget).status == VerdictStatus.UNDETERMINED
+        report = verdict(33, 4, budget=budget)
+        assert report.status == VerdictStatus.UNDETERMINED
+        assert not report.condition_report.complete
+        assert "cut short" in report.justification
 
     def test_each_slice_enumerated_once(self, monkeypatch):
         import fermat_hodge.cycles as cycles
@@ -310,6 +313,12 @@ class TestScan:
     def test_m3_vacuous(self):
         reports = scan_fourfolds(3, 3)
         assert reports[0].verdict and not reports[0].outcomes
+
+    def test_truncated_degree_is_an_incomplete_report(self):
+        budget = SearchBudget(max_seconds=None, max_candidates=100)
+        (report,) = scan_fourfolds(33, 33, budget_per_m=budget)
+        assert not report.complete
+        assert report.standard_count == len(standard_elements(33).vectors)
 
 
 class TestVerdict:
