@@ -53,7 +53,3 @@ class SearchBudget:
         if seconds is not None and self._started:
             seconds = max(0.0, seconds - (time.monotonic() - self._started))
         return type(self)(max_seconds=seconds, max_candidates=self.max_candidates)
-
-    @staticmethod
-    def unlimited() -> "SearchBudget":
-        return SearchBudget(max_seconds=None, max_candidates=None)

@@ -283,9 +283,9 @@ def check_condition(
 
     With n given the range is 3..n/2+1 and exhaustive level slices
     certify it; without n the range runs to the top of a complete
-    basis (an incomplete one raises).  Verdict is true iff no element
-    is left unexplained (neither quasi-decomposable nor excluded as
-    standard).
+    basis, ``basis`` or computed (an incomplete one raises).  Verdict is
+    true iff no element is left unexplained (neither quasi-decomposable
+    nor excluded as standard).
     """
     check_modulus(m)
     budget = budget or SearchBudget()
@@ -293,16 +293,14 @@ def check_condition(
     if n is not None:
         if n < 0 or n % 2:
             raise ValueError(f"dimension must be even and >= 0, got {n}")
+        if basis is not None:
+            raise ValueError("a basis applies to the all-levels condition only")
         top = n // 2 + 1
-        if basis is not None and (basis.complete or basis.max_level_seen >= top):
-            elements = [b for b in basis.elements if 3 <= b.y <= top]
-            complete = True
-        else:
-            # the sieved slices become the pool of the quasi search
-            sieve, slices = _levelwise(m, top, None, budget)
-            elements = [b for b in sieve.elements if b.y >= 3]
-            complete = sieve.max_level_seen >= top
-            pool = LevelPool(m, levels=slices)
+        # the sieved slices become the pool of the quasi search
+        sieve, slices = _levelwise(m, top, None, budget)
+        elements = [b for b in sieve.elements if b.y >= 3]
+        complete = sieve.max_level_seen >= top
+        pool = LevelPool(m, levels=slices)
     else:
         if basis is None:
             basis = hilbert_basis(m, budget=budget)

@@ -40,8 +40,3 @@ class IncompleteBasisError(RuntimeError):
 
 class BudgetExceededError(RuntimeError):
     """A search exceeded its configured time or candidate budget."""
-
-    def __init__(self, message: str, partial=None, certified_level: int = 0):
-        super().__init__(message)
-        self.partial = partial
-        self.certified_level = certified_level

@@ -14,9 +14,14 @@ independent algorithms are provided:
   an explicit integer lattice condition on u, componentwise domination
   becomes the sign-compatible (Graver) order, and the indecomposables
   are exactly the Graver-minimal lattice vectors.  Those are computed
-  by a normal-form completion: close the lattice basis under pairwise
-  sums, reducing each sum by sign-compatible subtraction of known
-  vectors.  Termination follows from Dickson's lemma and the closure
+  by a Pottier-style completion (Hemmecke, "On the computation of
+  Hilbert bases of cones", 2002): close the lattice basis under
+  pairwise sums, reducing each sum by sign-compatible subtraction of
+  known vectors.  One batched reducer does all reduction, against a
+  store rebuilt in bulk from whole orbits under the signed action of
+  every unit of Z/m.  Interreduction runs in rounds; each one lowers
+  the total norm of the orbit representatives, so it ends.
+  Termination of the closure follows from Dickson's lemma, and it
   certifies completeness without an a-priori level bound.  The result
   needs no minimality pass: the interreduced closure is an antichain
   under the sign order, which on pair-free rows is componentwise
@@ -39,6 +44,7 @@ from .monoid import (
     is_member,
     level_rows,
     sort_key,
+    units,
 )
 
 __all__ = [
@@ -67,9 +73,6 @@ class HilbertBasis:
     complete: bool
     max_level_seen: int
     algorithm: str
-
-    def by_level(self, y: int) -> tuple[MonoidVector, ...]:
-        return tuple(v for v in self.elements if v.y == y)
 
     @property
     def max_element_level(self) -> int:
@@ -194,51 +197,55 @@ def _u_to_row(u, m: int) -> tuple[int, ...] | None:
 
 
 # ---------------------------------------------------------------------------
-# normal-form completion (Graver basis of the folded lattice)
+# sum-and-reduce completion (Graver basis of the folded lattice)
 # ---------------------------------------------------------------------------
 
 
-def _class_transforms(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Signed class permutations induced by the units t with 1 < t <= m/2.
+def _class_transforms(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signed class permutations induced by every unit t of Z/m.
 
     A unit t sends residue a to <t*a>; on class coordinates this is a
     permutation with a sign flip whenever the image falls on the upper
-    half.  The units above m/2 act as the negatives of these, and the
-    whole defining lattice is invariant under the action.
+    half.  Returns the stacked (T, C) target indices and signs.  All
+    units are listed: for even m the self-paired class m/2 is fixed with
+    sign +1 by every unit, so t and m - t are not negatives of each
+    other there.  The defining lattice is invariant under the action.
     """
     C = m // 2
-    out = []
-    for t in range(2, m // 2 + 1):
-        if gcd(t, m) != 1:
-            continue
-        perm = np.zeros(C, dtype=np.int64)
-        sign = np.zeros(C, dtype=np.int64)
-        for a in range(1, C + 1):
-            r = (t * a) % m
-            if r <= C:
-                perm[a - 1] = r - 1
-                sign[a - 1] = 1
-            else:
-                perm[a - 1] = m - r - 1
-                sign[a - 1] = -1
-        out.append((perm, sign))
-    return out
+    r = np.outer(units(m), np.arange(1, C + 1)) % m
+    upper = r > C
+    return np.where(upper, m - r, r) - 1, np.where(upper, -1, 1)
+
+
+def _unique_rows(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of V in lexicographic order, and each row's index.
+
+    The same as ``np.unique(V, axis=0, return_inverse=True)``, by one
+    ``lexsort``, which is several times faster on int64 rows.
+    """
+    order = np.lexsort(V.T[::-1])
+    S = V[order]
+    new = np.ones(len(S), dtype=bool)
+    new[1:] = (S[1:] != S[:-1]).any(axis=1)
+    inverse = np.empty(len(V), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return S[new], inverse
 
 
 class _Closure:
     """Sum-and-reduce closure of a lattice basis under the sign order.
 
     Vectors are stored with their positive/negative parts and packed
-    support bitmasks; reduction subtracts any stored vector whose
-    positive and negative parts both fit inside the target's.  Only
-    cancelling pairs (opposite strict signs somewhere) need processing:
-    a sum without cancellation reduces to zero through its own
-    summands.  Rows that reduce to zero through the others are
-    redundant as reducers and are dropped when the store is
-    interreduced.
+    support bitmasks; ``reduce`` subtracts any stored vector whose
+    positive and negative parts both fit inside the target's, and it is
+    the only reduction.  Only cancelling pairs (opposite strict signs
+    somewhere) need processing: a sum without cancellation reduces to
+    zero through its own summands.
 
-    The store keeps whole orbits under the signed unit action, but the
-    pair loop runs over orbit representatives only: a sum of two orbit
+    The store holds whole orbits under the signed action of the full
+    unit group and negation, rebuilt in bulk from the orbit
+    representatives (each orbit's least member) by ``set_reps``.  The
+    pair loop runs over representatives only: a sum of two orbit
     members is a unit transform of a representative paired against the
     transformed other, and reduction chains transform along, so closing
     over representative pairs closes over all pairs.
@@ -247,199 +254,131 @@ class _Closure:
     def __init__(self, C: int, budget: SearchBudget, transforms):
         self.C = C
         self.budget = budget
-        self.transforms = transforms
-        self.bits = (1 << np.arange(C, dtype=np.int64)).astype(np.int64)
+        self.perm, self.sign = transforms
+        self.bits = 1 << np.arange(C, dtype=np.int64)
         self.ticks = 0
-        self._alloc(1 << 10)
-        self.n = 0
-        self.rep_of_row: list[int] = []
-        self.reps: list[np.ndarray] = []
+        self.set_reps(np.zeros((0, C), dtype=np.int64))
 
-    def _alloc(self, cap: int) -> None:
-        self.G = np.zeros((cap, self.C), dtype=np.int64)
-        self.Gp = np.zeros((cap, self.C), dtype=np.int64)
-        self.Gm = np.zeros((cap, self.C), dtype=np.int64)
-        self.keys = np.zeros(cap, dtype=np.int64)
+    def _keys(self, V: np.ndarray) -> np.ndarray:
+        return ((V > 0) @ self.bits) | (((V < 0) @ self.bits) << 32)
 
-    def _grow(self) -> None:
-        old = (self.G, self.Gp, self.Gm, self.keys)
-        self._alloc(2 * len(self.G))
-        for new, prev in zip((self.G, self.Gp, self.Gm, self.keys), old):
-            new[: self.n] = prev[: self.n]
-
-    def orbit(self, v: np.ndarray) -> list[np.ndarray]:
-        """All distinct signed unit transforms of v, including +-v."""
-        seen = {v.tobytes(): v}
-        seen.setdefault((-v).tobytes(), -v)
-        for perm, sign in self.transforms:
-            w = np.zeros(self.C, dtype=np.int64)
-            w[perm] = sign * v
-            seen.setdefault(w.tobytes(), w)
-            seen.setdefault((-w).tobytes(), -w)
-        return [seen[k] for k in sorted(seen)]
-
-    def _add_row(self, v: np.ndarray, rep_index: int) -> None:
-        if self.n == len(self.G):
-            self._grow()
-        i = self.n
-        vp = np.maximum(v, 0)
-        vm = vp - v
-        self.G[i] = v
-        self.Gp[i] = vp
-        self.Gm[i] = vm
-        self.keys[i] = int(((vp > 0) * self.bits).sum()) | (
-            int(((vm > 0) * self.bits).sum()) << 32
+    def set_reps(self, R: np.ndarray) -> None:
+        """Rebuild the store from the orbits of the nonzero rows of R."""
+        R = R[R.any(axis=1)]
+        k, T = len(R), len(self.perm)
+        W = np.zeros((k, T, self.C), dtype=np.int64)
+        W[np.arange(k)[:, None, None], np.arange(T)[None, :, None], self.perm] = (
+            self.sign * R[:, None, :]
         )
-        self.rep_of_row.append(rep_index)
-        self.n += 1
+        W = np.concatenate([W, -W], axis=1).reshape(-1, self.C)
+        self.G, inv = _unique_rows(W)
+        inv = inv.reshape(k, 2 * T)
+        # rows come out sorted, so an orbit's least row index is its least member
+        least, orbit = np.unique(inv.min(axis=1), return_inverse=True)
+        self.reps = self.G[least]
+        self.rep_of_row = np.empty(len(self.G), dtype=np.int64)
+        self.rep_of_row[inv] = orbit.reshape(k, 1)
+        self.Gp = np.maximum(self.G, 0)
+        self.Gm = self.Gp - self.G
+        self.keys = self._keys(self.G)
 
-    def add_orbit(self, v: np.ndarray) -> bool:
-        if not v.any():
-            return False
-        members = self.orbit(v)
-        rep_index = len(self.reps)
-        self.reps.append(min(members, key=lambda a: tuple(a)))
-        for w in members:
-            self._add_row(w, rep_index)
-        return True
+    def _chunks(self, V: np.ndarray):
+        """Chunks of V with their (row, store row) support-prefilter pairs.
 
-    @staticmethod
-    def _pack(vp: np.ndarray, vm: np.ndarray, bits: np.ndarray) -> int:
-        return int(((vp > 0) * bits).sum()) | (int(((vm > 0) * bits).sum()) << 32)
-
-    def normal_form(self, v: np.ndarray) -> np.ndarray:
-        self.ticks += 1
-        if not self.ticks % 512:
-            self.budget.check(self.ticks)
-        n = self.n
-        while v.any():
-            vp = np.maximum(v, 0)
-            vm = vp - v
-            vkey = self._pack(vp, vm, self.bits)
-            cand = np.flatnonzero((self.keys[:n] & ~vkey) == 0)
-            if not len(cand):
-                break
-            fit = cand[
-                (self.Gp[cand] <= vp).all(axis=1) & (self.Gm[cand] <= vm).all(axis=1)
-            ]
-            if not len(fit):
-                break
-            v = v - self.G[fit[0]]
-        return v
-
-    def batch_reduce(self, V: np.ndarray) -> np.ndarray:
-        """Reduce every row of V against the store; distinct remainders.
-
-        Rows are sign-normalized (the store is closed under negation)
-        and deduplicated.  The packed-bitmask prefilter computes each
-        row's candidate reducers once per chunk: sign-compatible
-        subtraction only shrinks both parts of a row, so the initial
-        candidate set stays a valid superset for every later pass, and
-        each pass just re-verifies magnitudes and subtracts the
-        lowest-index fit.
+        Sign-compatible subtraction only shrinks both parts of a row, so
+        the pairs stay a superset of the fits while a chunk is reduced.
         """
-        if not len(V):
-            return np.zeros((0, self.C), dtype=np.int64)
-        first = V[np.arange(len(V)), np.argmax(V != 0, axis=1)]
-        V = V * np.where(first < 0, -1, 1)[:, None]
-        V = np.unique(V, axis=0)
-        V = V[np.abs(V).sum(axis=1) > 0]
-        n = self.n
-        chunk = max(32, (1 << 23) // max(n, 1))
-        out = []
+        chunk = max(32, (1 << 20) // max(len(self.G), 1))
         for lo in range(0, len(V), chunk):
             W = V[lo : lo + chunk].copy()
             self.budget.check(self.ticks)
             self.ticks += len(W)
-            Wp = np.maximum(W, 0)
-            Wm = Wp - W
-            vkeys = ((Wp > 0) @ self.bits) | (((Wm > 0) @ self.bits) << 32)
-            cand = (self.keys[:n][None, :] & ~vkeys[:, None]) == 0
-            pair_row, pair_g = np.nonzero(cand)
+            cand = (self.keys[None, :] & ~self._keys(W)[:, None]) == 0
+            yield lo, W, *np.nonzero(cand)
+
+    def _fits(self, W: np.ndarray, rows: np.ndarray, gs: np.ndarray) -> np.ndarray:
+        Wp = np.maximum(W, 0)
+        Wm = Wp - W
+        return (self.Gp[gs] <= Wp[rows]).all(axis=1) & (
+            self.Gm[gs] <= Wm[rows]
+        ).all(axis=1)
+
+    def reduce(self, parts: list[np.ndarray]) -> np.ndarray:
+        """Reduce every row of the parts against the store; distinct remainders.
+
+        Rows are sign-normalized (the store is closed under negation)
+        and deduplicated.  Each pass subtracts the lowest-index fit from
+        every row that still has one.
+        """
+        self.budget.check(self.ticks)
+        V = np.vstack([np.zeros((0, self.C), dtype=np.int64), *parts])
+        first = V[np.arange(len(V)), np.argmax(V != 0, axis=1)]
+        V = _unique_rows(V * np.where(first < 0, -1, 1)[:, None])[0]
+        out = [np.zeros((0, self.C), dtype=np.int64)]
+        for _, W, pair_row, pair_g in self._chunks(V[V.any(axis=1)]):
             alive = np.ones(len(W), dtype=bool)
-            while alive.any() and len(pair_row):
+            while True:
                 self.budget.check(self.ticks)
                 sel = alive[pair_row]
                 rows, gs = pair_row[sel], pair_g[sel]
+                fit = self._fits(W, rows, gs)
+                rows, gs = rows[fit], gs[fit]
                 if not len(rows):
                     break
-                Wp = np.maximum(W, 0)
-                Wm = Wp - W
-                fit = (self.Gp[gs] <= Wp[rows]).all(axis=1) & (
-                    self.Gm[gs] <= Wm[rows]
-                ).all(axis=1)
-                rows, gs = rows[fit], gs[fit]
-                settled = alive.copy()
-                if len(rows):
-                    first_rows, first_pos = np.unique(rows, return_index=True)
-                    W[first_rows] -= self.G[gs[first_pos]]
-                    settled[first_rows] = False
-                    zeroed = first_rows[~W[first_rows].any(axis=1)]
-                    alive[zeroed] = False
-                alive[settled] = False
-            nz = W[np.abs(W).sum(axis=1) > 0]
-            if len(nz):
-                out.append(nz)
-        if not out:
-            return np.zeros((0, self.C), dtype=np.int64)
-        return np.unique(np.vstack(out), axis=0)
+                first_rows, first_pos = np.unique(rows, return_index=True)
+                W[first_rows] -= self.G[gs[first_pos]]
+                alive[:] = False
+                alive[first_rows[W[first_rows].any(axis=1)]] = True
+            out.append(W[W.any(axis=1)])
+        return _unique_rows(np.vstack(out))[0]
 
-    def interreduce(self) -> None:
-        """Drop orbits reducible through the others; rebuild norm-sorted."""
-        reps = sorted(self.reps, key=lambda a: (int(np.abs(a).sum()), tuple(a)))
-        self.n = 0
-        self.reps = []
-        self.rep_of_row = []
-        for v in reps:
-            r = self.normal_form(v.copy())
-            if r.any():
-                self.add_orbit(r)
+    def interreduce(self, R: np.ndarray) -> None:
+        """Store the orbits of R minus those reducible through the others.
+
+        Each round marks the reps that a row of another orbit fits under,
+        rebuilds the store from the rest, reduces the marked reps against
+        it and adds the remainders back.  A fit other than the rep itself
+        has a smaller norm, so the least marked rep always shrinks and
+        the total norm of the reps falls until no rep is reducible.
+        """
+        self.set_reps(R)
+        while True:
+            self.budget.check(self.ticks)
+            marked = np.zeros(len(self.reps), dtype=bool)
+            for lo, W, rows, gs in self._chunks(self.reps):
+                fit = self._fits(W, rows, gs) & (self.rep_of_row[gs] != lo + rows)
+                marked[lo + rows[fit]] = True
+            if not marked.any():
+                return
+            reducible = self.reps[marked]
+            self.set_reps(self.reps[~marked])
+            self.set_reps(np.vstack([self.reps, self.reduce([reducible])]))
 
     def run(self, basis: list[list[int]]) -> np.ndarray:
-        fresh: list[np.ndarray] = [np.asarray(b, dtype=np.int64) for b in basis]
+        fresh = np.asarray(basis, dtype=np.int64)
         paired: set[bytes] = set()
         while True:
-            for v in sorted(fresh, key=lambda a: (int(np.abs(a).sum()), tuple(a))):
-                r = self.normal_form(v.copy())
-                if r.any():
-                    self.add_orbit(r)
-            self.interreduce()
+            self.interreduce(np.vstack([self.reps, fresh]))
             rep_keys = [r.tobytes() for r in self.reps]
-            unpaired = [
-                i for i, k in enumerate(rep_keys) if k not in paired
-            ]
+            unpaired = [i for i, k in enumerate(rep_keys) if k not in paired]
             if not unpaired:
                 break
             # pair the lowest-norm band first so that junk generators get
             # interreduced away before they multiply into more sums
-            rep_norms = [int(np.abs(self.reps[i]).sum()) for i in unpaired]
-            cutoff = min(rep_norms) + 2
-            band = [i for i, nm in zip(unpaired, rep_norms) if nm <= cutoff]
-            block_reps = np.asarray(band, dtype=np.int64)
+            norms = np.abs(self.reps).sum(axis=1)
+            cutoff = norms[unpaired].min() + 2
+            band = [i for i in unpaired if norms[i] <= cutoff]
             in_block = np.zeros(len(self.reps), dtype=bool)
-            in_block[block_reps] = True
-            row_rep = np.asarray(self.rep_of_row, dtype=np.int64)
-            block_rows = np.flatnonzero(in_block[row_rep])
-            block = self.G[block_rows].copy()
-            block_rep_idx = row_rep[block_rows]
-            reps_snapshot = [r.copy() for r in self.reps]
-            buf: list[np.ndarray] = []
+            in_block[band] = True
+            block_rows = np.flatnonzero(in_block[self.rep_of_row])
+            block = self.G[block_rows]
+            block_rep_idx = self.rep_of_row[block_rows]
+            sums: list[np.ndarray] = []
             buffered = 0
-            remainders: dict[bytes, np.ndarray] = {}
-
-            def flush() -> None:
-                nonlocal buffered
-                if not buf:
-                    return
-                stacked = np.vstack(buf)
-                buf.clear()
-                buffered = 0
-                for r in self.batch_reduce(stacked):
-                    remainders.setdefault(r.tobytes(), r)
-
+            remainders = []
             neg_block = block < 0
             pos_block = block > 0
-            for i, g in enumerate(reps_snapshot):
+            for i, g in enumerate(self.reps):
                 if not in_block[i] and rep_keys[i] not in paired:
                     continue  # deferred rep; this pair runs when its band comes
                 cancel = (neg_block & (g > 0)).any(axis=1) | (
@@ -448,18 +387,19 @@ class _Closure:
                 if in_block[i]:
                     cancel[block_rep_idx < i] = False
                 if cancel.any():
-                    buf.append(block[cancel] + g)
+                    sums.append(block[cancel] + g)
                     buffered += int(cancel.sum())
                     if buffered >= (1 << 17):
-                        flush()
-            flush()
+                        remainders.append(self.reduce(sums))
+                        sums, buffered = [], 0
+            remainders.append(self.reduce(sums))
             paired.update(rep_keys[i] for i in band)
-            fresh = [remainders[k] for k in sorted(remainders)]
-        return self.G[: self.n].copy()
+            fresh = np.vstack(remainders)
+        return self.G
 
 
-def _completion_rows(m: int, budget: SearchBudget) -> list[tuple[int, ...]]:
-    """All minimal nonzero solutions of the defining system."""
+def _completion_rows(m: int, budget: SearchBudget) -> set[tuple[int, ...]]:
+    """All minimal nonzero solutions of the defining system, unordered."""
     budget.start()
     rows = [v.row() for v in enumerate_level(m, 1)]
     C = m // 2
@@ -477,7 +417,7 @@ def _completion_rows(m: int, budget: SearchBudget) -> list[tuple[int, ...]]:
     # pairs: no domination pass is needed.  Only the self-paired row
     # (x_{m/2} = 2; 1) of even m arrives twice, from level one and from
     # the lattice vector 2e_{m/2}.
-    return sorted(set(rows))
+    return set(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -251,14 +251,14 @@ class TestCheckCondition:
         assert not report.verdict
         assert sorted(calls) == [(33, 1), (33, 2), (33, 3)]
 
-    def test_no_pool_when_every_element_is_standard(self, monkeypatch, get_basis):
+    def test_no_pool_when_every_element_is_standard(self, monkeypatch):
         import fermat_hodge.cycles as cycles
 
         def no_pool(*args, **kwargs):
             raise AssertionError("pool built although nothing is searched")
 
         monkeypatch.setattr(cycles, "build_pool", no_pool)
-        report = check_condition(25, n=4, exclude_standard=True, basis=get_basis(25))
+        report = check_condition(25, n=4, exclude_standard=True)
         assert report.verdict and report.outcomes
         assert all(o.kind == "STANDARD" for o in report.outcomes)
 
@@ -285,6 +285,10 @@ class TestCheckCondition:
     def test_m13_vacuous(self):
         report = check_condition(13)
         assert report.verdict and not report.outcomes
+
+    def test_basis_with_dimension_rejected(self, get_basis):
+        with pytest.raises(ValueError):
+            check_condition(25, n=4, basis=get_basis(25))
 
     def test_incomplete_basis_rejected(self):
         from fermat_hodge import hilbert_basis

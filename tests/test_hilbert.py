@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import numpy as np
@@ -7,17 +8,41 @@ from fermat_hodge import (
     MonoidVector,
     SearchBudget,
     enumerate_level,
+    format_vector,
     hilbert_basis,
     is_decomposable,
     is_member,
     phi,
     required_dimension_bound,
+    units,
 )
 from fermat_hodge.errors import IncompleteBasisError, MembershipError
+from fermat_hodge.hilbert import _unique_rows
 
 V33 = MonoidVector(
     x=tuple(1 if i in (7, 10, 13, 19, 22, 28) else 0 for i in range(1, 33)), y=3
 )
+
+# (count, sha256 of the canonical text sorted by (level, x)) of the
+# completion basis for each degree above 20 that the suite computes
+BASIS_PINS = {
+    21: (40, "2ce2b3463218b49c1483d678f132ec6d7da37f3f12f306b53892c1405df8e8cb"),
+    22: (211, "92eb79663208f8cee9cfe55bdfe9dfa2ac8ad9d00f1fb274985d3be622f254d5"),
+    23: (11, "c5ff621a430ff9e389f5a0ef8689ae226f8ec52088ab68cbb58df99d5c03cfa5"),
+    24: (1328, "c95d821a904247b9846c1a85b30f15aed81c8080a9d47aaa8f26622ac0a28417"),
+    25: (16, "9afff0537d52082d133ecca90e14e416f4a35b40887e6c7f3bde821d417d55ee"),
+    26: (301, "2bd9ea7066dcb329769b465df414613fb313f41aebbb699d9730701534a87e8d"),
+    27: (35, "ac1cc172e2cc8f1b0ec22f6d5036a57542456ce332eb8f31f2191a6806b77ec9"),
+    28: (684, "9dd3964de4b279cccfe97ec77c99e3982039123cd75613f288fdde6f46e30ab3"),
+    29: (14, "d1444f43920b52c8b3d5c4ce9a8dfcf3a62281a103556eee2413cf479d8ba687"),
+    30: (8559, "bd99995700a024747d51c63299e675e212d413c1874193af8841c2b1d71eba5d"),
+    31: (15, "1ed18a376417831ff67791bd886d0a99dfbe9f7dbc3f40ae0dd2797957c142ff"),
+    32: (420, "b80ffda412378b43facfee3da7ca14378f079b69e631326209f9e9b423cd30fe"),
+    33: (122, "a5a51341e4bd5886e5ee34e6a9b083357e16252b4477f3d5b81ddbafb702463d"),
+    34: (433, "a65b3e73559d626696301d3c1980aaa6cc97f21ce08a1e751139d8b58af2aa0c"),
+    35: (147, "c3ee67f01ec5af938ed6a754155543687f3305e7b96c757dfe402289d1eee512"),
+    39: (175, "90a49bd446cd8752cc0f0ab466676adf0450c2c09e3c355dd5458d0ac27d2192"),
+}
 
 
 class TestHilbertBasis:
@@ -49,6 +74,39 @@ class TestHilbertBasis:
             dominates[np.arange(len(block)), np.arange(lo, lo + len(block))] = False
             pairs = np.argwhere(dominates)
             assert not len(pairs), [(rows[lo + i], rows[j]) for i, j in pairs[:3]]
+
+    @pytest.mark.parametrize("m", range(2, 35))
+    def test_basis_is_closed_under_units(self, m, get_basis):
+        # the defining system is invariant under x_i -> x_{<t*i>} for
+        # every unit t, so the basis is too
+        arr = np.asarray([v.row() for v in get_basis(m).elements], dtype=np.int64)
+        rows = set(map(tuple, arr.tolist()))
+        for t in units(m):
+            image = arr.copy()
+            image[:, [t * i % m - 1 for i in range(1, m)]] = arr[:, :-1]
+            missing = [r for r in map(tuple, image.tolist()) if r not in rows]
+            assert not missing, (t, missing[:3])
+
+    @pytest.mark.parametrize("m", range(21, 35))
+    def test_completion_agrees_with_sieve_up_to_level_three(self, m, get_basis):
+        sieve = hilbert_basis(m, algorithm="levelwise", max_level=3)
+        low = tuple(v for v in get_basis(m).elements if v.y <= 3)
+        assert sieve.elements == low
+
+    @pytest.mark.parametrize("m", sorted(BASIS_PINS))
+    def test_pinned_basis(self, m, get_basis):
+        elements = sorted(get_basis(m).elements, key=lambda v: (v.y, v.x))
+        text = "\n".join(format_vector(v) for v in elements)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert (len(elements), digest) == BASIS_PINS[m]
+
+    @pytest.mark.parametrize("shape", [(0, 4), (1, 4), (300, 3), (2000, 15)])
+    def test_unique_rows_matches_numpy(self, shape):
+        V = np.random.default_rng(0).integers(-2, 3, size=shape)
+        rows, inverse = _unique_rows(V)
+        expected, expected_inverse = np.unique(V, axis=0, return_inverse=True)
+        assert np.array_equal(rows, expected)
+        assert np.array_equal(inverse, expected_inverse.ravel())
 
     @pytest.mark.parametrize("m", [6, 9, 12, 21])
     def test_no_element_is_sum_of_two_elements(self, m, get_basis):
