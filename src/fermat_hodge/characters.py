@@ -2,9 +2,10 @@
 
 A character is a tuple of nonzero residues mod m with zero sum.  The
 Hodge labels in even dimension n are the characters whose weight under
-every unit t equals n/2 + 1; they correspond bijectively to level
-n/2 + 1 elements of the residue-count monoid via the count map, and
-the two join operations mirror sum decompositions on the monoid side.
+every unit t equals n/2 + 1.  As |t*alpha| = sum_k <t*k> x_k / m for
+the count vector x, that condition *is* membership of (x; n/2 + 1) in
+the residue-count monoid, checked by ``monoid.is_member``.  The two
+join operations mirror sum decompositions on the monoid side.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
-from .errors import HodgeLabelError, JoinError, MembershipError
+from .errors import HodgeLabelError, JoinError, MembershipError, ShapeError
 from .hilbert import HilbertBasis, is_decomposable
-from .monoid import MonoidVector, check_modulus, enumerate_level, is_member, units
+from .monoid import MonoidVector, check_modulus, is_member, level_rows
 
 
 @dataclass(frozen=True)
@@ -50,10 +51,8 @@ class HodgeLabel(Character):
 
     def __post_init__(self):
         super().__post_init__()
-        if not is_hodge_label(Character(self.m, self.entries)):
-            raise HodgeLabelError(
-                f"not a Hodge label for m={self.m}: {self.entries}"
-            )
+        if not is_hodge_label(self):
+            raise HodgeLabelError(f"not a Hodge label for m={self.m}: {self.entries}")
 
 
 def weight(alpha: Character, t: int = 1) -> Fraction:
@@ -64,12 +63,22 @@ def weight(alpha: Character, t: int = 1) -> Fraction:
     return Fraction(sum((t * a) % m for a in alpha.entries), m)
 
 
+def _counts(alpha: Character) -> MonoidVector:
+    """Count map: x_k = #{i : a_i = k}, level (n + 2) // 2."""
+    x = [0] * (alpha.m - 1)
+    for a in alpha.entries:
+        x[a - 1] += 1
+    return MonoidVector(x=tuple(x), y=len(alpha.entries) // 2)
+
+
+def _entries(x) -> tuple[int, ...]:
+    """Inverse count map: residue k with multiplicity x_k, sorted."""
+    return tuple(k for k, c in enumerate(x, start=1) for _ in range(c))
+
+
 def is_hodge_label(alpha: Character) -> bool:
-    """True iff n is even and |t*alpha| = n/2 + 1 for every unit t."""
-    if alpha.n % 2:
-        return False
-    target = alpha.n // 2 + 1
-    return all(weight(alpha, t) == target for t in units(alpha.m))
+    """True iff n is even and |t*alpha| = n/2 + 1 for every unit t (``is_member``)."""
+    return alpha.n % 2 == 0 and is_member(_counts(alpha), alpha.m)
 
 
 def enumerate_hodge_labels(
@@ -77,16 +86,17 @@ def enumerate_hodge_labels(
 ) -> list[HodgeLabel]:
     """Canonical (sorted-entry) Hodge labels of dimension n, sorted.
 
-    Generated through the monoid level slice rather than a raw scan of
-    all tuples; the weight conditions are exactly the level equations.
+    Generated from the rows of the monoid level slice rather than a raw
+    scan of all tuples; the weight conditions are exactly the level
+    equations, and each label's own construction check is its one proof.
     With ``expand_permutations`` every distinct entry order is listed.
     """
     check_modulus(m)
     if n < 0 or n % 2:
         raise ValueError(f"dimension must be even and >= 0, got {n}")
+    rows = level_rows(m, n // 2 + 1).tolist()
     reps = sorted(
-        (from_monoid(v, m) for v in enumerate_level(m, n // 2 + 1)),
-        key=lambda lab: lab.entries,
+        (HodgeLabel(m, _entries(row[:-1])) for row in rows), key=lambda lab: lab.entries
     )
     if not expand_permutations:
         return reps
@@ -95,24 +105,23 @@ def enumerate_hodge_labels(
 
 
 def to_monoid(alpha: Character) -> MonoidVector:
-    """Count map: x_k = #{i : <a_i> = k}, level n/2 + 1."""
+    """Count map: x_k = #{i : a_i = k}, level n/2 + 1."""
     if not is_hodge_label(alpha):
         raise HodgeLabelError(f"not a Hodge label: {alpha.entries}")
-    m = alpha.m
-    x = [0] * (m - 1)
-    for a in alpha.entries:
-        x[a - 1] += 1
-    return MonoidVector(x=tuple(x), y=alpha.n // 2 + 1)
+    return _counts(alpha)
 
 
 def from_monoid(v: MonoidVector, m: int) -> HodgeLabel:
-    """Inverse count map: residue k with multiplicity x_k, sorted."""
-    if not is_member(v, m):
-        raise MembershipError(f"not a member of the degree-{m} monoid: {v}")
-    entries: list[int] = []
-    for k, c in enumerate(v.x, start=1):
-        entries.extend([k] * c)
-    return HodgeLabel(m, tuple(entries))
+    """Inverse count map; the label's own check is the membership proof."""
+    check_modulus(m)
+    if len(v.x) != m - 1:
+        raise ShapeError(f"expected {m - 1} entries for degree {m}, got {len(v.x)}")
+    if sum(v.x) == 2 * v.y and min(v.x) >= 0:
+        try:
+            return HodgeLabel(m, _entries(v.x))
+        except ValueError:
+            pass
+    raise MembershipError(f"not a member of the degree-{m} monoid: {v}")
 
 
 def star_join(beta: Character, gamma: Character) -> Character:
@@ -164,7 +173,6 @@ def satisfies_p2(
     m = alpha.m
     entries = alpha.sorted_entries()
     for r in range(2, n - 1, 2):
-        s = n - r
         seen: set[tuple[int, ...]] = set()
         for positions in combinations(range(n + 2), r + 1):
             left = tuple(entries[i] for i in positions)
@@ -181,6 +189,5 @@ def satisfies_p2(
                 gamma = HodgeLabel(m, right + (m - j,))
             except (ValueError, HodgeLabelError):
                 continue
-            assert s == gamma.n
             return (beta, gamma)
     return None

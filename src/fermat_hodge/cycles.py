@@ -363,19 +363,12 @@ def scan_fourfolds(
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return _prime_factors(n) == [n]
 
 
 def _prime_square(n: int) -> bool:
-    r = int(round(n**0.5))
-    return r * r == n and _is_prime(r)
+    factors = _prime_factors(n)
+    return len(factors) == 1 and factors[0] ** 2 == n
 
 
 def verdict(m: int, n: int, budget: SearchBudget | None = None) -> VerdictReport:

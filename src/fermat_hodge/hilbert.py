@@ -31,7 +31,6 @@ independent algorithms are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .monoid import (
     MonoidVector,
     check_modulus,
     enumerate_level,
+    half_units,
     is_member,
     level_rows,
     sort_key,
@@ -94,14 +94,12 @@ def _class_rows(m: int) -> list[list[int]]:
 
     A pair-free vector with class differences u satisfies every unit
     constraint iff sum u_a (2a - m) = 0 (absolute balance) and
-    sum u_a (<t*a> - a) = 0 for the units 2 <= t <= m/2 (relative
-    balance; the remaining units follow from these).
+    sum u_a (<t*a> - a) = 0 for the units t of ``half_units(m)`` other
+    than 1 (relative balance; the remaining units follow from these).
     """
     C = m // 2
     rows = [[2 * a - m for a in range(1, C + 1)]]
-    for t in range(2, m // 2 + 1):
-        if gcd(t, m) == 1:
-            rows.append([(t * a) % m - a for a in range(1, C + 1)])
+    rows += [[(t * a) % m - a for a in range(1, C + 1)] for t in half_units(m)[1:]]
     return rows
 
 

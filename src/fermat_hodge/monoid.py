@@ -17,13 +17,15 @@ join of size-y half-multisets on their weight vectors.  The result is
 one (N, m) int64 array of rows (x..., y) per level, which the sieve and
 the quasi search read directly; ``MonoidVector`` objects are built only
 by ``enumerate_level``.  Indices are int16 and half weights int32 (a
-weight is at most y*(m-1)).  Membership tests use Python integers.
+weight is at most y*(m-1)).  ``is_member``, the one exact test of a
+single vector, rejects sum x_i != 2y first and uses Python integers.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from math import comb, gcd
 
 import numpy as np
@@ -67,6 +69,10 @@ def half_units(m: int) -> tuple[int, ...]:
     """
     check_modulus(m)
     return (1,) + tuple(t for t in range(2, m // 2 + 1) if gcd(t, m) == 1)
+
+
+# per-degree cache for ``is_member``, which checks the degree first
+_unit_reps = cache(half_units)
 
 
 @dataclass(frozen=True)
@@ -113,29 +119,23 @@ def parse_vector(text: str) -> MonoidVector:
 
 
 def is_member(v: MonoidVector, m: int) -> bool:
-    """Full membership test against every unit constraint.
+    """Exact membership test: y >= 1, x >= 0 and every unit constraint.
 
-    Never raises on a well-shaped candidate; a wrong entry count is a
-    ShapeError.
+    Every member has sum x_i == 2y, so a vector without it is rejected
+    first; with it, the constraints for ``half_units(m)`` imply the
+    rest.  Sums run over the nonzero entries in Python integers, so any
+    entry size is exact.  A wrong entry count is a ShapeError.
     """
     check_modulus(m)
     if len(v.x) != m - 1:
         raise ShapeError(f"expected {m - 1} entries for degree {m}, got {len(v.x)}")
-    if v.y < 1:
+    if v.y < 1 or sum(v.x) != 2 * v.y or min(v.x) < 0:
         return False
-    if any(c < 0 for c in v.x):
-        return False
+    support = [(i, c) for i, c in enumerate(v.x, start=1) if c]
     target = m * v.y
-    for t in units(m):
-        total = 0
-        for i, c in enumerate(v.x, start=1):
-            if c:
-                total += ((t * i) % m) * c
-                if total > target:
-                    break
-        if total != target:
-            return False
-    return True
+    return all(
+        sum((t * i) % m * c for i, c in support) == target for t in _unit_reps(m)
+    )
 
 
 def _halves(m: int, y: int, index_key: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:

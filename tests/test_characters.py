@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fermat_hodge import characters
 from fermat_hodge import (
     Character,
     HodgeLabel,
@@ -21,11 +23,34 @@ from fermat_hodge import (
     units,
     weight,
 )
-from fermat_hodge.errors import HodgeLabelError, JoinError, MembershipError
+from fermat_hodge.errors import HodgeLabelError, JoinError, MembershipError, ShapeError
 
 V33 = MonoidVector(
     x=tuple(1 if i in (7, 10, 13, 19, 22, 28) else 0 for i in range(1, 33)), y=3
 )
+
+
+@st.composite
+def _characters(draw):
+    """Zero-sum characters: Hodge labels with one pair of entries moved, or free ones.
+
+    Moving +d on one entry and -d on another keeps the sum zero, so the
+    unit weights decide; a move onto residue 0 draws again.
+    """
+    m = draw(st.integers(min_value=2, max_value=12))
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([0, 2, 4]))
+        entries = list(draw(st.sampled_from(enumerate_hodge_labels(m, n))).entries)
+        if draw(st.booleans()):
+            i, j = draw(st.permutations(range(len(entries))))[:2]
+            d = draw(st.integers(1, m - 1))
+            entries[i], entries[j] = (entries[i] + d) % m, (entries[j] - d) % m
+    else:
+        entries = draw(st.lists(st.integers(1, m - 1), min_size=1, max_size=7))
+        entries.append(-sum(entries) % m)
+    if 0 in entries:
+        draw(st.nothing())
+    return Character(m, tuple(draw(st.permutations(entries))))
 
 
 class TestCharacter:
@@ -66,6 +91,12 @@ class TestIsHodgeLabel:
         assert is_hodge_label(Character(4, (1, 3)))
         assert not is_hodge_label(Character(3, (1, 1, 1)))  # odd dimension
 
+    @given(_characters())
+    def test_is_the_weight_definition(self, alpha):
+        target = Fraction(alpha.n, 2) + 1
+        expected = all(weight(alpha, t) == target for t in units(alpha.m))
+        assert is_hodge_label(alpha) == expected
+
     @given(st.integers(min_value=2, max_value=10), st.integers(min_value=1, max_value=3))
     def test_unit_action_preserves_labels(self, m, y):
         for v in enumerate_level(m, y)[:5]:
@@ -86,6 +117,21 @@ class TestEnumerate:
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
             enumerate_hodge_labels(5, 3)
+
+    def test_each_label_is_proved_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("is_member", "weight"):
+            original = getattr(characters, name)
+            monkeypatch.setattr(characters, name, counted(name, original))
+        assert len(enumerate_hodge_labels(33, 4)) == 990
+        assert calls == {"is_member": 990}
 
     def test_expansion_lists_permutations(self):
         expanded = enumerate_hodge_labels(3, 2, expand_permutations=True)
@@ -110,6 +156,22 @@ class TestCorrespondence:
     def test_from_monoid_requires_member(self):
         with pytest.raises(MembershipError):
             from_monoid(MonoidVector((1, 1, 0), 1), 4)
+
+    @pytest.mark.parametrize("x,y", [
+        ((1, 0, 1), 2),  # a label of another level
+        ((2, -1, 1), 1),  # a negative entry
+        ((0, 0, 0), 0),
+        ((2, 0, 0), 1),  # entries not summing to zero
+        ((1, 0, 1), 10**30),
+    ])
+    def test_from_monoid_rejects_non_members(self, x, y):
+        with pytest.raises(MembershipError):
+            from_monoid(MonoidVector(x, y), 4)
+
+    @pytest.mark.parametrize("x", [(0, 2), (1, 0, 1, 0)])
+    def test_from_monoid_shape_error(self, x):
+        with pytest.raises(ShapeError):
+            from_monoid(MonoidVector(x, 1), 4)
 
     @pytest.mark.parametrize("m", range(2, 13))
     @pytest.mark.parametrize("y", [1, 2, 3])

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from fermat_hodge.cache import ResultCache
-from fermat_hodge.cli import main
+from fermat_hodge.cli import build_parser, main
 
 
 def run_cli(argv, capsys):
@@ -260,6 +260,28 @@ class TestCacheLayouts:
         code, out = run_cli(argv, capsys)
         assert code == 0 and out == fresh
         assert json.loads(cache._path("BASIS", "m12").read_text())["payload"] == older
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_each_call_gets_its_own_defaults(self, capsys, tmp_path):
+        cache = ["--cache-dir", str(tmp_path)]
+        code, out = run_cli(["basis", "--m", "4", "--format", "json"] + cache, capsys)
+        assert code == 0 and json.loads(out)["m"] == 4
+        assert main(["basis", "--m", "4", "--format", "csv"] + cache) == 2
+        capsys.readouterr()
+        code, out = run_cli(["basis", "--m", "4"] + cache, capsys)
+        assert code == 0
+        assert out.splitlines()[0].startswith("m=4 algorithm=completion")
+        check = ["check", "--m", "21", "--n", "4"] + cache
+        code, out = run_cli(check + ["--exclude-standard"], capsys)
+        assert code == 0
+        code, plain = run_cli(check, capsys)
+        assert code == 0 and plain != out
+        code, out = run_cli(["hodge", "--m", "3", "--n", "2"], capsys)
+        assert code == 0 and out.splitlines() == ["m=3 n=2 labels=1", "1,1,2,2"]
 
 
 class TestDeterminism:

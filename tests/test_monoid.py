@@ -4,7 +4,7 @@ from math import comb, gcd
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fermat_hodge import MonoidVector, SearchBudget, enumerate_level, is_member, units
@@ -14,6 +14,53 @@ from fermat_hodge.monoid import format_vector, level_rows, parse_vector
 V33 = MonoidVector(
     x=tuple(1 if i in (7, 10, 13, 19, 22, 28) else 0 for i in range(1, 33)), y=3
 )
+
+
+def _literal_is_member(v: MonoidVector, m: int) -> bool:
+    """The definition, one unit constraint at a time."""
+    if v.y < 1 or any(c < 0 for c in v.x):
+        return False
+    for t in range(1, m):
+        if gcd(t, m) == 1:
+            total = 0
+            for i, c in enumerate(v.x, start=1):
+                total += ((t * i) % m) * c
+            if total != m * v.y:
+                return False
+    return True
+
+
+@st.composite
+def _candidates(draw):
+    """(m, v): scaled slice elements or u + v - w, moved or bumped, and free vectors.
+
+    Scales of 2**64 and more check exactness.  u + v - w meets every
+    constraint but may have a negative entry; moving one unit between
+    entries keeps the count sum, so it is the constraints that decide.
+    """
+    m = draw(st.integers(min_value=2, max_value=12))
+    scale = draw(st.sampled_from([1, 1, 2, 2**64, 3 * 2**64 + 1]))
+    source = draw(st.sampled_from(["slice", "combination", "free"]))
+    if source == "free":
+        free = st.lists(st.integers(-2, 4), min_size=m - 1, max_size=m - 1)
+        v = MonoidVector(tuple(draw(free)), draw(st.integers(-1, 6)))
+    else:
+        picks = [
+            draw(st.sampled_from(enumerate_level(m, draw(st.integers(1, 3)))))
+            for _ in range(1 if source == "slice" else 3)
+        ]
+        v = picks[0] if source == "slice" else picks[0] + picks[1] - picks[2]
+    x, y = [c * scale for c in v.x], v.y * scale
+    i, j = draw(st.integers(0, m - 2)), draw(st.integers(0, m - 2))
+    kind = draw(st.sampled_from(["none", "move", "entry", "level"]))
+    if kind == "move":
+        x[i] -= 1
+        x[j] += 1
+    elif kind == "entry":
+        x[i] += draw(st.integers(-2, 2))
+    elif kind == "level":
+        y += draw(st.integers(-2, 2))
+    return m, MonoidVector(tuple(x), y)
 
 
 class TestUnits:
@@ -50,6 +97,26 @@ class TestIsMember:
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             is_member(MonoidVector((1, 0, 1), 1), 5)
+
+    @pytest.mark.parametrize("m", [1, 2.0, "2"])
+    def test_bad_degree_raises_after_a_good_one(self, m):
+        assert is_member(MonoidVector((2,), 1), 2)
+        with pytest.raises(InvalidModulusError):
+            is_member(MonoidVector((2,), 1), m)
+
+    @given(_candidates())
+    @example((4, MonoidVector((1, -1, 2), 1)))  # a negative entry, count 2y
+    @example((4, MonoidVector((-1, 4, -1), 1)))  # negative, every constraint holds
+    @example((5, MonoidVector((0, 1, 0, 2), 2)))  # t = 1, 2 hold, t = 3, 4 do not
+    @example((4, MonoidVector((0, 0, 0), 0)))  # y = 0
+    @example((4, MonoidVector((2, 0, 2), -2)))  # y < 0
+    @example((5, MonoidVector((1, 0, 0, 2), 1)))  # odd entry sum
+    @example((4, MonoidVector((2**64, 0, 2**64), 2**64)))  # exact beyond 64 bits
+    @example((4, MonoidVector((2**64 + 1, 0, 2**64 - 1), 2**64)))
+    def test_agrees_with_every_unit_constraint(self, case):
+        m, v = case
+        assert is_member(v, m) == _literal_is_member(v, m)
+
 
 
 class TestEnumerateLevel:
