@@ -6,6 +6,12 @@ read; a mismatch invalidates the entry and the caller recomputes.
 Writes go to a temporary file renamed into place under an advisory
 lock, so a crashed writer never leaves a torn entry.
 
+The product caches results that cost more to compute than to read:
+complete bases and complete condition reports.  LEVEL and STANDARD
+entries are kept only because the benchmark's trace mode looks their
+methods up by name, and for their tests; no command reads or writes
+them (a level slice is recomputed faster than its entry is parsed).
+
 This module owns the JSON layout of a basis and of a condition report:
 ``basis_to_dict`` and ``report_to_dict`` build the payloads that BASIS
 and REPORT entries store and that the CLI prints for ``--format json``,

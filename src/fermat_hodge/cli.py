@@ -1,7 +1,9 @@
 """Command-line interface: computations, persistent cache, table export.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 incomplete or budget-truncated result.
+Exit codes: 0 success, 1 verification failure, 2 usage error (the
+parser rejects an argument, or a degree range is empty or starts below
+2), 3 incomplete or budget-truncated result.  Any other library error
+propagates; it is never reported as a usage error.
 """
 
 from __future__ import annotations
@@ -18,16 +20,17 @@ from .characters import enumerate_hodge_labels
 from .cycles import (
     COUNTEREXAMPLE_33,
     ConditionReport,
+    build_pool,
     check_condition,
     is_quasi_decomposable,
     newton_identity_check,
+    scan_fourfolds,
     standard_elements,
     verdict as cycles_verdict,
 )
 from .errors import BudgetExceededError, IncompleteBasisError
-from .cycles import LevelPool
 from .hilbert import hilbert_basis, is_decomposable
-from .monoid import enumerate_level, format_vector, is_member
+from .monoid import format_vector, is_member
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -53,12 +56,12 @@ def _cached_basis(m, cache, budget):
     return basis
 
 
-def _cached_level(m, y, cache):
-    vectors = cache.get_level(m, y)
-    if vectors is None:
-        vectors = enumerate_level(m, y)
-        cache.put_level(m, y, vectors)
-    return vectors
+def _bad_range(args) -> bool:
+    """Report a degree range that is empty or starts below 2."""
+    if 2 <= args.m_from <= args.m_to:
+        return False
+    print(f"invalid range {args.m_from}..{args.m_to}", file=sys.stderr)
+    return True
 
 
 def cmd_basis(args) -> int:
@@ -100,8 +103,7 @@ def cmd_phi(args) -> int:
 
 
 def cmd_phi_table(args) -> int:
-    if args.m_from < 2 or args.m_from > args.m_to:
-        print(f"invalid range {args.m_from}..{args.m_to}", file=sys.stderr)
+    if _bad_range(args):
         return EXIT_USAGE
     cache = _cache(args)
     rows = []
@@ -179,47 +181,33 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.complete else EXIT_INCOMPLETE
 
 
-def _scan_single(job) -> dict:
-    m, max_seconds, max_candidates = job
-    budget = SearchBudget(max_seconds=max_seconds, max_candidates=max_candidates)
-    return report_to_dict(check_condition(m, n=4, exclude_standard=True, budget=budget))
-
-
 def cmd_scan_fourfolds(args) -> int:
-    if args.m_from < 2 or args.m_from > args.m_to:
-        print(f"invalid range {args.m_from}..{args.m_to}", file=sys.stderr)
+    if _bad_range(args):
         return EXIT_USAGE
-    from math import gcd
-
-    degrees = [
-        m
-        for m in range(args.m_from, args.m_to + 1)
-        if args.coprime_to is None or gcd(m, args.coprime_to) == 1
-    ]
-    jobs = [(m, args.max_seconds, args.max_candidates) for m in degrees]
-    if args.jobs > 1 and len(jobs) > 1:
+    budget = _budget(args)
+    if args.jobs > 1 and args.m_from < args.m_to:
+        degrees = range(args.m_from, args.m_to + 1)
         with Pool(processes=args.jobs) as pool:
-            payloads = pool.map(_scan_single, jobs)
+            per_degree = pool.starmap(
+                scan_fourfolds, [(m, m, args.coprime_to, budget) for m in degrees]
+            )
+        reports = [report for part in per_degree for report in part]
     else:
-        payloads = [_scan_single(job) for job in jobs]
-    failures = []
-    incomplete = []
-    for payload in payloads:
-        counts = payload["counts"]
+        reports = scan_fourfolds(args.m_from, args.m_to, args.coprime_to, budget)
+    for report in reports:
+        counts = report.counts
         print(
-            f"m={payload['m']} verdict={str(payload['verdict']).lower()} "
-            f"complete={str(payload['complete']).lower()} "
-            f"checked={len(payload['outcomes'])} quasi={counts['QUASI']} "
+            f"m={report.m} verdict={str(report.verdict).lower()} "
+            f"complete={str(report.complete).lower()} "
+            f"checked={len(report.outcomes)} quasi={counts['QUASI']} "
             f"standard={counts['STANDARD']} fail={counts['FAIL']}"
         )
-        if not payload["verdict"]:
-            failures.append(payload["m"])
-        if not payload["complete"]:
-            incomplete.append(payload["m"])
+    failures = [report.m for report in reports if not report.verdict]
+    incomplete = [report.m for report in reports if not report.complete]
     if failures:
-        print(f"summary: {len(payloads)} degrees, failures at {failures}")
+        print(f"summary: {len(reports)} degrees, failures at {failures}")
     else:
-        print(f"summary: {len(payloads)} degrees, all conditions hold")
+        print(f"summary: {len(reports)} degrees, all conditions hold")
     if incomplete:
         print(f"summary: incomplete at {incomplete}")
         return EXIT_INCOMPLETE
@@ -254,14 +242,14 @@ def cmd_verdict(args) -> int:
 
 
 def cmd_verify_33(args) -> int:
-    cache = _cache(args)
+    budget = _budget(args)
     failures = []
     x = COUNTEREXAMPLE_33
     member = is_member(x, 33)
     print(f"membership: {'confirmed' if member else 'FAILED'}")
     if not member:
         failures.append("membership")
-    indec = member and is_decomposable(x, 33) is None
+    indec = member and is_decomposable(x, 33, budget=budget) is None
     print(f"indecomposable: {'confirmed' if indec else 'FAILED'}")
     if not indec:
         failures.append("indecomposable")
@@ -269,7 +257,7 @@ def cmd_verify_33(args) -> int:
     print(f"non-standard: {'confirmed' if non_standard else 'FAILED'}")
     if not non_standard:
         failures.append("non-standard")
-    pool = LevelPool(m=33, levels={y: tuple(_cached_level(33, y, cache)) for y in (1, 2, 3)})
+    pool = build_pool(33, 3, budget=budget)
     not_quasi = member and is_quasi_decomposable(x, 33, pool=pool) is None
     print(f"not-quasi-decomposable: {'confirmed' if not_quasi else 'FAILED'}")
     if not not_quasi:
@@ -284,6 +272,24 @@ def cmd_newton(args) -> int:
         f"passed={str(passed).lower()}"
     )
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
+
+
+def _int_type(name: str, rule: str, holds):
+    """An argparse type: an integer for which ``holds`` is true, else exit 2."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"{name} must be {rule}, got {value}")
+        return value
+
+    parse.__name__ = name
+    return parse
+
+
+_degree = _int_type("degree", ">= 2", lambda v: v >= 2)
+_dimension = _int_type("dimension", "even and >= 0", lambda v: v >= 0 and v % 2 == 0)
+_positive = _int_type("count", ">= 1", lambda v: v >= 1)
 
 
 def _add_common(sub, with_format=None) -> None:
@@ -314,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("basis", help="indecomposable elements for a degree")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_degree, required=True)
     p.add_argument("--algorithm", choices=["completion", "levelwise"],
                    default="completion")
     p.add_argument("--max-level", type=int, default=None)
@@ -322,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_basis)
 
     p = subs.add_parser("phi", help="maximum level among the indecomposables")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_degree, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_phi)
 
@@ -333,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_phi_table)
 
     p = subs.add_parser("check", help="level-range quasi-decomposability report")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--m", type=_degree, required=True)
+    p.add_argument("--n", type=_dimension, default=None)
     p.add_argument("--exclude-standard", action="store_true")
     _add_common(p, with_format=["text", "json"])
     p.set_defaults(func=cmd_check)
@@ -348,16 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan_fourfolds)
 
     p = subs.add_parser("hodge", help="Hodge labels for a degree and dimension")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=_degree, required=True)
+    p.add_argument("--n", type=_dimension, required=True)
     p.add_argument("--expand", action="store_true",
                    help="list every permutation, not just sorted representatives")
     _add_common(p, with_format=["text", "json"])
     p.set_defaults(func=cmd_hodge)
 
     p = subs.add_parser("verdict", help="Hodge-conjecture status for (m, n)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=_degree, required=True)
+    p.add_argument("--n", type=_dimension, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_verdict)
 
@@ -366,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_33)
 
     p = subs.add_parser("newton", help="seeded power-sum identity check")
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--d", type=_positive, default=1)
+    p.add_argument("--trials", type=_positive, default=100)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_newton)
@@ -383,9 +389,6 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except ValueError as exc:  # InvalidModulusError included
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (BudgetExceededError, IncompleteBasisError) as exc:
         print(f"incomplete: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE

@@ -40,6 +40,7 @@ from .monoid import (
     MonoidVector,
     check_modulus,
     enumerate_level,
+    format_vector,
     half_units,
     is_member,
     level_rows,
@@ -558,21 +559,24 @@ def is_decomposable(
     Candidates run in ascending level then lexicographic order.  Only
     indecomposable candidates can be the first fit at the first level
     where anything fits, so searching basis elements of level <= y/2
-    yields the same witness as scanning the full slices.
+    yields the same witness as scanning the full slices.  When the
+    budget stops the sieve of those levels short, no answer is certain
+    and IncompleteBasisError is raised.
     """
     if not is_member(v, m):
         raise MembershipError(f"not a member of the degree-{m} monoid: {v}")
     if v.y < 2:
         return None
     limit = v.y // 2
-    if basis is not None and (basis.complete or basis.max_level_seen >= limit):
-        candidates = [b for b in basis.elements if b.y <= limit]
-    else:
-        candidates = list(
-            hilbert_basis(
-                m, max_level=limit, algorithm="levelwise", budget=budget
-            ).elements
-        )
+    if basis is None or not (basis.complete or basis.max_level_seen >= limit):
+        basis = hilbert_basis(m, max_level=limit, algorithm="levelwise", budget=budget)
+        if basis.max_level_seen < limit:
+            raise IncompleteBasisError(
+                f"deciding {format_vector(v)} needs levels up to {limit}; the "
+                f"budget stopped the sieve at level {basis.max_level_seen}",
+                partial_max_level=basis.max_element_level,
+            )
+    candidates = [b for b in basis.elements if b.y <= limit]
     candidates.sort(key=sort_key)
     for c in candidates:
         if c.y <= v.y - 1 and all(a <= b for a, b in zip(c.x, v.x)):

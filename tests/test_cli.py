@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+from fermat_hodge import cli
 from fermat_hodge.cache import ResultCache
 from fermat_hodge.cli import build_parser, main
+from fermat_hodge.errors import MembershipError
 
 
 def run_cli(argv, capsys):
@@ -158,10 +160,17 @@ class TestScanCommand:
         assert "summary: incomplete at [33]" in out
 
     def test_jobs_do_not_change_output(self, capsys, tmp_path):
-        argv = ["scan-fourfolds", "--from", "5", "--to", "13", "--coprime-to", "6"]
-        _, out1 = run_cli(argv + ["--jobs", "1", "--cache-dir", str(tmp_path)], capsys)
-        _, out2 = run_cli(argv + ["--jobs", "2", "--cache-dir", str(tmp_path)], capsys)
-        assert out1 == out2
+        cases = [
+            (["--from", "5", "--to", "13", "--coprime-to", "6"], 0),
+            (["--from", "28", "--to", "33", "--max-candidates", "6000"], 3),
+            (["--from", "9", "--to", "5"], 2),
+            (["--from", "1", "--to", "5"], 2),
+        ]
+        for bounds, code in cases:
+            argv = ["scan-fourfolds", *bounds, "--cache-dir", str(tmp_path)]
+            runs = [run_cli(argv + ["--jobs", jobs], capsys) for jobs in ("1", "2")]
+            assert runs[0] == runs[1]
+            assert runs[0][0] == code
 
 
 class TestOtherCommands:
@@ -206,6 +215,31 @@ class TestOtherCommands:
         assert main(["no-such-command"]) == 2
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--m", "12", "--n", "3"],
+            ["hodge", "--m", "5", "--n", "3"],
+            ["verdict", "--m", "33", "--n", "3"],
+            ["newton", "--d", "0"],
+            ["newton", "--trials", "0"],
+        ],
+    )
+    def test_parser_rejects(self, argv, capsys, tmp_path):
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: argument" in captured.err
+
+    def test_library_error_is_not_a_usage_error(self, monkeypatch, tmp_path):
+        def broken(*args, **kwargs):
+            raise MembershipError("raised inside the library")
+
+        monkeypatch.setattr(cli, "check_condition", broken)
+        with pytest.raises(MembershipError):
+            main(["check", "--m", "12", "--cache-dir", str(tmp_path)])
+
+
 class TestVerify33:
     def test_confirms_and_caches(self, capsys, tmp_path):
         argv = ["verify-33", "--cache-dir", str(tmp_path)]
@@ -217,19 +251,24 @@ class TestVerify33:
             "non-standard: confirmed",
             "not-quasi-decomposable: confirmed",
         ]
-        # second run is served from the cache and prints identical bytes
+        # a second run prints identical bytes
         code2, out2 = run_cli(argv, capsys)
         assert code2 == 0 and out2 == out1
 
-    def test_poisoned_cache_recomputes(self, capsys, tmp_path):
+    def test_writes_no_level_entry(self, capsys, tmp_path):
         argv = ["verify-33", "--cache-dir", str(tmp_path)]
-        _, out1 = run_cli(argv, capsys)
-        level_file = tmp_path / "v1" / "level" / "m33_y3.json"
-        entry = json.loads(level_file.read_text())
-        entry["payload"]["vectors"][0] = "1,0" + entry["payload"]["vectors"][0][3:]
-        level_file.write_text(json.dumps(entry))
-        code, out2 = run_cli(argv, capsys)
-        assert code == 0 and out2 == out1
+        runs = [run_cli(argv, capsys) for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and len(runs[0][1].splitlines()) == 4
+        assert not (tmp_path / "v1" / "level").exists()
+
+    def test_budget_overrun_exits_incomplete(self, capsys, tmp_path):
+        code, out = run_cli(
+            ["verify-33", "--max-candidates", "10", "--cache-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 3
+        assert "not-quasi-decomposable" not in out
 
 
 class TestCacheLayouts:

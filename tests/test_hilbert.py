@@ -200,6 +200,28 @@ class TestIsDecomposable:
         with pytest.raises(MembershipError):
             is_decomposable(MonoidVector((1, 1, 0), 1), 4)
 
+    def test_truncated_sieve_raises(self):
+        ones = enumerate_level(12, 1)
+        v = ones[0] + ones[1]
+        assert is_decomposable(v, 12) is not None
+        with pytest.raises(IncompleteBasisError):
+            is_decomposable(
+                v, 12, budget=SearchBudget(max_seconds=None, max_candidates=10)
+            )
+
+    @pytest.mark.parametrize("cap", [0, 10, 16, 20, 50, 100, 1000])
+    def test_budgeted_answer_is_the_unbounded_one_or_raises(self, cap):
+        level_two = enumerate_level(12, 2)
+        vectors = [(level_two[0] + level_two[-1], 12), (V33, 33)]
+        vectors += [(enumerate_level(12, 1)[0] + enumerate_level(12, 1)[1], 12)]
+        for v, m in vectors:
+            budget = SearchBudget(max_seconds=None, max_candidates=cap)
+            try:
+                answer = is_decomposable(v, m, budget=budget)
+            except IncompleteBasisError:
+                continue
+            assert answer == is_decomposable(v, m)
+
     @pytest.mark.parametrize("m", [6, 8, 9, 12])
     def test_witnesses_are_members(self, m, get_basis):
         basis = get_basis(m)
