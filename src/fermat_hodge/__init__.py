@@ -25,7 +25,6 @@ from .cycles import (
     COUNTEREXAMPLE_33,
     ConditionOutcome,
     ConditionReport,
-    LevelPool,
     QuasiWitness,
     StandardProvenance,
     StandardSet,
@@ -68,7 +67,6 @@ __all__ = [
     "DecompositionWitness",
     "HilbertBasis",
     "HodgeLabel",
-    "LevelPool",
     "MonoidVector",
     "QuasiWitness",
     "SearchBudget",

@@ -17,7 +17,7 @@ from math import gcd
 
 from .errors import HodgeLabelError, JoinError, MembershipError, ShapeError
 from .hilbert import HilbertBasis, is_decomposable
-from .monoid import MonoidVector, check_modulus, is_member, level_rows
+from .monoid import MonoidVector, check_dimension, check_modulus, is_member, level_rows
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,7 @@ def enumerate_hodge_labels(
     With ``expand_permutations`` every distinct entry order is listed.
     """
     check_modulus(m)
-    if n < 0 or n % 2:
-        raise ValueError(f"dimension must be even and >= 0, got {n}")
+    check_dimension(n)
     rows = level_rows(m, n // 2 + 1).tolist()
     reps = sorted(
         (HodgeLabel(m, _entries(row[:-1])) for row in rows), key=lambda lab: lab.entries

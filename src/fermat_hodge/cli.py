@@ -67,16 +67,13 @@ def _bad_range(args) -> bool:
 def cmd_basis(args) -> int:
     budget = _budget(args)
     cache = _cache(args)
-    if args.algorithm == "completion" and args.max_level is None:
+    if args.max_level is None:
         basis = _cached_basis(args.m, cache, budget)
     else:
+        # an uncertified sieve of the first levels, never cached
         basis = hilbert_basis(
-            args.m,
-            max_level=args.max_level,
-            algorithm=args.algorithm,
-            budget=budget,
+            args.m, max_level=args.max_level, algorithm="levelwise", budget=budget
         )
-        cache.put_basis(basis)
     if args.format == "json":
         print(json.dumps(basis_to_dict(basis), sort_keys=True, indent=1))
     else:
@@ -160,7 +157,7 @@ def _report_lines(report: ConditionReport) -> list[str]:
 def _cached_report(m, n, exclude_standard, cache, budget) -> ConditionReport:
     report = cache.get_report(m, n, exclude_standard)
     if report is None:
-        basis = cache.get_basis(m) if n is None else None
+        basis = _cached_basis(m, cache, budget) if n is None else None
         report = check_condition(
             m, n=n, exclude_standard=exclude_standard, budget=budget, basis=basis
         )
@@ -292,16 +289,18 @@ _dimension = _int_type("dimension", "even and >= 0", lambda v: v >= 0 and v % 2 
 _positive = _int_type("count", ">= 1", lambda v: v >= 1)
 
 
-def _add_common(sub, with_format=None) -> None:
+def _add_common(sub, with_format=None, with_budget=True) -> None:
+    """--cache-dir on every command; budget flags only where ``_budget`` reads them."""
     sub.add_argument("--cache-dir", default=None, help="cache directory")
-    sub.add_argument(
-        "--max-seconds", type=float, default=DEFAULT_MAX_SECONDS,
-        help="wall-clock budget per computation",
-    )
-    sub.add_argument(
-        "--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES,
-        help="candidate budget per computation",
-    )
+    if with_budget:
+        sub.add_argument(
+            "--max-seconds", type=float, default=DEFAULT_MAX_SECONDS,
+            help="wall-clock budget per computation",
+        )
+        sub.add_argument(
+            "--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES,
+            help="candidate budget per computation",
+        )
     if with_format:
         sub.add_argument("--format", choices=with_format, default=with_format[0])
 
@@ -321,9 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("basis", help="indecomposable elements for a degree")
     p.add_argument("--m", type=_degree, required=True)
-    p.add_argument("--algorithm", choices=["completion", "levelwise"],
-                   default="completion")
-    p.add_argument("--max-level", type=int, default=None)
+    p.add_argument("--max-level", type=int, default=None,
+                   help="sieve only levels 1..MAX_LEVEL; uncertified (exit 3)")
     _add_common(p, with_format=["text", "json"])
     p.set_defaults(func=cmd_basis)
 
@@ -358,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_dimension, required=True)
     p.add_argument("--expand", action="store_true",
                    help="list every permutation, not just sorted representatives")
-    _add_common(p, with_format=["text", "json"])
+    _add_common(p, with_format=["text", "json"], with_budget=False)
     p.set_defaults(func=cmd_hodge)
 
     p = subs.add_parser("verdict", help="Hodge-conjecture status for (m, n)")
@@ -375,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_positive, default=1)
     p.add_argument("--trials", type=_positive, default=100)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
+    _add_common(p, with_budget=False)
     p.set_defaults(func=cmd_newton)
 
     return parser

@@ -21,13 +21,19 @@ import numpy as np
 from .budget import SearchBudget
 from .errors import IncompleteBasisError, IncompletePoolError, MembershipError
 from .hilbert import HilbertBasis, _levelwise, hilbert_basis
-from .monoid import MonoidVector, check_modulus, is_member, level_rows, sort_key
+from .monoid import (
+    MonoidVector,
+    check_dimension,
+    check_modulus,
+    is_member,
+    level_rows,
+    sort_key,
+)
 
 __all__ = [
     "QuasiWitness",
     "StandardProvenance",
     "StandardSet",
-    "LevelPool",
     "VerdictStatus",
     "ConditionOutcome",
     "ConditionReport",
@@ -77,53 +83,19 @@ class StandardSet:
         return v in self.provenance
 
 
-@dataclass
-class LevelPool:
-    """Exhaustive level slices 1..max_level, each in canonical order.
+def build_pool(
+    m: int, max_level: int, budget: SearchBudget | None = None
+) -> np.ndarray:
+    """Level slices 1..max_level stacked into one (N, m) int64 array.
 
-    A slice is held as the (N, m) int64 array of rows (x..., y) that
-    ``level_rows`` produces; sequences of ``MonoidVector`` are accepted
-    and converted once.
+    Rows (x..., y) run in search order: by level, then lexicographic.
     """
-
-    m: int
-    levels: dict[int, np.ndarray]
-    _stacked: dict[int, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        self.levels = {y: _rows(s, self.m) for y, s in self.levels.items()}
-
-    def stacked(self, top: int) -> np.ndarray:
-        """Levels 1..top stacked in search order: by level, then lexicographic."""
-        if top not in self._stacked:
-            wanted = range(1, top + 1)
-            for y in wanted:
-                if y not in self.levels:
-                    raise IncompletePoolError(f"pool for m={self.m} is missing level {y}")
-            self._stacked[top] = np.concatenate([self.levels[y] for y in wanted])
-        return self._stacked[top]
-
-
-def _rows(vectors, m: int) -> np.ndarray:
-    if isinstance(vectors, np.ndarray):
-        return vectors
-    return np.asarray([v.row() for v in vectors], dtype=np.int64).reshape(-1, m)
-
-
-def build_pool(m: int, max_level: int, budget: SearchBudget | None = None) -> LevelPool:
     check_modulus(m)
-    return LevelPool(
-        m=m, levels={y: level_rows(m, y, budget) for y in range(1, max_level + 1)}
-    )
+    return np.concatenate([level_rows(m, y, budget) for y in range(1, max_level + 1)])
 
 
 def is_quasi_decomposable(
-    x: MonoidVector,
-    m: int,
-    level_one_elements: list[MonoidVector] | None = None,
-    pool: LevelPool | None = None,
+    x: MonoidVector, m: int, pool: np.ndarray | None = None
 ) -> QuasiWitness | None:
     """First quasi-decomposition witness of x, or None.
 
@@ -131,19 +103,19 @@ def is_quasi_decomposable(
     between 1 and the level of x, the difference d = x + b - c is a
     member by linearity, and d has level >= 1 because c's level is at
     most x's, so a subtraction test replaces the literal three-way
-    product scan.  Search order: b (the pool's level 1 unless given),
-    then c by ascending level and lexicographic position.  d == x
-    exactly when c == b.
+    product scan.  The pool is a ``build_pool`` array reaching at least
+    the level of x; its rows above that level are not read.  Search
+    order: b, then c, each in pool order.  d == x exactly when c == b.
     """
     if not is_member(x, m):
         raise MembershipError(f"not a member of the degree-{m} monoid: {x}")
     if pool is None:
         pool = build_pool(m, x.y)
-    rows = pool.stacked(x.y)
-    if level_one_elements is None:
-        ones = pool.levels[1]
-    else:
-        ones = _rows(level_one_elements, m)
+    levels = pool[:, -1]
+    if not len(pool) or levels[-1] < x.y:
+        raise IncompletePoolError(f"pool for m={m} stops below level {x.y}")
+    rows = pool[: np.searchsorted(levels, x.y, side="right")]
+    ones = rows[: np.searchsorted(levels, 1, side="right")]
     x_row = np.asarray(x.row(), dtype=np.int64)
     # c <= x + b iff b covers c's excess over x; only rows whose excess
     # is no larger than some b can fit at all
@@ -289,18 +261,15 @@ def check_condition(
     """
     check_modulus(m)
     budget = budget or SearchBudget()
-    pool = None
+    slices = None  # the sieved slices, stacked into the pool when one is needed
     if n is not None:
-        if n < 0 or n % 2:
-            raise ValueError(f"dimension must be even and >= 0, got {n}")
+        check_dimension(n)
         if basis is not None:
             raise ValueError("a basis applies to the all-levels condition only")
         top = n // 2 + 1
-        # the sieved slices become the pool of the quasi search
-        sieve, slices = _levelwise(m, top, None, budget)
+        sieve, slices = _levelwise(m, top, budget)
         elements = [b for b in sieve.elements if b.y >= 3]
         complete = sieve.max_level_seen >= top
-        pool = LevelPool(m, levels=slices)
     else:
         if basis is None:
             basis = hilbert_basis(m, budget=budget)
@@ -314,6 +283,7 @@ def check_condition(
     standards = standard_elements(m)
     elements = sorted(elements, key=sort_key)
     outcomes = []
+    pool = None
     for e in elements:
         if exclude_standard and e in standards:
             outcomes.append(
@@ -323,7 +293,10 @@ def check_condition(
             )
             continue
         if pool is None:
-            pool = build_pool(m, elements[-1].y, budget=budget)
+            if slices is None:
+                pool = build_pool(m, elements[-1].y, budget=budget)
+            else:
+                pool = np.concatenate(slices)
         witness = is_quasi_decomposable(e, m, pool=pool)
         if witness is not None:
             outcomes.append(ConditionOutcome(element=e, kind="QUASI", witness=witness))
@@ -381,8 +354,7 @@ def verdict(m: int, n: int, budget: SearchBudget | None = None) -> VerdictReport
     and its justification says so.
     """
     check_modulus(m)
-    if n < 0 or n % 2:
-        raise ValueError(f"dimension must be even and >= 0, got {n}")
+    check_dimension(n)
     if n <= 2:
         return VerdictReport(
             m, n, VerdictStatus.PROVEN_DIM_LE_2,

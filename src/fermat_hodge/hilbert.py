@@ -2,11 +2,12 @@
 
 An element is decomposable when it is the sum of two members; the
 indecomposable elements form the unique minimal generating set.  Two
-independent algorithms are provided:
+independent algorithms are provided, and only the completion certifies
+a basis (complete=True):
 
-* ``levelwise`` sieves exhaustive level slices, which is exact for any
-  level range it covers but cannot certify on its own that no
-  indecomposable lives above the range.
+* ``levelwise`` sieves the exhaustive level slices 1..max_level.  It is
+  exact for the levels it reads but cannot show that no indecomposable
+  lives above them, so its result is never complete.
 * ``completion`` works in a folded coordinate system.  Every
   indecomposable of level >= 2 contains no complementary residue pair
   {a, m-a} (it would dominate a level-1 element), so it is determined
@@ -30,7 +31,7 @@ independent algorithms are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -441,59 +442,36 @@ def _indecomposable_in_slice(rows: np.ndarray, basis: list[np.ndarray]) -> np.nd
 
 
 def _levelwise(
-    m: int,
-    max_level: int | None,
-    trusted_bound: int | None,
-    budget: SearchBudget,
-) -> tuple[HilbertBasis, dict[int, np.ndarray]]:
-    """Sieve level slices upwards; the basis and the slices it read.
+    m: int, top: int | None, budget: SearchBudget
+) -> tuple[HilbertBasis, list[np.ndarray]]:
+    """Sieve levels 1..top upwards; the basis and the slices it read.
 
-    The slices (``level_rows`` arrays for levels 1..max_level_seen) are
-    handed back so that a caller searching the same levels, like the
-    quasi search of ``check_condition``, reads them instead of
-    enumerating them again.
+    Only the budget stops the sieve before ``top`` (with no top, only
+    the budget stops it), and the result is never complete.  The slices
+    (``level_rows`` arrays for levels 1..max_level_seen) are handed back
+    so that a caller searching the same levels, like the quasi search of
+    ``check_condition``, reads them instead of enumerating them again.
     """
     basis: list[np.ndarray] = []  # indecomposable rows, one array per level
-    slices: dict[int, np.ndarray] = {}
+    slices: list[np.ndarray] = []
     budget.start()
-    last_new = 0
-    y = 0
     processed = 0
-    truncated = False
-    while True:
-        y += 1
-        if max_level is not None and y > max_level:
-            y -= 1
-            break
-        if trusted_bound is not None and max_level is None and y > trusted_bound:
-            y -= 1
-            break
+    while top is None or len(slices) < top:
         try:
-            rows = level_rows(m, y, budget=budget)
+            rows = level_rows(m, len(slices) + 1, budget=budget)
             processed += len(rows)
             budget.check(processed)
         except BudgetExceededError:
-            # report the last fully sieved level instead of failing
-            y -= 1
-            truncated = True
-            break
-        slices[y] = rows
-        fresh = _indecomposable_in_slice(rows, basis)
-        basis.append(fresh)
-        if len(fresh):
-            last_new = y
-        if max_level is None and trusted_bound is None:
-            # heuristic stop: far past the last discovery; not a certificate
-            if last_new and y >= 2 * last_new:
-                break
-    complete = not truncated and trusted_bound is not None and y >= trusted_bound
+            break  # report the last fully sieved level
+        slices.append(rows)
+        basis.append(_indecomposable_in_slice(rows, basis))
     elements = tuple(MonoidVector.from_row(r) for b in basis for r in b.tolist())
     return (
         HilbertBasis(
             m=m,
             elements=elements,
-            complete=complete,
-            max_level_seen=y,
+            complete=False,
+            max_level_seen=len(slices),
             algorithm="levelwise",
         ),
         slices,
@@ -510,33 +488,32 @@ def hilbert_basis(
     max_level: int | None = None,
     algorithm: str = "completion",
     budget: SearchBudget | None = None,
-    trusted_bound: int | None = None,
 ) -> HilbertBasis:
     """All indecomposable elements of the degree-m monoid.
 
-    ``completion`` certifies completeness on its own.  ``levelwise``
-    runs to ``max_level`` (or ``trusted_bound``, or a heuristic stop)
-    and reports complete=True only when a trusted bound covers the run.
-    A budget overrun yields a partial result with complete=False.
+    Only ``completion`` certifies a basis (complete=True), and it takes
+    no ``max_level``.  ``levelwise`` needs ``max_level``: it sieves
+    levels 1..max_level, exactly, and its result is never complete.  A
+    budget overrun of the completion yields a partial result with
+    complete=False, sieved in what is left of the budget.
     """
     check_modulus(m)
     budget = budget or SearchBudget()
     if algorithm == "levelwise":
-        return _levelwise(m, max_level, trusted_bound, budget)[0]
+        if max_level is None:
+            raise ValueError("the levelwise sieve needs a max_level")
+        return _levelwise(m, max_level, budget)[0]
     if algorithm != "completion":
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    if max_level is not None:
+        raise ValueError("the completion certifies every level; it takes no max_level")
     try:
         rows = _completion_rows(m, budget)
     except BudgetExceededError:
-        # salvage an uncertified levelwise sweep in what is left of the budget
-        partial = _levelwise(m, max_level, None, budget.remaining())[0]
-        return HilbertBasis(
-            m=m,
-            elements=partial.elements,
-            complete=False,
-            max_level_seen=partial.max_level_seen,
-            algorithm="completion",
-        )
+        # the budget is finite, as it stopped the completion, and it
+        # alone stops this uncertified sweep
+        partial = _levelwise(m, None, budget.remaining())[0]
+        return replace(partial, algorithm="completion")
     elements = sorted((MonoidVector.from_row(r) for r in rows), key=sort_key)
     max_level_seen = max((v.y for v in elements), default=1)
     return HilbertBasis(

@@ -53,6 +53,12 @@ def check_modulus(m: int) -> None:
         raise InvalidModulusError(f"degree must be an integer >= 2, got {m!r}")
 
 
+def check_dimension(n: int) -> None:
+    """Reject odd or negative dimensions; Hodge classes live in even ones."""
+    if n < 0 or n % 2:
+        raise ValueError(f"dimension must be even and >= 0, got {n}")
+
+
 def units(m: int) -> tuple[int, ...]:
     """Residues in 1..m-1 coprime to m, ascending."""
     check_modulus(m)

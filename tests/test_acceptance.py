@@ -15,6 +15,7 @@ from fermat_hodge import (
     COUNTEREXAMPLE_33,
     MonoidVector,
     SearchBudget,
+    build_pool,
     check_condition,
     enumerate_hodge_labels,
     enumerate_level,
@@ -31,7 +32,6 @@ from fermat_hodge import (
 )
 from fermat_hodge.characters import Character
 from fermat_hodge.cli import main
-from fermat_hodge.cycles import LevelPool
 
 from .conftest import stretch_enabled  # noqa: F401  (re-exported helper)
 
@@ -160,20 +160,22 @@ def test_criterion_08_oracle_equivalences(get_basis):
         levels = {y: tuple(enumerate_level(m, y)) for y in range(1, max(v.y for v in targets) + 1)}
         ones = level_one(m)
         for x in targets:
-            pool = LevelPool(m=m, levels={y: levels[y] for y in range(1, x.y + 1)})
             flat = [v for y in range(1, x.y + 1) for v in levels[y]]
             literal = False
             for b, c, d in product(ones, flat, flat):
                 if x + b == c + d and c != x and d != x:
                     literal = True
                     break
-            assert (is_quasi_decomposable(x, m, ones, pool) is not None) == literal
-    # (c) the two basis algorithms agree through degree 20
+            pool = build_pool(m, x.y)
+            assert (is_quasi_decomposable(x, m, pool=pool) is not None) == literal
+    # (c) the two basis algorithms agree through degree 20; only the
+    # completion certifies
     for m in range(2, 21):
         completion = get_basis(m)
         levelwise = hilbert_basis(
-            m, algorithm="levelwise", trusted_bound=completion.max_element_level
+            m, algorithm="levelwise", max_level=completion.max_element_level
         )
+        assert not levelwise.complete, m
         assert levelwise.elements == completion.elements, m
     elapsed = time.time() - t0
     print(f"\n[criterion 8] box scan, literal quasi loop and levelwise "

@@ -56,6 +56,21 @@ class TestBasisCommand:
         assert code == 3
         assert "complete=false" in out
 
+    def test_max_level_sieves_uncertified(self, capsys, tmp_path):
+        code, out = run_cli(
+            ["basis", "--m", "12", "--max-level", "1", "--cache-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 3
+        lines = out.splitlines()
+        assert lines[0].startswith("m=12 algorithm=levelwise complete=false ")
+        assert len(lines) == 1 + 6 and all(line.endswith(";1") for line in lines[1:])
+        assert not (tmp_path / "v1").exists()
+
+    def test_algorithm_flag_is_gone(self, capsys, tmp_path):
+        argv = ["basis", "--m", "12", "--algorithm", "completion"]
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == 2
+
 
 class TestPhiCommands:
     def test_phi(self, capsys, tmp_path):
@@ -127,6 +142,20 @@ class TestCheckCommand:
             "FAIL 0,0,0,0,0,0,1,0,0,1,0,0,1,0,0,0,0,0,1,0,0,1,0,0,0,0,0,1,0,0,0,0;3"
             in out
         )
+
+
+    def test_all_levels_check_stores_its_basis(self, capsys, tmp_path, monkeypatch):
+        cache = ["--cache-dir", str(tmp_path)]
+        code, _ = run_cli(["check", "--m", "12"] + cache, capsys)
+        assert code == 0
+        assert ResultCache(tmp_path)._path("BASIS", "m12").exists()
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("basis recomputed although the check stored it")
+
+        monkeypatch.setattr(cli, "hilbert_basis", no_compute)
+        code, out = run_cli(["phi", "--m", "12"] + cache, capsys)
+        assert code == 0 and out.strip() == "phi(12) = 5 complete=true"
 
 
 class TestScanCommand:
@@ -230,6 +259,13 @@ class TestUsageErrors:
         assert main(argv + ["--cache-dir", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "error: argument" in captured.err
+
+    @pytest.mark.parametrize("command", [["hodge", "--m", "33", "--n", "4"], ["newton"]])
+    @pytest.mark.parametrize("flag", [["--max-candidates", "1"], ["--max-seconds", "0"]])
+    def test_unbudgeted_commands_take_no_budget(self, command, flag, capsys, tmp_path):
+        assert main(command + flag + ["--cache-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: unrecognized arguments" in captured.err
 
     def test_library_error_is_not_a_usage_error(self, monkeypatch, tmp_path):
         def broken(*args, **kwargs):

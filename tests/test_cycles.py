@@ -30,7 +30,7 @@ from fermat_hodge.errors import (
     IncompleteBasisError,
     IncompletePoolError,
 )
-from fermat_hodge.cycles import LevelPool, _is_prime, _prime_square
+from fermat_hodge.cycles import _is_prime, _prime_square
 
 # (m, x, b, c, d): first witnesses of the search, recorded from the
 # b-major scan over per-level MonoidVector slices that the array search
@@ -155,11 +155,9 @@ class TestQuasiDecomposable:
         assert witness.c.y + witness.d.y == first.y + 1
 
     def test_missing_pool_level_raises(self):
-        pool = LevelPool(m=21, levels={1: tuple(level_one(21))})
-        element = MonoidVector((0,) * 20, 1)
         first = enumerate_level(21, 3)[0]
         with pytest.raises(IncompletePoolError):
-            is_quasi_decomposable(first, 21, level_one(21), pool)
+            is_quasi_decomposable(first, 21, build_pool(21, 2))
 
     @pytest.mark.parametrize("m", [6, 8, 9, 10, 12])
     def test_matches_literal_triple_loop(self, m, get_basis):
@@ -172,7 +170,6 @@ class TestQuasiDecomposable:
         for x in targets:
             for y in range(1, x.y + 1):
                 pool_levels.setdefault(y, tuple(enumerate_level(m, y)))
-            pool = LevelPool(m=m, levels=pool_levels)
             ones = level_one(m)
             flat_pool = [v for y in sorted(pool_levels) for v in pool_levels[y] if y <= x.y]
             brute = False
@@ -180,7 +177,8 @@ class TestQuasiDecomposable:
                 if x + b == c + d and c != x and d != x:
                     brute = True
                     break
-            assert (is_quasi_decomposable(x, m, ones, pool) is not None) == brute
+            pool = build_pool(m, x.y)
+            assert (is_quasi_decomposable(x, m, pool=pool) is not None) == brute
 
 
 class TestWitnessIdentity:
@@ -197,14 +195,13 @@ class TestWitnessIdentity:
         for x in _nonstandard_level_three(m):
             assert is_quasi_decomposable(x, m, pool=pool) == _b_major_scan(x, m), x
 
-    def test_caller_level_one_order_is_kept(self):
-        x = _nonstandard_level_three(24)[0]
-        ones = level_one(24)[::-1]
-        witness = is_quasi_decomposable(x, 24, ones, build_pool(24, 3))
-        first = next(
-            b for b in ones if is_quasi_decomposable(x, 24, [b], build_pool(24, 3))
-        )
-        assert witness.b == first
+    @pytest.mark.parametrize("m", [12, 24])
+    def test_deeper_pool_gives_the_same_witnesses(self, m):
+        exact, deeper = build_pool(m, 3), build_pool(m, 4)
+        for x in _nonstandard_level_three(m):
+            assert is_quasi_decomposable(x, m, pool=deeper) == is_quasi_decomposable(
+                x, m, pool=exact
+            ), x
 
 
 class TestPoolBudget:

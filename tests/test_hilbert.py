@@ -7,6 +7,7 @@ import pytest
 from fermat_hodge import (
     MonoidVector,
     SearchBudget,
+    check_condition,
     enumerate_level,
     format_vector,
     hilbert_basis,
@@ -138,15 +139,18 @@ class TestHilbertBasis:
     def test_levelwise_equals_completion(self, m, get_basis):
         completion = get_basis(m)
         levelwise = hilbert_basis(
-            m, algorithm="levelwise", trusted_bound=completion.max_element_level
+            m, algorithm="levelwise", max_level=completion.max_element_level
         )
-        assert levelwise.complete
+        assert not levelwise.complete
         assert levelwise.elements == completion.elements
 
     def test_levelwise_without_bound_is_uncertified(self):
-        basis = hilbert_basis(9, algorithm="levelwise")
-        assert not basis.complete
-        assert basis.max_element_level == 2
+        with pytest.raises(ValueError):
+            hilbert_basis(9, algorithm="levelwise")
+
+    def test_completion_rejects_max_level(self):
+        with pytest.raises(ValueError):
+            hilbert_basis(12, max_level=3)
 
     def test_levelwise_max_level_truncation(self):
         basis = hilbert_basis(12, algorithm="levelwise", max_level=2)
@@ -247,6 +251,15 @@ class TestPhi:
         with pytest.raises(IncompleteBasisError) as err:
             phi(12, basis=partial)
         assert err.value.partial_max_level >= 1
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_no_sieve_depth_certifies_a_basis(self, k):
+        # levels 1..5 hold every indecomposable of 33, yet no sieve is a proof
+        partial = hilbert_basis(33, algorithm="levelwise", max_level=k)
+        with pytest.raises(IncompleteBasisError):
+            phi(33, basis=partial)
+        with pytest.raises(IncompleteBasisError):
+            check_condition(33, basis=partial)
 
     def test_dimension_bound(self, get_basis):
         assert required_dimension_bound(21, basis=get_basis(21)) == 4
