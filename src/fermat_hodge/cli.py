@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("basis", help="indecomposable elements for a degree")
     p.add_argument("--m", type=_degree, required=True)
-    p.add_argument("--max-level", type=int, default=None,
+    p.add_argument("--max-level", type=_positive, default=None,
                    help="sieve only levels 1..MAX_LEVEL; uncertified (exit 3)")
     _add_common(p, with_format=["text", "json"])
     p.set_defaults(func=cmd_basis)

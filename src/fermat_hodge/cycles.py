@@ -7,6 +7,13 @@ cycles; they may be excluded from the quasi-decomposability obligation.
 The per-degree conditions ("every indecomposable in a level range is
 quasi-decomposable or standard") drive the Hodge-conjecture verdicts,
 which otherwise fall back to the recorded theorem facts.
+
+There is one quasi search, ``_first_witnesses``: it takes every element
+of a check at once and finds each one's first witness in a few numpy
+passes over the stacked level pool.  A prefilter on the support of x
+keeps only the pool rows c whose excess over x a level-1 b can cover,
+and the work per chunk is capped at ``_CELLS`` element-row cells, so
+its memory stays small.  ``is_quasi_decomposable`` is its one-row call.
 """
 
 from __future__ import annotations
@@ -19,7 +26,12 @@ from math import gcd
 import numpy as np
 
 from .budget import SearchBudget
-from .errors import IncompleteBasisError, IncompletePoolError, MembershipError
+from .errors import (
+    BudgetExceededError,
+    IncompleteBasisError,
+    IncompletePoolError,
+    MembershipError,
+)
 from .hilbert import HilbertBasis, _levelwise, hilbert_basis
 from .monoid import (
     MonoidVector,
@@ -99,42 +111,134 @@ def is_quasi_decomposable(
 ) -> QuasiWitness | None:
     """First quasi-decomposition witness of x, or None.
 
-    For each level-1 b and each pool element c <= x + b with level
-    between 1 and the level of x, the difference d = x + b - c is a
-    member by linearity, and d has level >= 1 because c's level is at
-    most x's, so a subtraction test replaces the literal three-way
-    product scan.  The pool is a ``build_pool`` array reaching at least
-    the level of x; its rows above that level are not read.  Search
-    order: b, then c, each in pool order.  d == x exactly when c == b.
+    A one-row call of the batched search that ``check_condition`` runs
+    (see ``_first_witnesses``).  The pool is a ``build_pool`` array
+    reaching at least the level of x (built when not given); its rows
+    above that level are not read.  Search order: b, then c, each in
+    pool order.  A non-member x is a MembershipError.
     """
-    if not is_member(x, m):
-        raise MembershipError(f"not a member of the degree-{m} monoid: {x}")
+    return _witnesses([x], m, pool)[0]
+
+
+# element x pool-row cells compared per chunk of the quasi search
+_CELLS = 1 << 16
+
+
+def _witnesses(
+    xs: list[MonoidVector],
+    m: int,
+    pool: np.ndarray | None = None,
+    budget: SearchBudget | None = None,
+) -> list[QuasiWitness | None]:
+    """First witnesses of the members ``xs``, which are ordered by level.
+
+    Without a pool, one is built up to the last level of xs.  The list is
+    shorter than xs only when the budget ran out; it then holds the
+    elements decided so far.
+    """
+    for x in xs:
+        if not is_member(x, m):
+            raise MembershipError(f"not a member of the degree-{m} monoid: {x}")
     if pool is None:
-        pool = build_pool(m, x.y)
+        pool = build_pool(m, xs[-1].y, budget=budget)
+    rows = np.array([x.row() for x in xs], dtype=np.int64)
+    found = _first_witnesses(rows, pool, budget)
+    hit = found[:, 0] >= 0
+    b, c = pool[found[hit, 0]], pool[found[hit, 1]]
+    d = rows[: len(found)][hit] + b - c
+    # one .tolist() of the stacked (b, c, d) rows: entries are Python ints
+    triples = iter(np.stack([b, c, d], axis=1).tolist())
+    return [
+        QuasiWitness(*(MonoidVector(x=tuple(r[:-1]), y=r[-1]) for r in next(triples)))
+        if h
+        else None
+        for h in hit.tolist()
+    ]
+
+
+def _first_witnesses(
+    xs: np.ndarray, pool: np.ndarray, budget: SearchBudget | None = None
+) -> np.ndarray:
+    """Least pool indices (b, c) with x + b = c + d, per row x of xs.
+
+    Returns a (k, 2) array, -1 where x has no witness.  For each level-1
+    b and each pool row c <= x + b with level between 1 and the level y
+    of x, the difference d = x + b - c is a member by linearity, and d
+    has level >= 1 because c's level is at most y, so a subtraction test
+    replaces the literal three-way product scan.  d == x exactly when
+    c == b.  The least pair, b first, is the first witness of the b-major
+    scan over the pool.
+
+    Rows of xs are members ordered by level; each run of one level is
+    searched in chunks of at most ``_CELLS`` (element, pool row) cells
+    against the pool prefix up to that level.  A chunk first keeps the
+    near pairs, whose excess E = max(c - x, 0) sums to at most 2 (a
+    level-1 b has two entries): the sum is |c| minus the overlap of c
+    with x, which reads only the at most 2y support columns of x.  It
+    then tries the level-1 rows b in order, keeping a pair when E <= b
+    on b's support, and drops the pairs of an element once it has its
+    witness.  The budget is checked, for time only, before each chunk;
+    on an overrun the rows decided so far are returned, a prefix of xs.
+    """
+    found = np.full((len(xs), 2), -1, dtype=np.int64)
     levels = pool[:, -1]
-    if not len(pool) or levels[-1] < x.y:
-        raise IncompletePoolError(f"pool for m={m} stops below level {x.y}")
-    rows = pool[: np.searchsorted(levels, x.y, side="right")]
-    ones = rows[: np.searchsorted(levels, 1, side="right")]
-    x_row = np.asarray(x.row(), dtype=np.int64)
-    # c <= x + b iff b covers c's excess over x; only rows whose excess
-    # is no larger than some b can fit at all
-    excess = np.maximum(rows - x_row, 0)
-    near = np.flatnonzero(excess.sum(axis=1) <= ones.sum(axis=1).max(initial=0))
-    excess, near_rows = excess[near], rows[near]
-    allowed = (near_rows != x_row).any(axis=1)
-    for b in ones:
-        fits = np.flatnonzero(
-            allowed & (excess <= b).all(axis=1) & (near_rows != b).any(axis=1)
+    top = int(xs[:, -1].max())
+    if not len(pool) or levels[-1] < top:
+        raise IncompletePoolError(
+            f"pool for m={pool.shape[1]} stops below level {top}"
         )
-        if len(fits):
-            c = near_rows[fits[0]]
-            return QuasiWitness(
-                b=MonoidVector.from_row(b.tolist()),
-                c=MonoidVector.from_row(c.tolist()),
-                d=MonoidVector.from_row((x_row + b - c).tolist()),
+    ends = np.searchsorted(levels, np.arange(top + 1), side="right")
+    cols = np.ascontiguousarray(pool[:, :-1].T, dtype=np.int32)
+    size = cols.sum(axis=0)
+    # each level-1 row b as the (column, entry) pairs of its support
+    ones = [[(j, int(b[j])) for j in np.flatnonzero(b)] for b in cols[:, : ends[1]].T]
+    runs = np.flatnonzero(np.diff(xs[:, -1])) + 1
+    for lo_run, hi_run in zip(np.r_[0, runs], np.r_[runs, len(xs)]):
+        y = int(xs[lo_run, -1])
+        n = int(ends[y])
+        step = max(1, _CELLS // max(n, 1))
+        for lo in range(lo_run, hi_run, step):
+            if budget is not None:
+                try:
+                    budget.check(0)
+                except BudgetExceededError:
+                    return found[:lo]
+            hi = min(lo + step, hi_run)
+            _search_chunk(
+                xs[lo:hi, :-1], y, cols[:, :n], size[:n], levels[:n], ones, found[lo:hi]
             )
-    return None
+    return found
+
+
+def _search_chunk(X, y, cols, size, levels, ones, out) -> None:
+    """Fill ``out`` with the least (b, c) for the level-y rows X; see above."""
+    X = X.astype(np.int32)
+    present = X > 0
+    width = int(present.sum(axis=1).max())
+    at = np.argsort(~present, axis=1, kind="stable")[:, :width]
+    val = np.take_along_axis(X, at, axis=1)
+    overlap = np.zeros((len(X), cols.shape[1]), dtype=np.int32)
+    for t in range(width):
+        overlap += np.minimum(cols[at[:, t]], val[:, t, None])
+    excess = size - overlap
+    # near pairs, without c == x (no excess at the same level)
+    near = (excess <= 2) & ((excess > 0) | (levels != y))
+    e, c = np.nonzero(near)
+    need = excess[e, c]
+    XT = np.ascontiguousarray(X.T)
+    for bi, support in enumerate(ones):
+        if not len(e):
+            break
+        cover = np.zeros(len(e), dtype=np.int32)
+        for j, v in support:
+            cover += np.minimum(np.maximum(cols[j, c] - XT[j, e], 0), v)
+        fit = np.flatnonzero((cover == need) & (c != bi))
+        if len(fit):
+            hit, first = np.unique(e[fit], return_index=True)
+            out[hit, 0] = bi
+            out[hit, 1] = c[fit[first]]
+            keep = ~np.isin(e, hit)
+            e, c, need = e[keep], c[keep], need[keep]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -258,6 +362,13 @@ def check_condition(
     basis, ``basis`` or computed (an incomplete one raises).  Verdict is
     true iff no element is left unexplained (neither quasi-decomposable
     nor excluded as standard).
+
+    Every element that is not excluded as standard is searched in one
+    batch (``_first_witnesses``), with the first witness that
+    ``is_quasi_decomposable`` would give it.  The budget bounds that
+    search by time too: when it runs out, the report has complete=False
+    and the outcomes of the elements decided so far, a prefix of the
+    full report's outcomes.
     """
     check_modulus(m)
     budget = budget or SearchBudget()
@@ -282,8 +393,14 @@ def check_condition(
         complete = True
     standards = standard_elements(m)
     elements = sorted(elements, key=sort_key)
+    searched = [e for e in elements if not (exclude_standard and e in standards)]
+    decided = {}
+    if searched:
+        pool = None if slices is None else np.concatenate(slices)
+        witnesses = _witnesses(searched, m, pool, budget)
+        complete = complete and len(witnesses) == len(searched)
+        decided = dict(zip(searched, witnesses))
     outcomes = []
-    pool = None
     for e in elements:
         if exclude_standard and e in standards:
             outcomes.append(
@@ -291,15 +408,10 @@ def check_condition(
                     element=e, kind="STANDARD", provenance=standards.provenance[e]
                 )
             )
-            continue
-        if pool is None:
-            if slices is None:
-                pool = build_pool(m, elements[-1].y, budget=budget)
-            else:
-                pool = np.concatenate(slices)
-        witness = is_quasi_decomposable(e, m, pool=pool)
-        if witness is not None:
-            outcomes.append(ConditionOutcome(element=e, kind="QUASI", witness=witness))
+        elif e not in decided:
+            break  # the budget ran out before this element's search
+        elif decided[e] is not None:
+            outcomes.append(ConditionOutcome(element=e, kind="QUASI", witness=decided[e]))
         else:
             outcomes.append(ConditionOutcome(element=e, kind="FAIL"))
     return ConditionReport(

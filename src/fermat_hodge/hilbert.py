@@ -465,7 +465,9 @@ def _levelwise(
             break  # report the last fully sieved level
         slices.append(rows)
         basis.append(_indecomposable_in_slice(rows, basis))
-    elements = tuple(MonoidVector.from_row(r) for b in basis for r in b.tolist())
+    elements = tuple(
+        MonoidVector(x=tuple(r[:-1]), y=r[-1]) for b in basis for r in b.tolist()
+    )
     return (
         HilbertBasis(
             m=m,
@@ -514,7 +516,7 @@ def hilbert_basis(
         # alone stops this uncertified sweep
         partial = _levelwise(m, None, budget.remaining())[0]
         return replace(partial, algorithm="completion")
-    elements = sorted((MonoidVector.from_row(r) for r in rows), key=sort_key)
+    elements = sorted((MonoidVector(x=r[:-1], y=r[-1]) for r in rows), key=sort_key)
     max_level_seen = max((v.y for v in elements), default=1)
     return HilbertBasis(
         m=m,

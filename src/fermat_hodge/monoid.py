@@ -94,7 +94,12 @@ class MonoidVector:
 
     @staticmethod
     def from_row(row) -> "MonoidVector":
-        return MonoidVector(x=tuple(int(v) for v in row[:-1]), y=int(row[-1]))
+        """The vector of a flat row, numpy or Python; entries become ints.
+
+        Rows of a ``.tolist()`` already hold Python ints, so the package
+        builds those directly, as ``enumerate_level`` does.
+        """
+        return MonoidVector(x=tuple(map(int, row[:-1])), y=int(row[-1]))
 
     def __add__(self, other: "MonoidVector") -> "MonoidVector":
         return MonoidVector(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from fermat_hodge import SearchBudget, enumerate_level, hilbert_basis
+from fermat_hodge.errors import BudgetExceededError
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=list(HealthCheck)
@@ -42,3 +43,39 @@ def get_level():
         return _LEVEL_MEMO[(m, y)]
 
     return fn
+
+
+class OverrunAfterSieve(SearchBudget):
+    """A budget whose clock runs out once the level sieve has returned.
+
+    Checks pass until the ``overrun_after_sieve`` fixture arms it at the
+    end of the sieve; then ``grace`` more pass and every later one raises
+    the time overrun.  A deterministic stand-in for a slow quasi search.
+    """
+
+    armed = False
+    grace = 0
+
+    def check(self, candidates: int) -> None:
+        if self.armed:
+            if self.grace <= 0:
+                raise BudgetExceededError("time budget exceeded (after the sieve)")
+            self.grace -= 1
+        super().check(candidates)
+
+
+@pytest.fixture
+def overrun_after_sieve(monkeypatch):
+    """The ``OverrunAfterSieve`` class, armed by ``check_condition``'s sieve."""
+    import fermat_hodge.cycles as cycles
+
+    sieve = cycles._levelwise
+
+    def armed_sieve(m, top, budget):
+        result = sieve(m, top, budget)
+        if isinstance(budget, OverrunAfterSieve):
+            budget.armed = True
+        return result
+
+    monkeypatch.setattr(cycles, "_levelwise", armed_sieve)
+    return OverrunAfterSieve

@@ -144,6 +144,22 @@ class TestCheckCommand:
         )
 
 
+    def test_overrun_in_the_search_exits_incomplete_uncached(
+        self, capsys, tmp_path, monkeypatch, overrun_after_sieve
+    ):
+        monkeypatch.setattr(cli, "SearchBudget", overrun_after_sieve)
+        code, out = run_cli(
+            ["check", "--m", "36", "--n", "4", "--cache-dir", str(tmp_path)], capsys
+        )
+        assert code == 3
+        assert "complete=false checked=0" in out
+        assert ResultCache(tmp_path).get_report(36, 4, False) is None
+        code, out = run_cli(
+            ["verdict", "--m", "33", "--n", "4", "--cache-dir", str(tmp_path)], capsys
+        )
+        assert code == 3
+        assert "status=UNDETERMINED" in out and "cut short by the budget" in out
+
     def test_all_levels_check_stores_its_basis(self, capsys, tmp_path, monkeypatch):
         cache = ["--cache-dir", str(tmp_path)]
         code, _ = run_cli(["check", "--m", "12"] + cache, capsys)
@@ -253,6 +269,8 @@ class TestUsageErrors:
             ["verdict", "--m", "33", "--n", "3"],
             ["newton", "--d", "0"],
             ["newton", "--trials", "0"],
+            ["basis", "--m", "12", "--max-level", "0"],
+            ["basis", "--m", "12", "--max-level", "-3"],
         ],
     )
     def test_parser_rejects(self, argv, capsys, tmp_path):

@@ -30,6 +30,7 @@ from fermat_hodge.errors import (
     IncompleteBasisError,
     IncompletePoolError,
 )
+import fermat_hodge.cycles as cycles
 from fermat_hodge.cycles import _is_prime, _prime_square
 
 # (m, x, b, c, d): first witnesses of the search, recorded from the
@@ -202,6 +203,94 @@ class TestWitnessIdentity:
             assert is_quasi_decomposable(x, m, pool=deeper) == is_quasi_decomposable(
                 x, m, pool=exact
             ), x
+
+
+class TestBatchedSearch:
+    """``check_condition`` searches all its elements in one batch."""
+
+    @pytest.mark.parametrize("cells", [1, 300])
+    @pytest.mark.parametrize("m", [12, 24, 32, 33])
+    def test_chunk_size_does_not_change_reports(self, m, cells, monkeypatch):
+        default = [check_condition(m, n=4, exclude_standard=ex) for ex in (False, True)]
+        monkeypatch.setattr(cycles, "_CELLS", cells)
+        chunked = [check_condition(m, n=4, exclude_standard=ex) for ex in (False, True)]
+        assert chunked == default
+
+    @pytest.mark.parametrize(
+        "m,n,levels",
+        [(12, None, {3, 4, 5}), (14, None, {3}), (12, 6, {3, 4}), (18, 6, {3, 4})],
+    )
+    def test_mixed_levels_equal_b_major_scan(self, m, n, levels, get_basis):
+        basis = get_basis(m) if n is None else None
+        report = check_condition(m, n=n, basis=basis)
+        assert {o.element.y for o in report.outcomes} == levels
+        for o in report.outcomes:
+            assert o.witness == _b_major_scan(o.element, m), o.element
+
+    @pytest.mark.parametrize("m", [24, 33])
+    def test_one_row_call_equals_batch_entry(self, m):
+        report = check_condition(m, n=4)
+        pool = build_pool(m, 3)
+        assert report.outcomes
+        for o in report.outcomes:
+            assert is_quasi_decomposable(o.element, m, pool=pool) == o.witness
+        if m == 33:
+            assert COUNTEREXAMPLE_33 in [
+                o.element for o in report.outcomes if o.kind == "FAIL"
+            ]
+
+
+class TestSearchBudget:
+    """The quasi search checks the time budget; candidates keep their meaning."""
+
+    def test_overrun_in_the_search_is_incomplete(self, overrun_after_sieve):
+        report = check_condition(36, n=4, budget=overrun_after_sieve())
+        assert not report.complete
+        assert report.outcomes == ()
+
+    def test_decided_elements_are_a_prefix(self, overrun_after_sieve, monkeypatch):
+        monkeypatch.setattr(cycles, "_CELLS", 1)  # one element per chunk
+        budget = overrun_after_sieve()
+        budget.grace = 3
+        report = check_condition(36, n=4, budget=budget)
+        full = check_condition(36, n=4)
+        assert full.complete and not report.complete
+        assert len(report.outcomes) == 3
+        assert report.outcomes == full.outcomes[:3]
+
+    def test_standard_elements_before_the_cut_are_kept(
+        self, overrun_after_sieve, monkeypatch
+    ):
+        monkeypatch.setattr(cycles, "_CELLS", 1)  # one element per chunk
+        budget = overrun_after_sieve()
+        budget.grace = 1
+        report = check_condition(15, n=4, exclude_standard=True, budget=budget)
+        full = check_condition(15, n=4, exclude_standard=True)
+        assert not report.complete
+        assert [o.kind for o in full.outcomes[:3]] == ["QUASI", "STANDARD", "QUASI"]
+        assert report.outcomes == full.outcomes[:2]
+
+    def test_overrun_in_the_search_makes_the_verdict_undetermined(
+        self, overrun_after_sieve
+    ):
+        report = verdict(33, 4, budget=overrun_after_sieve())
+        assert report.status == VerdictStatus.UNDETERMINED
+        assert "cut short" in report.justification
+
+    def test_all_levels_search_checks_the_budget(
+        self, get_basis, overrun_after_sieve, monkeypatch
+    ):
+        budget = overrun_after_sieve()
+        pool_of = cycles.build_pool
+
+        def armed_pool(*args, **kwargs):
+            pool = pool_of(*args, **kwargs)
+            budget.armed = True
+            return pool
+
+        monkeypatch.setattr(cycles, "build_pool", armed_pool)
+        report = check_condition(12, basis=get_basis(12), budget=budget)
+        assert not report.complete and report.outcomes == ()
 
 
 class TestPoolBudget:
