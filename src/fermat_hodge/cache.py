@@ -14,9 +14,10 @@ them (a level slice is recomputed faster than its entry is parsed).
 
 This module owns the JSON layout of a basis and of a condition report:
 ``basis_to_dict`` and ``report_to_dict`` build the payloads that BASIS
-and REPORT entries store and that the CLI prints for ``--format json``,
-and their parsers read them back.  An entry whose payload does not
-parse, or that answers another key than the one asked for, is a miss.
+and REPORT entries store and that the CLI prints for ``--format json``.
+``get_basis`` and ``get_report`` return the stored payload, checked only
+for its key, ``complete`` and the fields the CLI prints (else a miss),
+so the CLI prints a hit without parsing or formatting a vector.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
-from .cycles import (
-    ConditionOutcome,
-    ConditionReport,
-    QuasiWitness,
-    StandardProvenance,
-    StandardSet,
-)
+from .cycles import ConditionReport, StandardProvenance, StandardSet
 from .hilbert import HilbertBasis
 from .monoid import MonoidVector, format_vector, parse_vector, sort_key
 
@@ -135,15 +130,24 @@ class ResultCache:
 
     # -- BASIS (complete results only) ----------------------------------------
 
-    def get_basis(self, m: int) -> HilbertBasis | None:
-        basis = self._load("BASIS", f"m{m}", basis_from_dict)
-        if basis is None or basis.m != m or not basis.complete:
+    def get_basis(self, m: int) -> dict | None:
+        """The stored ``basis_to_dict`` payload of a complete basis, or None."""
+        payload = self._read("BASIS", f"m{m}")
+        if not (
+            _complete(payload, m=m)
+            and {"algorithm", "max_level_seen"} <= payload.keys()
+            and _strings(payload.get("elements"))
+        ):
             return None
-        return basis
+        payload["schema_version"] = SCHEMA_VERSION  # old payloads lack it
+        return payload
 
-    def put_basis(self, basis: HilbertBasis) -> None:
+    def put_basis(self, basis: HilbertBasis) -> dict:
+        """Store a complete basis; return its payload, stored or not."""
+        payload = basis_to_dict(basis)
         if basis.complete:
-            self._write("BASIS", f"m{basis.m}", basis.m, basis_to_dict(basis))
+            self._write("BASIS", f"m{basis.m}", basis.m, payload)
+        return payload
 
     # -- STANDARD --------------------------------------------------------------
 
@@ -183,26 +187,25 @@ class ResultCache:
         n_part = "all" if n is None else str(n)
         return f"m{m}_n{n_part}_excl{int(exclude_standard)}"
 
-    def get_report(
-        self, m: int, n: int | None, exclude_standard: bool
-    ) -> ConditionReport | None:
-        report = self._load(
-            "REPORT", self._report_name(m, n, exclude_standard), report_from_dict
-        )
-        if report is None or not report.complete:
+    def get_report(self, m: int, n: int | None, exclude_standard: bool) -> dict | None:
+        """The stored ``report_to_dict`` payload of a complete report, or None."""
+        payload = self._read("REPORT", self._report_name(m, n, exclude_standard))
+        if not (
+            _complete(payload, m=m, n=n, exclude_standard=exclude_standard)
+            and {"verdict", "standard_set"} <= payload.keys()
+            and isinstance(payload.get("counts"), dict)
+            and isinstance(payload.get("outcomes"), list)
+        ):
             return None
-        if (report.m, report.n, report.exclude_standard) != (m, n, exclude_standard):
-            return None
-        return report
+        return payload
 
-    def put_report(self, report: ConditionReport) -> None:
+    def put_report(self, report: ConditionReport) -> dict:
+        """Store a complete report; return its payload, stored or not."""
+        payload = report_to_dict(report)
         if report.complete:
-            self._write(
-                "REPORT",
-                self._report_name(report.m, report.n, report.exclude_standard),
-                report.m,
-                report_to_dict(report),
-            )
+            name = self._report_name(report.m, report.n, report.exclude_standard)
+            self._write("REPORT", name, report.m, payload)
+        return payload
 
 
 # -- the shared JSON layouts ---------------------------------------------------
@@ -252,27 +255,17 @@ def report_to_dict(report: ConditionReport) -> dict:
     }
 
 
-def report_from_dict(payload: dict) -> ConditionReport:
-    outcomes = []
-    for item in payload["outcomes"]:
-        w, p = item.get("witness"), item.get("provenance")
-        outcomes.append(
-            ConditionOutcome(
-                element=parse_vector(item["element"]),
-                kind=item["kind"],
-                witness=QuasiWitness(*(parse_vector(w[k]) for k in "bcd")) if w else None,
-                provenance=_provenance(p) if p else None,
-            )
-        )
-    return ConditionReport(
-        m=int(payload["m"]),
-        n=payload["n"],
-        exclude_standard=bool(payload["exclude_standard"]),
-        outcomes=tuple(outcomes),
-        verdict=bool(payload["verdict"]),
-        complete=bool(payload["complete"]),
-        standard_count=int(payload["standard_set"]),
+def _complete(payload, **key) -> bool:
+    """Whether ``payload`` is a complete result stored under ``key``."""
+    return (
+        isinstance(payload, dict)
+        and payload.get("complete") is True
+        and all(k in payload and payload[k] == v for k, v in key.items())
     )
+
+
+def _strings(items) -> bool:
+    return isinstance(items, list) and all(isinstance(s, str) for s in items)
 
 
 def _provenance(item: dict) -> StandardProvenance:

@@ -15,11 +15,10 @@ import sys
 from multiprocessing import Pool
 
 from .budget import DEFAULT_MAX_CANDIDATES, DEFAULT_MAX_SECONDS, SearchBudget
-from .cache import SCHEMA_VERSION, ResultCache, basis_to_dict, report_to_dict
+from .cache import SCHEMA_VERSION, ResultCache, basis_from_dict, basis_to_dict
 from .characters import enumerate_hodge_labels
 from .cycles import (
     COUNTEREXAMPLE_33,
-    ConditionReport,
     build_pool,
     check_condition,
     is_quasi_decomposable,
@@ -30,7 +29,7 @@ from .cycles import (
 )
 from .errors import BudgetExceededError, IncompleteBasisError
 from .hilbert import hilbert_basis, is_decomposable
-from .monoid import format_vector, is_member
+from .monoid import is_member
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -48,12 +47,17 @@ def _cache(args) -> ResultCache:
     return ResultCache(args.cache_dir)
 
 
-def _cached_basis(m, cache, budget):
-    basis = cache.get_basis(m)
-    if basis is None:
-        basis = hilbert_basis(m, budget=budget)
-        cache.put_basis(basis)
-    return basis
+def _cached_basis(m, cache, budget) -> dict:
+    """The ``basis_to_dict`` payload of degree m: the cached one, else computed."""
+    payload = cache.get_basis(m)
+    if payload is None:
+        payload = cache.put_basis(hilbert_basis(m, budget=budget))
+    return payload
+
+
+def _phi(basis: dict) -> int:
+    """The largest level ``y`` among the elements ``x1,...;y`` of a payload."""
+    return max((int(v[v.rindex(";") + 1:]) for v in basis["elements"]), default=0)
 
 
 def _bad_range(args) -> bool:
@@ -71,31 +75,30 @@ def cmd_basis(args) -> int:
         basis = _cached_basis(args.m, cache, budget)
     else:
         # an uncertified sieve of the first levels, never cached
-        basis = hilbert_basis(
+        sieve = hilbert_basis(
             args.m, max_level=args.max_level, algorithm="levelwise", budget=budget
         )
+        basis = basis_to_dict(sieve)
     if args.format == "json":
-        print(json.dumps(basis_to_dict(basis), sort_keys=True, indent=1))
+        print(json.dumps(basis, sort_keys=True, indent=1))
     else:
+        elements = basis["elements"]
         print(
-            f"m={basis.m} algorithm={basis.algorithm} "
-            f"complete={str(basis.complete).lower()} "
-            f"max_level={basis.max_element_level} elements={len(basis.elements)}"
+            f"m={basis['m']} algorithm={basis['algorithm']} "
+            f"complete={str(basis['complete']).lower()} "
+            f"max_level={_phi(basis)} elements={len(elements)}"
         )
-        for v in basis.elements:
-            print(format_vector(v))
-    return EXIT_OK if basis.complete else EXIT_INCOMPLETE
+        for v in elements:
+            print(v)
+    return EXIT_OK if basis["complete"] else EXIT_INCOMPLETE
 
 
 def cmd_phi(args) -> int:
     basis = _cached_basis(args.m, _cache(args), _budget(args))
-    if not basis.complete:
-        print(
-            f"phi({args.m}) >= {basis.max_element_level} complete=false",
-            file=sys.stdout,
-        )
+    if not basis["complete"]:
+        print(f"phi({args.m}) >= {_phi(basis)} complete=false")
         return EXIT_INCOMPLETE
-    print(f"phi({args.m}) = {basis.max_element_level} complete=true")
+    print(f"phi({args.m}) = {_phi(basis)} complete=true")
     return EXIT_OK
 
 
@@ -107,8 +110,8 @@ def cmd_phi_table(args) -> int:
     any_incomplete = False
     for m in range(args.m_from, args.m_to + 1):
         basis = _cached_basis(m, cache, _budget(args))
-        rows.append((m, basis.max_element_level, basis.complete))
-        any_incomplete |= not basis.complete
+        rows.append((m, _phi(basis), basis["complete"]))
+        any_incomplete |= not basis["complete"]
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -125,45 +128,46 @@ def cmd_phi_table(args) -> int:
     return EXIT_INCOMPLETE if any_incomplete else EXIT_OK
 
 
-def _report_lines(report: ConditionReport) -> list[str]:
-    counts = report.counts
+def _report_lines(report: dict) -> list[str]:
+    """The text form of a ``report_to_dict`` payload."""
+    counts, n = report["counts"], report["n"]
     lines = [
-        f"m={report.m} n={'all' if report.n is None else report.n} "
-        f"exclude_standard={str(report.exclude_standard).lower()} "
-        f"verdict={str(report.verdict).lower()} "
-        f"complete={str(report.complete).lower()} "
-        f"checked={len(report.outcomes)} quasi={counts['QUASI']} "
+        f"m={report['m']} n={'all' if n is None else n} "
+        f"exclude_standard={str(report['exclude_standard']).lower()} "
+        f"verdict={str(report['verdict']).lower()} "
+        f"complete={str(report['complete']).lower()} "
+        f"checked={len(report['outcomes'])} quasi={counts['QUASI']} "
         f"standard={counts['STANDARD']} fail={counts['FAIL']} "
-        f"standard_set={report.standard_count}"
+        f"standard_set={report['standard_set']}"
     ]
-    for o in report.outcomes:
-        if o.kind == "QUASI":
-            w = o.witness
+    for o in report["outcomes"]:
+        if o["kind"] == "QUASI":
+            w = o["witness"]
+            lines.append(f"QUASI {o['element']} b={w['b']} c={w['c']} d={w['d']}")
+        elif o["kind"] == "STANDARD":
+            p = o["provenance"]
             lines.append(
-                f"QUASI {format_vector(o.element)} b={format_vector(w.b)} "
-                f"c={format_vector(w.c)} d={format_vector(w.d)}"
-            )
-        elif o.kind == "STANDARD":
-            p = o.provenance
-            lines.append(
-                f"STANDARD {format_vector(o.element)} p={p.p} i={p.i} "
-                f"doubled={str(p.doubled).lower()}"
+                f"STANDARD {o['element']} p={p['p']} i={p['i']} "
+                f"doubled={str(p['doubled']).lower()}"
             )
         else:
-            lines.append(f"FAIL {format_vector(o.element)}")
+            lines.append(f"FAIL {o['element']}")
     return lines
 
 
-def _cached_report(m, n, exclude_standard, cache, budget) -> ConditionReport:
-    report = cache.get_report(m, n, exclude_standard)
-    if report is None:
-        basis = _cached_basis(m, cache, budget) if n is None else None
+def _cached_report(m, n, exclude_standard, cache, budget) -> dict:
+    """The ``report_to_dict`` payload of a check: the cached one, else computed.
+
+    A miss without ``n`` is the one place that parses a basis payload.
+    """
+    payload = cache.get_report(m, n, exclude_standard)
+    if payload is None:
+        basis = basis_from_dict(_cached_basis(m, cache, budget)) if n is None else None
         report = check_condition(
             m, n=n, exclude_standard=exclude_standard, budget=budget, basis=basis
         )
-        if report.complete:
-            cache.put_report(report)
-    return report
+        payload = cache.put_report(report)
+    return payload
 
 
 def cmd_check(args) -> int:
@@ -171,11 +175,11 @@ def cmd_check(args) -> int:
         args.m, args.n, args.exclude_standard, _cache(args), _budget(args)
     )
     if args.format == "json":
-        print(json.dumps(report_to_dict(report), sort_keys=True, indent=1))
+        print(json.dumps(report, sort_keys=True, indent=1))
     else:
         for line in _report_lines(report):
             print(line)
-    return EXIT_OK if report.complete else EXIT_INCOMPLETE
+    return EXIT_OK if report["complete"] else EXIT_INCOMPLETE
 
 
 def cmd_scan_fourfolds(args) -> int:

@@ -5,6 +5,7 @@ import pytest
 from fermat_hodge import check_condition, enumerate_level, hilbert_basis, standard_elements
 from fermat_hodge.cache import (
     ResultCache,
+    basis_from_dict,
     basis_to_dict,
     default_cache_dir,
     report_to_dict,
@@ -25,8 +26,8 @@ class TestRoundTrips:
     def test_basis(self, cache):
         basis = hilbert_basis(9)
         cache.put_basis(basis)
-        loaded = cache.get_basis(9)
-        assert loaded == basis
+        assert cache.get_basis(9) == basis_to_dict(basis)
+        assert basis_from_dict(cache.get_basis(9)) == basis
 
     def test_partial_basis_not_cached(self, cache):
         partial = hilbert_basis(12, algorithm="levelwise", max_level=2)
@@ -43,7 +44,7 @@ class TestRoundTrips:
     def test_report(self, cache):
         report = check_condition(12)
         cache.put_report(report)
-        assert cache.get_report(12, None, False) == report
+        assert cache.get_report(12, None, False) == report_to_dict(report)
 
     def test_missing_entry(self, cache):
         assert cache.get_level(5, 1) is None

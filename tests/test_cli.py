@@ -325,10 +325,17 @@ class TestVerify33:
         assert "not-quasi-decomposable" not in out
 
 
+_BASIS_12 = ("BASIS", "m12", lambda cache: cache.get_basis(12))
+_REPORT_12 = (
+    "REPORT", "m12_nall_excl0", lambda cache: cache.get_report(12, None, False)
+)
+
+
 class TestCacheLayouts:
     """Entries written in the layout the cache used before it stored the
     CLI's JSON (no schema_version or counts; standard_count for
-    standard_set) are still served or recomputed, never a crash."""
+    standard_set), and digest-valid entries that lack what the printers
+    read, are served or recomputed, never a crash."""
 
     def test_older_report_entry_is_recomputed_and_rewritten(self, capsys, tmp_path):
         argv = ["check", "--m", "12", "--format", "json", "--cache-dir", str(tmp_path)]
@@ -343,6 +350,38 @@ class TestCacheLayouts:
         assert code == 0 and out == fresh
         assert json.loads(cache._path("REPORT", name).read_text())["payload"] == current
 
+    @pytest.mark.parametrize(
+        "entry,argv,edit",
+        [
+            (_BASIS_12, ["basis", "--m", "12", "--format", "json"],
+             lambda p: p.update(complete=False)),
+            (_BASIS_12, ["basis", "--m", "12"],
+             lambda p: p["elements"].__setitem__(0, 7)),
+            (_BASIS_12, ["phi", "--m", "12"],
+             lambda p: p.update(elements="0,0,0,0,0,1,0,0,0,0,0;1")),
+            (_BASIS_12, ["basis", "--m", "12", "--format", "json"],
+             lambda p: p.update(m=13)),
+            (_REPORT_12, ["check", "--m", "12"], lambda p: p.pop("counts")),
+        ],
+        ids=["incomplete", "non-string-element", "elements-not-a-list",
+             "another-degree", "report-without-counts"],
+    )
+    def test_entry_failing_the_check_is_recomputed(
+        self, entry, argv, edit, capsys, tmp_path
+    ):
+        kind, name, get = entry
+        argv = argv + ["--cache-dir", str(tmp_path)]
+        _, fresh = run_cli(argv, capsys)
+        cache = ResultCache(tmp_path)
+        current = json.loads(cache._path(kind, name).read_text())["payload"]
+        edited = json.loads(json.dumps(current))
+        edit(edited)
+        cache._write(kind, name, 12, edited)
+        assert get(cache) is None
+        code, out = run_cli(argv, capsys)
+        assert code == 0 and out == fresh
+        assert get(cache) == current
+
     def test_older_basis_entry_is_served(self, capsys, tmp_path):
         argv = ["basis", "--m", "12", "--format", "json", "--cache-dir", str(tmp_path)]
         _, fresh = run_cli(argv, capsys)
@@ -353,6 +392,44 @@ class TestCacheLayouts:
         code, out = run_cli(argv, capsys)
         assert code == 0 and out == fresh
         assert json.loads(cache._path("BASIS", "m12").read_text())["payload"] == older
+
+
+def _hot_requests(m):
+    m = str(m)
+    return [
+        ["phi", "--m", m],
+        ["phi-table", "--from", m, "--to", m],
+        ["phi-table", "--from", m, "--to", m, "--format", "json"],
+        ["basis", "--m", m],
+        ["basis", "--m", m, "--format", "json"],
+        ["check", "--m", m, "--n", "4", "--exclude-standard"],
+        ["check", "--m", m, "--n", "4", "--exclude-standard", "--format", "json"],
+        ["check", "--m", m],
+        ["check", "--m", m, "--format", "json"],
+    ]
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("a cache hit parsed, formatted or computed a result")
+
+
+class TestHotReads:
+    """A hit prints the stored payload: no vector is parsed or formatted."""
+
+    @pytest.mark.parametrize("m", [12, 21])
+    def test_hit_prints_the_cold_output_without_parsing(
+        self, m, capsys, tmp_path, monkeypatch
+    ):
+        cache = ["--cache-dir", str(tmp_path)]
+        cold = [run_cli(argv + cache, capsys) for argv in _hot_requests(m)]
+        assert all(code == 0 for code, _ in cold)
+        monkeypatch.setattr("fermat_hodge.cache.parse_vector", _raise)
+        monkeypatch.setattr("fermat_hodge.cache.format_vector", _raise)
+        monkeypatch.setattr("fermat_hodge.cli.format_vector", _raise, raising=False)
+        monkeypatch.setattr(cli, "hilbert_basis", _raise)
+        monkeypatch.setattr(cli, "check_condition", _raise)
+        warm = [run_cli(argv + cache, capsys) for argv in _hot_requests(m)]
+        assert warm == cold
 
 
 class TestParserReuse:
