@@ -149,8 +149,12 @@ def satisfies_p1(
 
     Equivalent to decomposability of the count vector: a monoid witness
     c + d maps back to labels whose concatenation permutes to alpha.
+    ``is_decomposable``'s membership check proves alpha a label.
     """
-    witness = is_decomposable(to_monoid(alpha), alpha.m, basis=basis)
+    try:
+        witness = is_decomposable(_counts(alpha), alpha.m, basis=basis)
+    except MembershipError:
+        raise HodgeLabelError(f"not a Hodge label: {alpha.entries}") from None
     if witness is None:
         return None
     return (from_monoid(witness.c, alpha.m), from_monoid(witness.d, alpha.m))

@@ -8,12 +8,13 @@ The per-degree conditions ("every indecomposable in a level range is
 quasi-decomposable or standard") drive the Hodge-conjecture verdicts,
 which otherwise fall back to the recorded theorem facts.
 
-There is one quasi search, ``_first_witnesses``: it takes every element
-of a check at once and finds each one's first witness in a few numpy
-passes over the stacked level pool.  A prefilter on the support of x
-keeps only the pool rows c whose excess over x a level-1 b can cover,
-and the work per chunk is capped at ``_CELLS`` element-row cells, so
-its memory stays small.  ``is_quasi_decomposable`` is its one-row call.
+There is one quasi search, ``_first_witnesses``: it takes the rows of
+every element of a check at once and finds each one's first witness in
+a few numpy passes over the stacked level pool.  A prefilter on the
+support of x keeps only the pool rows c whose excess over x a level-1 b
+can cover, and the work per chunk is capped at ``_CELLS`` element-row
+cells, so its memory stays small.  ``is_quasi_decomposable`` is its
+one-row call.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .monoid import (
     check_modulus,
     is_member,
     level_rows,
+    rows_to_vectors,
     sort_key,
 )
 
@@ -117,7 +119,9 @@ def is_quasi_decomposable(
     above that level are not read.  Search order: b, then c, each in
     pool order.  A non-member x is a MembershipError.
     """
-    return _witnesses([x], m, pool)[0]
+    if not is_member(x, m):
+        raise MembershipError(f"not a member of the degree-{m} monoid: {x}")
+    return _witnesses(np.array([x.row()], dtype=np.int64), pool)[0]
 
 
 # element x pool-row cells compared per chunk of the quasi search
@@ -125,35 +129,26 @@ _CELLS = 1 << 16
 
 
 def _witnesses(
-    xs: list[MonoidVector],
-    m: int,
+    rows: np.ndarray,
     pool: np.ndarray | None = None,
     budget: SearchBudget | None = None,
 ) -> list[QuasiWitness | None]:
-    """First witnesses of the members ``xs``, which are ordered by level.
+    """First witnesses of the member rows (x..., y), ordered by level.
 
-    Without a pool, one is built up to the last level of xs.  The list is
-    shorter than xs only when the budget ran out; it then holds the
-    elements decided so far.
+    Without a pool, one is built up to the last level of the rows.  The
+    list is shorter than the rows only when the budget ran out; it then
+    holds the elements decided so far.
     """
-    for x in xs:
-        if not is_member(x, m):
-            raise MembershipError(f"not a member of the degree-{m} monoid: {x}")
     if pool is None:
-        pool = build_pool(m, xs[-1].y, budget=budget)
-    rows = np.array([x.row() for x in xs], dtype=np.int64)
+        pool = build_pool(rows.shape[1], int(rows[-1, -1]), budget=budget)
     found = _first_witnesses(rows, pool, budget)
     hit = found[:, 0] >= 0
     b, c = pool[found[hit, 0]], pool[found[hit, 1]]
     d = rows[: len(found)][hit] + b - c
-    # one .tolist() of the stacked (b, c, d) rows: entries are Python ints
-    triples = iter(np.stack([b, c, d], axis=1).tolist())
-    return [
-        QuasiWitness(*(MonoidVector(x=tuple(r[:-1]), y=r[-1]) for r in next(triples)))
-        if h
-        else None
-        for h in hit.tolist()
-    ]
+    k = len(b)
+    parts = rows_to_vectors(np.concatenate([b, c, d]))
+    witnesses = map(QuasiWitness, parts[:k], parts[k : 2 * k], parts[2 * k :])
+    return [next(witnesses) if h else None for h in hit.tolist()]
 
 
 def _first_witnesses(
@@ -171,14 +166,16 @@ def _first_witnesses(
 
     Rows of xs are members ordered by level; each run of one level is
     searched in chunks of at most ``_CELLS`` (element, pool row) cells
-    against the pool prefix up to that level.  A chunk first keeps the
-    near pairs, whose excess E = max(c - x, 0) sums to at most 2 (a
-    level-1 b has two entries): the sum is |c| minus the overlap of c
-    with x, which reads only the at most 2y support columns of x.  It
-    then tries the level-1 rows b in order, keeping a pair when E <= b
-    on b's support, and drops the pairs of an element once it has its
-    witness.  The budget is checked, for time only, before each chunk;
-    on an overrun the rows decided so far are returned, a prefix of xs.
+    against the pool prefix up to that level.  A chunk keeps the near
+    pairs, whose excess E = max(c - x, 0) sums to at most 2 (a level-1 b
+    has two entries): the sum is |c| minus the overlap of c with x, which
+    reads only the at most 2y support columns of x.  b fits iff E <= b
+    and b != c.  The level-1 rows (pairs e_a + e_{m-a}, and 2e_{m/2})
+    have disjoint supports, so a nonzero E fits only the row through its
+    first nonzero column, and E = 0 fits row 0, or row 1 when c is row 0.
+    The witness is the least (b, c) over the near pairs.  The budget is
+    checked, for time only, before each chunk; on an overrun the rows
+    decided so far are returned, a prefix of xs.
     """
     found = np.full((len(xs), 2), -1, dtype=np.int64)
     levels = pool[:, -1]
@@ -190,8 +187,10 @@ def _first_witnesses(
     ends = np.searchsorted(levels, np.arange(top + 1), side="right")
     cols = np.ascontiguousarray(pool[:, :-1].T, dtype=np.int32)
     size = cols.sum(axis=0)
-    # each level-1 row b as the (column, entry) pairs of its support
-    ones = [[(j, int(b[j])) for j in np.flatnonzero(b)] for b in cols[:, : ends[1]].T]
+    # the level-1 row through each column
+    owner = np.empty(len(cols), dtype=np.int64)
+    column, row = np.nonzero(cols[:, : ends[1]])
+    owner[column] = row
     runs = np.flatnonzero(np.diff(xs[:, -1])) + 1
     for lo_run, hi_run in zip(np.r_[0, runs], np.r_[runs, len(xs)]):
         y = int(xs[lo_run, -1])
@@ -204,13 +203,12 @@ def _first_witnesses(
                 except BudgetExceededError:
                     return found[:lo]
             hi = min(lo + step, hi_run)
-            _search_chunk(
-                xs[lo:hi, :-1], y, cols[:, :n], size[:n], levels[:n], ones, found[lo:hi]
-            )
+            X, out = xs[lo:hi, :-1], found[lo:hi]
+            _search_chunk(X, y, cols[:, :n], size[:n], levels[:n], owner, out)
     return found
 
 
-def _search_chunk(X, y, cols, size, levels, ones, out) -> None:
+def _search_chunk(X, y, cols, size, levels, owner, out) -> None:
     """Fill ``out`` with the least (b, c) for the level-y rows X; see above."""
     X = X.astype(np.int32)
     present = X > 0
@@ -224,21 +222,17 @@ def _search_chunk(X, y, cols, size, levels, ones, out) -> None:
     # near pairs, without c == x (no excess at the same level)
     near = (excess <= 2) & ((excess > 0) | (levels != y))
     e, c = np.nonzero(near)
-    need = excess[e, c]
-    XT = np.ascontiguousarray(X.T)
-    for bi, support in enumerate(ones):
-        if not len(e):
-            break
-        cover = np.zeros(len(e), dtype=np.int32)
-        for j, v in support:
-            cover += np.minimum(np.maximum(cols[j, c] - XT[j, e], 0), v)
-        fit = np.flatnonzero((cover == need) & (c != bi))
-        if len(fit):
-            hit, first = np.unique(e[fit], return_index=True)
-            out[hit, 0] = bi
-            out[hit, 1] = c[fit[first]]
-            keep = ~np.isin(e, hit)
-            e, c, need = e[keep], c[keep], need[keep]
+    E = np.maximum(cols[:, c] - X.T[:, e], 0)
+    # the one candidate b per pair; with one level-1 row (m <= 3), E = 0
+    # and c == 0 give b == c, which the fit test rejects
+    first = owner[np.argmax(E > 0, axis=0)]
+    b = np.where(excess[e, c] > 0, first, np.minimum(c == 0, owner.max()))
+    fit = (E <= cols[:, b]).all(axis=0) & (b != c)
+    n = cols.shape[1]
+    least = np.full(len(X), n * n, dtype=np.int64)
+    np.minimum.at(least, e[fit], b[fit] * n + c[fit])
+    hit = least < n * n
+    out[hit, 0], out[hit, 1] = np.divmod(least[hit], n)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -365,55 +359,56 @@ def check_condition(
 
     Every element that is not excluded as standard is searched in one
     batch (``_first_witnesses``), with the first witness that
-    ``is_quasi_decomposable`` would give it.  The budget bounds that
-    search by time too: when it runs out, the report has complete=False
-    and the outcomes of the elements decided so far, a prefix of the
-    full report's outcomes.
+    ``is_quasi_decomposable`` would give it; only a caller's ``basis``
+    is proved, as the exact slices prove the sieve's rows.  The budget
+    bounds that search by time too: when it runs out, the report has
+    complete=False and the outcomes of the elements decided so far, a
+    prefix of the full report's outcomes.
     """
     check_modulus(m)
     budget = budget or SearchBudget()
-    slices = None  # the sieved slices, stacked into the pool when one is needed
+    pool = None  # the sieved slices, stacked, for the n-dimensional range
     if n is not None:
         check_dimension(n)
         if basis is not None:
             raise ValueError("a basis applies to the all-levels condition only")
         top = n // 2 + 1
-        sieve, slices = _levelwise(m, top, budget)
-        elements = [b for b in sieve.elements if b.y >= 3]
-        complete = sieve.max_level_seen >= top
+        rows, slices = _levelwise(m, top, budget)
+        rows = rows[rows[:, -1] >= 3]
+        elements = rows_to_vectors(rows)
+        complete = len(slices) >= top
+        if len(rows):
+            pool = np.concatenate(slices)
     else:
-        if basis is None:
+        given = basis is not None
+        if not given:
             basis = hilbert_basis(m, budget=budget)
         if not basis.complete:
             raise IncompleteBasisError(
                 f"the all-levels condition for m={m} needs a complete basis",
                 partial_max_level=basis.max_element_level,
             )
-        elements = [b for b in basis.elements if b.y >= 3]
+        elements = sorted((b for b in basis.elements if b.y >= 3), key=sort_key)
+        for e in elements if given else ():
+            if not is_member(e, m):
+                raise MembershipError(f"not a member of the degree-{m} monoid: {e}")
+        rows = np.array([e.row() for e in elements], dtype=np.int64).reshape(-1, m)
         complete = True
     standards = standard_elements(m)
-    elements = sorted(elements, key=sort_key)
-    searched = [e for e in elements if not (exclude_standard and e in standards)]
-    decided = {}
-    if searched:
-        pool = None if slices is None else np.concatenate(slices)
-        witnesses = _witnesses(searched, m, pool, budget)
-        complete = complete and len(witnesses) == len(searched)
-        decided = dict(zip(searched, witnesses))
-    outcomes = []
-    for e in elements:
-        if exclude_standard and e in standards:
-            outcomes.append(
-                ConditionOutcome(
-                    element=e, kind="STANDARD", provenance=standards.provenance[e]
-                )
-            )
-        elif e not in decided:
+    excluded = [exclude_standard and e in standards for e in elements]
+    searched = rows[~np.array(excluded, dtype=bool)]
+    witnesses = _witnesses(searched, pool, budget) if len(searched) else []
+    complete = complete and len(witnesses) == len(searched)
+    decided, outcomes = iter(witnesses), []
+    for e, standard in zip(elements, excluded):
+        if standard:
+            kind, witness = "STANDARD", None
+        elif (witness := next(decided, False)) is False:
             break  # the budget ran out before this element's search
-        elif decided[e] is not None:
-            outcomes.append(ConditionOutcome(element=e, kind="QUASI", witness=decided[e]))
         else:
-            outcomes.append(ConditionOutcome(element=e, kind="FAIL"))
+            kind = "FAIL" if witness is None else "QUASI"
+        provenance = standards.provenance[e] if standard else None
+        outcomes.append(ConditionOutcome(e, kind, witness, provenance))
     return ConditionReport(
         m=m,
         n=n,

@@ -31,7 +31,7 @@ a basis (complete=True):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .monoid import (
     half_units,
     is_member,
     level_rows,
+    rows_to_vectors,
     sort_key,
     units,
 )
@@ -401,7 +402,7 @@ class _Closure:
 def _completion_rows(m: int, budget: SearchBudget) -> set[tuple[int, ...]]:
     """All minimal nonzero solutions of the defining system, unordered."""
     budget.start()
-    rows = [v.row() for v in enumerate_level(m, 1)]
+    rows = list(map(tuple, level_rows(m, 1).tolist()))
     C = m // 2
     kernel = _integer_kernel(_class_rows(m), C)
     if m % 2 == 0:
@@ -443,14 +444,15 @@ def _indecomposable_in_slice(rows: np.ndarray, basis: list[np.ndarray]) -> np.nd
 
 def _levelwise(
     m: int, top: int | None, budget: SearchBudget
-) -> tuple[HilbertBasis, list[np.ndarray]]:
-    """Sieve levels 1..top upwards; the basis and the slices it read.
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Sieve levels 1..top upwards; the indecomposable rows and the slices.
 
     Only the budget stops the sieve before ``top`` (with no top, only
-    the budget stops it), and the result is never complete.  The slices
-    (``level_rows`` arrays for levels 1..max_level_seen) are handed back
-    so that a caller searching the same levels, like the quasi search of
-    ``check_condition``, reads them instead of enumerating them again.
+    the budget stops it), and the rows, stacked in canonical order, are
+    never a certified basis.  The slices (``level_rows`` arrays for the
+    levels sieved) are handed back so that a caller searching the same
+    levels, like the quasi search of ``check_condition``, reads them
+    instead of enumerating them again.
     """
     basis: list[np.ndarray] = []  # indecomposable rows, one array per level
     slices: list[np.ndarray] = []
@@ -465,19 +467,7 @@ def _levelwise(
             break  # report the last fully sieved level
         slices.append(rows)
         basis.append(_indecomposable_in_slice(rows, basis))
-    elements = tuple(
-        MonoidVector(x=tuple(r[:-1]), y=r[-1]) for b in basis for r in b.tolist()
-    )
-    return (
-        HilbertBasis(
-            m=m,
-            elements=elements,
-            complete=False,
-            max_level_seen=len(slices),
-            algorithm="levelwise",
-        ),
-        slices,
-    )
+    return np.concatenate([np.zeros((0, m), dtype=np.int64), *basis]), slices
 
 
 # ---------------------------------------------------------------------------
@@ -501,29 +491,33 @@ def hilbert_basis(
     """
     check_modulus(m)
     budget = budget or SearchBudget()
+    complete = False
     if algorithm == "levelwise":
         if max_level is None:
             raise ValueError("the levelwise sieve needs a max_level")
-        return _levelwise(m, max_level, budget)[0]
-    if algorithm != "completion":
+    elif algorithm != "completion":
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if max_level is not None:
+    elif max_level is not None:
         raise ValueError("the completion certifies every level; it takes no max_level")
-    try:
-        rows = _completion_rows(m, budget)
-    except BudgetExceededError:
-        # the budget is finite, as it stopped the completion, and it
-        # alone stops this uncertified sweep
-        partial = _levelwise(m, None, budget.remaining())[0]
-        return replace(partial, algorithm="completion")
-    elements = sorted((MonoidVector(x=r[:-1], y=r[-1]) for r in rows), key=sort_key)
-    max_level_seen = max((v.y for v in elements), default=1)
+    else:
+        try:
+            rows = _completion_rows(m, budget)
+        except BudgetExceededError:
+            # the budget is finite, as it stopped the completion, and it
+            # alone stops the uncertified sweep below
+            budget = budget.remaining()
+        else:
+            rows = sorted(rows, key=lambda r: (r[-1], r[:-1]))
+            complete, seen = True, rows[-1][-1]  # level one is never empty
+    if not complete:
+        rows, slices = _levelwise(m, max_level, budget)
+        seen = len(slices)
     return HilbertBasis(
         m=m,
-        elements=tuple(elements),
-        complete=True,
-        max_level_seen=max_level_seen,
-        algorithm="completion",
+        elements=tuple(rows_to_vectors(rows)),
+        complete=complete,
+        max_level_seen=seen,
+        algorithm=algorithm,
     )
 
 
@@ -535,32 +529,35 @@ def is_decomposable(
 ) -> DecompositionWitness | None:
     """First decomposition witness of v, or None if v is indecomposable.
 
-    Candidates run in ascending level then lexicographic order.  Only
-    indecomposable candidates can be the first fit at the first level
-    where anything fits, so searching basis elements of level <= y/2
-    yields the same witness as scanning the full slices.  When the
-    budget stops the sieve of those levels short, no answer is certain
-    and IncompleteBasisError is raised.
+    The witness c is the first fit c <= v in ascending level then
+    lexicographic order.  Only indecomposable rows can be the first fit
+    at the first level where anything fits, so the indecomposables of
+    level <= y/2 (the sieve's, or a deep-enough ``basis``) give the same
+    witness as the full slices.  When the budget stops the sieve of those
+    levels short, no answer is certain and IncompleteBasisError is raised.
     """
     if not is_member(v, m):
         raise MembershipError(f"not a member of the degree-{m} monoid: {v}")
     if v.y < 2:
         return None
     limit = v.y // 2
-    if basis is None or not (basis.complete or basis.max_level_seen >= limit):
-        basis = hilbert_basis(m, max_level=limit, algorithm="levelwise", budget=budget)
-        if basis.max_level_seen < limit:
+    if basis is not None and (basis.complete or basis.max_level_seen >= limit):
+        rows = np.array(
+            [c.row() for c in basis.elements if c.y <= limit], dtype=np.int64
+        ).reshape(-1, m)
+    else:
+        rows, slices = _levelwise(m, limit, budget or SearchBudget())
+        if len(slices) < limit:
             raise IncompleteBasisError(
                 f"deciding {format_vector(v)} needs levels up to {limit}; the "
-                f"budget stopped the sieve at level {basis.max_level_seen}",
-                partial_max_level=basis.max_element_level,
+                f"budget stopped the sieve at level {len(slices)}",
+                partial_max_level=int(rows[-1, -1]) if len(rows) else 0,
             )
-    candidates = [b for b in basis.elements if b.y <= limit]
-    candidates.sort(key=sort_key)
-    for c in candidates:
-        if c.y <= v.y - 1 and all(a <= b for a, b in zip(c.x, v.x)):
-            return DecompositionWitness(c=c, d=v - c)
-    return None
+    fits = rows[(rows[:, :-1] <= v.x).all(axis=1)]
+    if not len(fits):
+        return None
+    c = min(rows_to_vectors(fits), key=sort_key)
+    return DecompositionWitness(c=c, d=v - c)
 
 
 def phi(

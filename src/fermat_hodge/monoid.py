@@ -15,10 +15,10 @@ J. ACM 21(2), 1974): each sorted multiset of size 2y is its y smallest
 indices followed by its y largest, and the level equations become a
 join of size-y half-multisets on their weight vectors.  The result is
 one (N, m) int64 array of rows (x..., y) per level, which the sieve and
-the quasi search read directly; ``MonoidVector`` objects are built only
-by ``enumerate_level``.  Indices are int16 and half weights int32 (a
-weight is at most y*(m-1)).  ``is_member``, the one exact test of a
-single vector, rejects sum x_i != 2y first and uses Python integers.
+the quasi search read directly; only ``rows_to_vectors`` turns rows
+into ``MonoidVector`` objects.  Indices are int16 and half weights
+int32 (a weight is at most y*(m-1)).  ``is_member``, the one exact test
+of a single vector, rejects sum x_i != 2y first and uses Python integers.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "is_member",
     "enumerate_level",
     "level_rows",
+    "rows_to_vectors",
     "format_vector",
     "parse_vector",
 ]
@@ -92,15 +93,6 @@ class MonoidVector:
         """Flat (x..., y) tuple; the representation used by searches."""
         return self.x + (self.y,)
 
-    @staticmethod
-    def from_row(row) -> "MonoidVector":
-        """The vector of a flat row, numpy or Python; entries become ints.
-
-        Rows of a ``.tolist()`` already hold Python ints, so the package
-        builds those directly, as ``enumerate_level`` does.
-        """
-        return MonoidVector(x=tuple(map(int, row[:-1])), y=int(row[-1]))
-
     def __add__(self, other: "MonoidVector") -> "MonoidVector":
         return MonoidVector(
             x=tuple(a + b for a, b in zip(self.x, other.x, strict=True)),
@@ -112,6 +104,16 @@ class MonoidVector:
             x=tuple(a - b for a, b in zip(self.x, other.x, strict=True)),
             y=self.y - other.y,
         )
+
+
+def rows_to_vectors(rows) -> list[MonoidVector]:
+    """The vectors of (x..., y) rows: an int array, or sequences of ints.
+
+    An array is read with one ``.tolist()``, so every entry is a Python int.
+    """
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    return [MonoidVector(x=tuple(r[:-1]), y=r[-1]) for r in rows]
 
 
 def sort_key(v: MonoidVector) -> tuple[int, tuple[int, ...]]:
@@ -251,5 +253,4 @@ def enumerate_level(m: int, y: int, budget=None) -> list[MonoidVector]:
     The ``MonoidVector`` view of ``level_rows``; the package's own
     searches read the array.  The optional budget is checked as there.
     """
-    rows = level_rows(m, y, budget).tolist()
-    return [MonoidVector(x=tuple(r[:-1]), y=y) for r in rows]
+    return rows_to_vectors(level_rows(m, y, budget))

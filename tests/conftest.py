@@ -79,3 +79,22 @@ def overrun_after_sieve(monkeypatch):
 
     monkeypatch.setattr(cycles, "_levelwise", armed_sieve)
     return OverrunAfterSieve
+
+
+@pytest.fixture
+def count_member_calls(monkeypatch):
+    """Install counting ``is_member`` wrappers in modules; returns the call list."""
+    calls = []
+
+    def install(*modules):
+        for module in modules:
+            original = module.is_member
+
+            def counted(v, m, original=original):
+                calls.append(v)
+                return original(v, m)
+
+            monkeypatch.setattr(module, "is_member", counted)
+        return calls
+
+    return install

@@ -256,6 +256,23 @@ class TestSplits:
     def test_p1_level_one_none(self):
         assert satisfies_p1(Character(4, (1, 3))) is None
 
+    def test_p1_proves_alpha_once(self, count_member_calls):
+        import fermat_hodge.hilbert as hilbert
+
+        labels = enumerate_hodge_labels(12, 4)
+        calls = count_member_calls(characters, hilbert)
+        splits = sum(satisfies_p1(alpha) is not None for alpha in labels)
+        assert splits
+        assert len(calls) == len(labels) + 2 * splits
+
+    def test_p1_rejects_a_non_label(self):
+        alpha = Character(7, (1, 1, 5))
+        assert not is_hodge_label(alpha)
+        with pytest.raises(HodgeLabelError):
+            satisfies_p1(alpha)
+        with pytest.raises(HodgeLabelError):
+            satisfies_p1(Character(7, (1, 2, 3, 1)))
+
     @pytest.mark.parametrize("m", range(3, 9))
     @pytest.mark.parametrize("n", [2, 4])
     def test_p1_iff_brute_force_split(self, m, n):

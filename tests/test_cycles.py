@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fermat_hodge import (
     COUNTEREXAMPLE_33,
+    HilbertBasis,
     MonoidVector,
     QuasiWitness,
     SearchBudget,
@@ -29,6 +30,7 @@ from fermat_hodge.errors import (
     BudgetExceededError,
     IncompleteBasisError,
     IncompletePoolError,
+    MembershipError,
 )
 import fermat_hodge.cycles as cycles
 from fermat_hodge.cycles import _is_prime, _prime_square
@@ -155,6 +157,10 @@ class TestQuasiDecomposable:
             assert is_member(part, 21)
         assert witness.c.y + witness.d.y == first.y + 1
 
+    def test_non_member_raises(self):
+        with pytest.raises(MembershipError):
+            is_quasi_decomposable(MonoidVector((1, 1, 0), 1), 4)
+
     def test_missing_pool_level_raises(self):
         first = enumerate_level(21, 3)[0]
         with pytest.raises(IncompletePoolError):
@@ -203,6 +209,17 @@ class TestWitnessIdentity:
             assert is_quasi_decomposable(x, m, pool=deeper) == is_quasi_decomposable(
                 x, m, pool=exact
             ), x
+
+
+class TestKernelEdgeDegrees:
+    """Degrees with one level-1 row (2, 3) and the self-paired row of even m."""
+
+    @pytest.mark.parametrize("m", range(2, 12))
+    def test_every_low_member_equals_b_major_scan(self, m):
+        top = 4 if m < 9 else 3
+        pool = build_pool(m, top)
+        for x in (v for y in range(1, top + 1) for v in enumerate_level(m, y)):
+            assert is_quasi_decomposable(x, m, pool=pool) == _b_major_scan(x, m), x
 
 
 class TestBatchedSearch:
@@ -348,6 +365,26 @@ class TestCheckCondition:
         assert report.verdict and report.outcomes
         assert all(o.kind == "STANDARD" for o in report.outcomes)
 
+
+    def test_sieve_rows_are_not_proved_again(self, count_member_calls):
+        import fermat_hodge.hilbert as hilbert
+
+        calls = count_member_calls(cycles, hilbert)
+        report = check_condition(33, n=4)
+        assert report.outcomes and not calls
+
+    def test_caller_basis_is_proved(self):
+        # level 3 and sum 6 = 2y, but weight 6 under t = 1, not 36
+        stray = MonoidVector((6,) + (0,) * 10, 3)
+        basis = HilbertBasis(
+            m=12,
+            elements=(stray,),
+            complete=True,
+            max_level_seen=3,
+            algorithm="completion",
+        )
+        with pytest.raises(MembershipError):
+            check_condition(12, basis=basis)
 
     def test_m21_with_exclusion(self, get_basis):
         report = check_condition(21, exclude_standard=True, basis=get_basis(21))

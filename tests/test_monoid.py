@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fermat_hodge import MonoidVector, SearchBudget, enumerate_level, is_member, units
 from fermat_hodge.errors import BudgetExceededError, InvalidModulusError, ShapeError
-from fermat_hodge.monoid import format_vector, level_rows, parse_vector
+from fermat_hodge.monoid import format_vector, level_rows, parse_vector, rows_to_vectors
 
 V33 = MonoidVector(
     x=tuple(1 if i in (7, 10, 13, 19, 22, 28) else 0 for i in range(1, 33)), y=3
@@ -179,7 +179,9 @@ class TestLevelRows:
         rows = level_rows(m, y)
         assert rows.dtype == np.int64 and rows.shape[1] == m
         assert (rows[:, -1] == y).all()
-        assert [MonoidVector.from_row(r) for r in rows] == enumerate_level(m, y)
+        vectors = rows_to_vectors(rows)
+        assert vectors == enumerate_level(m, y)
+        assert {type(c) for v in vectors for c in v.row()} == {int}
 
     def test_budget_checked_with_half_table_before_building_it(self):
         with pytest.raises(BudgetExceededError, match=str(comb(47 + 3 - 2, 3))):
