@@ -19,7 +19,6 @@ from .cache import SCHEMA_VERSION, ResultCache, basis_from_dict, basis_to_dict
 from .characters import enumerate_hodge_labels
 from .cycles import (
     COUNTEREXAMPLE_33,
-    build_pool,
     check_condition,
     is_quasi_decomposable,
     newton_identity_check,
@@ -258,8 +257,7 @@ def cmd_verify_33(args) -> int:
     print(f"non-standard: {'confirmed' if non_standard else 'FAILED'}")
     if not non_standard:
         failures.append("non-standard")
-    pool = build_pool(33, 3, budget=budget)
-    not_quasi = member and is_quasi_decomposable(x, 33, pool=pool) is None
+    not_quasi = member and is_quasi_decomposable(x, 33) is None
     print(f"not-quasi-decomposable: {'confirmed' if not_quasi else 'FAILED'}")
     if not not_quasi:
         failures.append("not-quasi-decomposable")

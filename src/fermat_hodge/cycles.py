@@ -8,13 +8,11 @@ The per-degree conditions ("every indecomposable in a level range is
 quasi-decomposable or standard") drive the Hodge-conjecture verdicts,
 which otherwise fall back to the recorded theorem facts.
 
-There is one quasi search, ``_first_witnesses``: it takes the rows of
-every element of a check at once and finds each one's first witness in
-a few numpy passes over the stacked level pool.  A prefilter on the
-support of x keeps only the pool rows c whose excess over x a level-1 b
-can cover, and the work per chunk is capped at ``_CELLS`` element-row
-cells, so its memory stays small.  ``is_quasi_decomposable`` is its
-one-row call.
+There is one quasi search, ``_witnesses``, and it reads the rows of x
+alone: a witness c is a sub-multiset of x plus a part of the level-1 b,
+so the search runs in numpy over the subsets of the sorted indices of
+each x, with their weights under ``half_units(m)``.
+``is_quasi_decomposable`` is its one-row call.
 """
 
 from __future__ import annotations
@@ -27,17 +25,13 @@ from math import gcd
 import numpy as np
 
 from .budget import SearchBudget
-from .errors import (
-    BudgetExceededError,
-    IncompleteBasisError,
-    IncompletePoolError,
-    MembershipError,
-)
+from .errors import BudgetExceededError, IncompleteBasisError, MembershipError
 from .hilbert import HilbertBasis, _levelwise, hilbert_basis
 from .monoid import (
     MonoidVector,
     check_dimension,
     check_modulus,
+    half_units,
     is_member,
     level_rows,
     rows_to_vectors,
@@ -102,137 +96,155 @@ def build_pool(
 ) -> np.ndarray:
     """Level slices 1..max_level stacked into one (N, m) int64 array.
 
-    Rows (x..., y) run in search order: by level, then lexicographic.
+    Rows (x..., y) run by level, then lexicographic.  The package's
+    quasi search no longer reads a pool; this helper stays public only
+    because the benchmark's trace list names it, and it goes with the
+    benchmark change of ROADMAP item 1.
     """
     check_modulus(m)
     return np.concatenate([level_rows(m, y, budget) for y in range(1, max_level + 1)])
 
 
-def is_quasi_decomposable(
-    x: MonoidVector, m: int, pool: np.ndarray | None = None
-) -> QuasiWitness | None:
+def is_quasi_decomposable(x: MonoidVector, m: int) -> QuasiWitness | None:
     """First quasi-decomposition witness of x, or None.
 
-    A one-row call of the batched search that ``check_condition`` runs
-    (see ``_first_witnesses``).  The pool is a ``build_pool`` array
-    reaching at least the level of x (built when not given); its rows
-    above that level are not read.  Search order: b, then c, each in
-    pool order.  A non-member x is a MembershipError.
+    A one-row call of the sub-multiset search that ``check_condition``
+    runs (see ``_witnesses``): b first in level-one order, then c by
+    level and lexicographic.  A non-member x is a MembershipError.
     """
     if not is_member(x, m):
         raise MembershipError(f"not a member of the degree-{m} monoid: {x}")
-    return _witnesses(np.array([x.row()], dtype=np.int64), pool)[0]
+    return _witnesses(np.array([x.row()], dtype=np.int64))[0]
 
 
-# element x pool-row cells compared per chunk of the quasi search
-_CELLS = 1 << 16
+# element x sub-multiset cells evaluated per chunk of the quasi search
+_SUBSET_CELLS = 1 << 16
 
 
 def _witnesses(
-    rows: np.ndarray,
-    pool: np.ndarray | None = None,
-    budget: SearchBudget | None = None,
+    rows: np.ndarray, budget: SearchBudget | None = None
 ) -> list[QuasiWitness | None]:
     """First witnesses of the member rows (x..., y), ordered by level.
 
-    Without a pool, one is built up to the last level of the rows.  The
-    list is shorter than the rows only when the budget ran out; it then
-    holds the elements decided so far.
+    An element of level y is searched over the subsets of its 2y sorted
+    indices but the empty, the full and the one-element ones, so it
+    takes 2^(2y) - 2y - 2 cells.  A chunk holds at most
+    ``_SUBSET_CELLS`` cells, of several elements or of one block of the
+    subsets of one, and the budget is checked before each chunk with
+    the cells evaluated once it is done.  On an overrun the list holds
+    the elements decided so far.
     """
-    if pool is None:
-        pool = build_pool(rows.shape[1], int(rows[-1, -1]), budget=budget)
-    found = _first_witnesses(rows, pool, budget)
-    hit = found[:, 0] >= 0
-    b, c = pool[found[hit, 0]], pool[found[hit, 1]]
-    d = rows[: len(found)][hit] + b - c
-    k = len(b)
-    parts = rows_to_vectors(np.concatenate([b, c, d]))
-    witnesses = map(QuasiWitness, parts[:k], parts[k : 2 * k], parts[2 * k :])
-    return [next(witnesses) if h else None for h in hit.tolist()]
+    m = rows.shape[1]
+    half = np.asarray(half_units(m), dtype=np.int32)
+    res = np.arange(m, dtype=np.int32)[:, None] * half % m
+    found: list[QuasiWitness | None] = []
+    cells = 0
 
+    def spend(count: int) -> None:
+        nonlocal cells
+        cells += count
+        if budget is not None:
+            budget.check(cells)
 
-def _first_witnesses(
-    xs: np.ndarray, pool: np.ndarray, budget: SearchBudget | None = None
-) -> np.ndarray:
-    """Least pool indices (b, c) with x + b = c + d, per row x of xs.
-
-    Returns a (k, 2) array, -1 where x has no witness.  For each level-1
-    b and each pool row c <= x + b with level between 1 and the level y
-    of x, the difference d = x + b - c is a member by linearity, and d
-    has level >= 1 because c's level is at most y, so a subtraction test
-    replaces the literal three-way product scan.  d == x exactly when
-    c == b.  The least pair, b first, is the first witness of the b-major
-    scan over the pool.
-
-    Rows of xs are members ordered by level; each run of one level is
-    searched in chunks of at most ``_CELLS`` (element, pool row) cells
-    against the pool prefix up to that level.  A chunk keeps the near
-    pairs, whose excess E = max(c - x, 0) sums to at most 2 (a level-1 b
-    has two entries): the sum is |c| minus the overlap of c with x, which
-    reads only the at most 2y support columns of x.  b fits iff E <= b
-    and b != c.  The level-1 rows (pairs e_a + e_{m-a}, and 2e_{m/2})
-    have disjoint supports, so a nonzero E fits only the row through its
-    first nonzero column, and E = 0 fits row 0, or row 1 when c is row 0.
-    The witness is the least (b, c) over the near pairs.  The budget is
-    checked, for time only, before each chunk; on an overrun the rows
-    decided so far are returned, a prefix of xs.
-    """
-    found = np.full((len(xs), 2), -1, dtype=np.int64)
-    levels = pool[:, -1]
-    top = int(xs[:, -1].max())
-    if not len(pool) or levels[-1] < top:
-        raise IncompletePoolError(
-            f"pool for m={pool.shape[1]} stops below level {top}"
-        )
-    ends = np.searchsorted(levels, np.arange(top + 1), side="right")
-    cols = np.ascontiguousarray(pool[:, :-1].T, dtype=np.int32)
-    size = cols.sum(axis=0)
-    # the level-1 row through each column
-    owner = np.empty(len(cols), dtype=np.int64)
-    column, row = np.nonzero(cols[:, : ends[1]])
-    owner[column] = row
-    runs = np.flatnonzero(np.diff(xs[:, -1])) + 1
-    for lo_run, hi_run in zip(np.r_[0, runs], np.r_[runs, len(xs)]):
-        y = int(xs[lo_run, -1])
-        n = int(ends[y])
-        step = max(1, _CELLS // max(n, 1))
+    runs = np.flatnonzero(np.diff(rows[:, -1])) + 1
+    for lo_run, hi_run in zip(np.r_[0, runs], np.r_[runs, len(rows)]):
+        n = 2 * int(rows[lo_run, -1])
+        step = max(1, _SUBSET_CELLS // max((1 << n) - n - 2, 1))
         for lo in range(lo_run, hi_run, step):
-            if budget is not None:
-                try:
-                    budget.check(0)
-                except BudgetExceededError:
-                    return found[:lo]
-            hi = min(lo + step, hi_run)
-            X, out = xs[lo:hi, :-1], found[lo:hi]
-            _search_chunk(X, y, cols[:, :n], size[:n], levels[:n], owner, out)
+            try:
+                found += _least_witnesses(rows[lo : min(lo + step, hi_run)], res, spend)
+            except BudgetExceededError:
+                return found
     return found
 
 
-def _search_chunk(X, y, cols, size, levels, owner, out) -> None:
-    """Fill ``out`` with the least (b, c) for the level-y rows X; see above."""
-    X = X.astype(np.int32)
-    present = X > 0
-    width = int(present.sum(axis=1).max())
-    at = np.argsort(~present, axis=1, kind="stable")[:, :width]
-    val = np.take_along_axis(X, at, axis=1)
-    overlap = np.zeros((len(X), cols.shape[1]), dtype=np.int32)
-    for t in range(width):
-        overlap += np.minimum(cols[at[:, t]], val[:, t, None])
-    excess = size - overlap
-    # near pairs, without c == x (no excess at the same level)
-    near = (excess <= 2) & ((excess > 0) | (levels != y))
-    e, c = np.nonzero(near)
-    E = np.maximum(cols[:, c] - X.T[:, e], 0)
-    # the one candidate b per pair; with one level-1 row (m <= 3), E = 0
-    # and c == 0 give b == c, which the fit test rejects
-    first = owner[np.argmax(E > 0, axis=0)]
-    b = np.where(excess[e, c] > 0, first, np.minimum(c == 0, owner.max()))
-    fit = (E <= cols[:, b]).all(axis=0) & (b != c)
-    n = cols.shape[1]
-    least = np.full(len(X), n * n, dtype=np.int64)
-    np.minimum.at(least, e[fit], b[fit] * n + c[fit])
-    hit = least < n * n
-    out[hit, 0], out[hit, 1] = np.divmod(least[hit], n)
+def _least_witnesses(
+    X: np.ndarray, res: np.ndarray, spend
+) -> list[QuasiWitness | None]:
+    """The first witness of each row of X, all of one level.
+
+    A block is the 2^low subsets of the first low positions, each joined
+    with one subset of the rest; ``spend`` is told its cells first.  The
+    least candidate of each x, by (b, level(c), x(c)), is carried from
+    block to block; within a level, ascending x(c) is descending indices
+    of c.
+    """
+    m, n = X.shape[1], 2 * int(X[0, -1])
+    idx = np.repeat(np.tile(np.arange(1, m), len(X)), X[:, :-1].ravel())
+    idx = idx.reshape(len(X), n)
+    low = min(n, _SUBSET_CELLS.bit_length() - 1)
+    # the weights under each half unit of every subset of the first low positions
+    weights = np.zeros((len(X), 1, res.shape[1]), dtype=np.int32)
+    for p in range(low):
+        weights = np.concatenate([weights, weights + res[idx[:, p], None]], axis=1)
+    best = np.zeros((0, n + 5), dtype=np.int64)
+    for high in range(1 << (n - low)):
+        bits = (((high << low) + np.arange(1 << low))[:, None] >> np.arange(n)) & 1 == 1
+        size = bits.sum(axis=1)
+        spend(len(X) * int(((size > 1) & (size < n)).sum()))
+        rest = res[idx[:, low:][:, bits[0, low:]]].sum(axis=1, dtype=np.int32)
+        best = np.concatenate([best, _candidates(idx, res, weights + rest[:, None], bits)])
+        order = np.lexsort(np.c_[best[:, :3], -best[:, 3:]].T[::-1])
+        best = best[order[np.diff(best[order, 0], prepend=-1) != 0]]
+    rows, b, level, seq = best[:, 0], best[:, 1], best[:, 2], best[:, 3:]
+    pair = m // 2 - b
+    b_rows = _count_rows(np.c_[pair, m - pair], m, 1)
+    c_rows = _count_rows(seq, m, level)
+    d_rows = X[rows] + b_rows - c_rows
+    parts = rows_to_vectors(np.concatenate([b_rows, c_rows, d_rows]))
+    witnesses: list[QuasiWitness | None] = [None] * len(X)
+    for i, x in enumerate(rows.tolist()):
+        witnesses[x] = QuasiWitness(*parts[i :: len(rows)])
+    return witnesses
+
+
+def _candidates(idx, res, weights, bits) -> np.ndarray:
+    """Witness candidates from the subsets ``bits`` of the indices ``idx``.
+
+    x + b = c + d with b = e_a + e_{m-a} (or 2e_{m/2}) of level one
+    means c = s + t with s = min(c, x) a subset and t <= b, and then d
+    is a member by linearity.  So c is one of:
+    - s + e_a for an odd s, where w_1(c) = m * level(c) fixes a and the
+      other half units are checked; |s| = 1 always gives c = b;
+    - s or s + b for an even member s (x is then decomposable), with b
+      among the first two level-one rows.
+    Candidates with c = x or c = b are dropped.  A candidate is the row
+    (x index, b, level(c), c's indices ascending, padded with m); b =
+    m//2 - min(a, m - a) indexes the pair of a in level-one order.
+    """
+    m, n = res.shape[0], bits.shape[1]
+    half_m = m // 2  # also the number of level-one rows
+    size = bits.sum(axis=1)
+    target = m * (size + 1) // 2
+    a = target - weights[:, :, 0]
+    r, k = np.nonzero((size % 2 == 1) & (size > 1) & (a >= 1) & (a < m))
+    a = a[r, k]
+    fits = (weights[r, k] + res[a] == target[k, None]).all(axis=1)
+    r, k, a = r[fits], k[fits], a[fits]
+    member = (2 * weights == (m * size)[:, None]).all(axis=2)
+    r_even, k_even = np.nonzero(member & (size % 2 == 0) & (size > 0) & (size < n))
+    # c = s with b = 0, 1, then c = s + b with b = 0, 1
+    pairs = half_m - np.arange(2)
+    t_even = np.r_[np.full((2, 2), m), np.c_[pairs, m - pairs]]
+    rows = np.r_[r, np.repeat(r_even, 4)]
+    seq = np.where(bits[np.r_[k, np.repeat(k_even, 4)]], idx[rows], m)
+    t = np.r_[np.c_[a, np.full_like(a, m)], np.tile(t_even, (len(r_even), 1))]
+    seq = np.sort(np.c_[seq, t], axis=1)
+    level = (seq < m).sum(axis=1) // 2
+    b = np.r_[half_m - np.minimum(a, m - a), np.tile([0, 1, 0, 1], len(r_even))]
+    pair = half_m - b
+    is_x = (level == n // 2) & (seq[:, :n] == idx[rows]).all(axis=1)
+    is_b = (level == 1) & (seq[:, 0] == pair) & (seq[:, 1] == m - pair)
+    keep = (b < half_m) & ~is_x & ~is_b
+    return np.c_[rows, b, level, seq][keep]
+
+
+def _count_rows(seq: np.ndarray, m: int, level) -> np.ndarray:
+    """Rows (x..., level) that count the indices below m in each row of seq."""
+    flat = seq + (m + 1) * np.arange(len(seq))[:, None]
+    rows = np.bincount(flat.ravel(), minlength=len(seq) * (m + 1)).reshape(-1, m + 1)
+    rows[:, m] = level
+    return rows[:, 1:]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -358,27 +370,25 @@ def check_condition(
     nor excluded as standard).
 
     Every element that is not excluded as standard is searched in one
-    batch (``_first_witnesses``), with the first witness that
+    batch (``_witnesses``), with the first witness that
     ``is_quasi_decomposable`` would give it; only a caller's ``basis``
     is proved, as the exact slices prove the sieve's rows.  The budget
-    bounds that search by time too: when it runs out, the report has
-    complete=False and the outcomes of the elements decided so far, a
-    prefix of the full report's outcomes.
+    bounds that search too, by its time and its count of evaluated
+    cells: when it runs out, the report has complete=False and the
+    outcomes of the elements decided so far, a prefix of the full
+    report's outcomes.
     """
     check_modulus(m)
     budget = budget or SearchBudget()
-    pool = None  # the sieved slices, stacked, for the n-dimensional range
     if n is not None:
         check_dimension(n)
         if basis is not None:
             raise ValueError("a basis applies to the all-levels condition only")
         top = n // 2 + 1
-        rows, slices = _levelwise(m, top, budget)
+        rows, sieved = _levelwise(m, top, budget)
         rows = rows[rows[:, -1] >= 3]
         elements = rows_to_vectors(rows)
-        complete = len(slices) >= top
-        if len(rows):
-            pool = np.concatenate(slices)
+        complete = sieved >= top
     else:
         given = basis is not None
         if not given:
@@ -397,7 +407,7 @@ def check_condition(
     standards = standard_elements(m)
     excluded = [exclude_standard and e in standards for e in elements]
     searched = rows[~np.array(excluded, dtype=bool)]
-    witnesses = _witnesses(searched, pool, budget) if len(searched) else []
+    witnesses = _witnesses(searched, budget) if len(searched) else []
     complete = complete and len(witnesses) == len(searched)
     decided, outcomes = iter(witnesses), []
     for e, standard in zip(elements, excluded):

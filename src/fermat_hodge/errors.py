@@ -23,10 +23,6 @@ class HodgeLabelError(ValueError):
     """A character was required to be a Hodge label but is not."""
 
 
-class IncompletePoolError(ValueError):
-    """A level pool is missing a slice needed by a search."""
-
-
 class IncompleteBasisError(RuntimeError):
     """A complete generating set was required but only a partial one exists.
 

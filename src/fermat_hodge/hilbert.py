@@ -444,30 +444,25 @@ def _indecomposable_in_slice(rows: np.ndarray, basis: list[np.ndarray]) -> np.nd
 
 def _levelwise(
     m: int, top: int | None, budget: SearchBudget
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Sieve levels 1..top upwards; the indecomposable rows and the slices.
+) -> tuple[np.ndarray, int]:
+    """Sieve levels 1..top upwards; the indecomposable rows and the levels sieved.
 
     Only the budget stops the sieve before ``top`` (with no top, only
     the budget stops it), and the rows, stacked in canonical order, are
-    never a certified basis.  The slices (``level_rows`` arrays for the
-    levels sieved) are handed back so that a caller searching the same
-    levels, like the quasi search of ``check_condition``, reads them
-    instead of enumerating them again.
+    never a certified basis.
     """
     basis: list[np.ndarray] = []  # indecomposable rows, one array per level
-    slices: list[np.ndarray] = []
     budget.start()
     processed = 0
-    while top is None or len(slices) < top:
+    while top is None or len(basis) < top:
         try:
-            rows = level_rows(m, len(slices) + 1, budget=budget)
+            rows = level_rows(m, len(basis) + 1, budget=budget)
             processed += len(rows)
             budget.check(processed)
         except BudgetExceededError:
             break  # report the last fully sieved level
-        slices.append(rows)
         basis.append(_indecomposable_in_slice(rows, basis))
-    return np.concatenate([np.zeros((0, m), dtype=np.int64), *basis]), slices
+    return np.concatenate([np.zeros((0, m), dtype=np.int64), *basis]), len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +505,7 @@ def hilbert_basis(
             rows = sorted(rows, key=lambda r: (r[-1], r[:-1]))
             complete, seen = True, rows[-1][-1]  # level one is never empty
     if not complete:
-        rows, slices = _levelwise(m, max_level, budget)
-        seen = len(slices)
+        rows, seen = _levelwise(m, max_level, budget)
     return HilbertBasis(
         m=m,
         elements=tuple(rows_to_vectors(rows)),
@@ -546,11 +540,11 @@ def is_decomposable(
             [c.row() for c in basis.elements if c.y <= limit], dtype=np.int64
         ).reshape(-1, m)
     else:
-        rows, slices = _levelwise(m, limit, budget or SearchBudget())
-        if len(slices) < limit:
+        rows, sieved = _levelwise(m, limit, budget or SearchBudget())
+        if sieved < limit:
             raise IncompleteBasisError(
                 f"deciding {format_vector(v)} needs levels up to {limit}; the "
-                f"budget stopped the sieve at level {len(slices)}",
+                f"budget stopped the sieve at level {sieved}",
                 partial_max_level=int(rows[-1, -1]) if len(rows) else 0,
             )
     fits = rows[(rows[:, :-1] <= v.x).all(axis=1)]

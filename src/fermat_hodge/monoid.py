@@ -14,8 +14,8 @@ Slices are enumerated once, by meet in the middle (Horowitz and Sahni,
 J. ACM 21(2), 1974): each sorted multiset of size 2y is its y smallest
 indices followed by its y largest, and the level equations become a
 join of size-y half-multisets on their weight vectors.  The result is
-one (N, m) int64 array of rows (x..., y) per level, which the sieve and
-the quasi search read directly; only ``rows_to_vectors`` turns rows
+one (N, m) int64 array of rows (x..., y) per level, which the sieve
+reads directly; only ``rows_to_vectors`` turns rows
 into ``MonoidVector`` objects.  Indices are int16 and half weights
 int32 (a weight is at most y*(m-1)).  ``is_member``, the one exact test
 of a single vector, rejects sum x_i != 2y first and uses Python integers.

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from itertools import product
 from math import gcd
 
@@ -29,9 +31,9 @@ from fermat_hodge import (
 from fermat_hodge.errors import (
     BudgetExceededError,
     IncompleteBasisError,
-    IncompletePoolError,
     MembershipError,
 )
+from fermat_hodge.cache import report_to_dict
 import fermat_hodge.cycles as cycles
 from fermat_hodge.cycles import _is_prime, _prime_square
 
@@ -161,11 +163,6 @@ class TestQuasiDecomposable:
         with pytest.raises(MembershipError):
             is_quasi_decomposable(MonoidVector((1, 1, 0), 1), 4)
 
-    def test_missing_pool_level_raises(self):
-        first = enumerate_level(21, 3)[0]
-        with pytest.raises(IncompletePoolError):
-            is_quasi_decomposable(first, 21, build_pool(21, 2))
-
     @pytest.mark.parametrize("m", [6, 8, 9, 10, 12])
     def test_matches_literal_triple_loop(self, m, get_basis):
         """The subtraction search agrees with the appendix-style scan."""
@@ -184,8 +181,7 @@ class TestQuasiDecomposable:
                 if x + b == c + d and c != x and d != x:
                     brute = True
                     break
-            pool = build_pool(m, x.y)
-            assert (is_quasi_decomposable(x, m, pool=pool) is not None) == brute
+            assert (is_quasi_decomposable(x, m) is not None) == brute
 
 
 class TestWitnessIdentity:
@@ -198,17 +194,15 @@ class TestWitnessIdentity:
 
     @pytest.mark.parametrize("m", [12, 18, 24, 32, 33])
     def test_equals_b_major_scan(self, m):
-        pool = build_pool(m, 3)
         for x in _nonstandard_level_three(m):
-            assert is_quasi_decomposable(x, m, pool=pool) == _b_major_scan(x, m), x
+            assert is_quasi_decomposable(x, m) == _b_major_scan(x, m), x
 
-    @pytest.mark.parametrize("m", [12, 24])
-    def test_deeper_pool_gives_the_same_witnesses(self, m):
-        exact, deeper = build_pool(m, 3), build_pool(m, 4)
-        for x in _nonstandard_level_three(m):
-            assert is_quasi_decomposable(x, m, pool=deeper) == is_quasi_decomposable(
-                x, m, pool=exact
-            ), x
+    @pytest.mark.parametrize("m", [8, 10])
+    def test_element_split_into_blocks_equals_b_major_scan(self, m):
+        """A level-9 element has 2^18 subsets, more than one chunk holds."""
+        level = enumerate_level(m, 9)
+        for x in (level[0], level[-1]):
+            assert is_quasi_decomposable(x, m) == _b_major_scan(x, m), x
 
 
 class TestKernelEdgeDegrees:
@@ -217,9 +211,8 @@ class TestKernelEdgeDegrees:
     @pytest.mark.parametrize("m", range(2, 12))
     def test_every_low_member_equals_b_major_scan(self, m):
         top = 4 if m < 9 else 3
-        pool = build_pool(m, top)
         for x in (v for y in range(1, top + 1) for v in enumerate_level(m, y)):
-            assert is_quasi_decomposable(x, m, pool=pool) == _b_major_scan(x, m), x
+            assert is_quasi_decomposable(x, m) == _b_major_scan(x, m), x
 
 
 class TestBatchedSearch:
@@ -229,7 +222,7 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("m", [12, 24, 32, 33])
     def test_chunk_size_does_not_change_reports(self, m, cells, monkeypatch):
         default = [check_condition(m, n=4, exclude_standard=ex) for ex in (False, True)]
-        monkeypatch.setattr(cycles, "_CELLS", cells)
+        monkeypatch.setattr(cycles, "_SUBSET_CELLS", cells)
         chunked = [check_condition(m, n=4, exclude_standard=ex) for ex in (False, True)]
         assert chunked == default
 
@@ -247,10 +240,9 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("m", [24, 33])
     def test_one_row_call_equals_batch_entry(self, m):
         report = check_condition(m, n=4)
-        pool = build_pool(m, 3)
         assert report.outcomes
         for o in report.outcomes:
-            assert is_quasi_decomposable(o.element, m, pool=pool) == o.witness
+            assert is_quasi_decomposable(o.element, m) == o.witness
         if m == 33:
             assert COUNTEREXAMPLE_33 in [
                 o.element for o in report.outcomes if o.kind == "FAIL"
@@ -266,7 +258,7 @@ class TestSearchBudget:
         assert report.outcomes == ()
 
     def test_decided_elements_are_a_prefix(self, overrun_after_sieve, monkeypatch):
-        monkeypatch.setattr(cycles, "_CELLS", 1)  # one element per chunk
+        monkeypatch.setattr(cycles, "_SUBSET_CELLS", 64)  # one level-3 element a chunk
         budget = overrun_after_sieve()
         budget.grace = 3
         report = check_condition(36, n=4, budget=budget)
@@ -278,7 +270,7 @@ class TestSearchBudget:
     def test_standard_elements_before_the_cut_are_kept(
         self, overrun_after_sieve, monkeypatch
     ):
-        monkeypatch.setattr(cycles, "_CELLS", 1)  # one element per chunk
+        monkeypatch.setattr(cycles, "_SUBSET_CELLS", 64)  # one level-3 element a chunk
         budget = overrun_after_sieve()
         budget.grace = 1
         report = check_condition(15, n=4, exclude_standard=True, budget=budget)
@@ -298,16 +290,54 @@ class TestSearchBudget:
         self, get_basis, overrun_after_sieve, monkeypatch
     ):
         budget = overrun_after_sieve()
-        pool_of = cycles.build_pool
+        search = cycles._witnesses
 
-        def armed_pool(*args, **kwargs):
-            pool = pool_of(*args, **kwargs)
+        def armed_search(rows, budget_given):
             budget.armed = True
-            return pool
+            return search(rows, budget_given)
 
-        monkeypatch.setattr(cycles, "build_pool", armed_pool)
+        monkeypatch.setattr(cycles, "_witnesses", armed_search)
         report = check_condition(12, basis=get_basis(12), budget=budget)
         assert not report.complete and report.outcomes == ()
+
+    def test_candidate_cap_bounds_the_search(self):
+        """``max_candidates`` counts the search's cells, not only the sieve's.
+
+        The sieve of (24, n=4) checks at most 3,778 candidates.  The
+        search evaluates 56 subsets (sizes 2 to 5 of the 6 sorted
+        indices) of each of its 298 level-3 elements, 16,688 cells.
+        """
+        full = check_condition(24, n=4, exclude_standard=True)
+        assert sum(o.kind != "STANDARD" for o in full.outcomes) == 298
+        for cap, complete in ((5000, False), (298 * 56 - 1, False), (298 * 56, True)):
+            budget = SearchBudget(max_seconds=None, max_candidates=cap)
+            report = check_condition(24, n=4, exclude_standard=True, budget=budget)
+            assert report.complete == complete, cap
+            if complete:
+                assert report == full
+            else:
+                assert report.outcomes == full.outcomes[: len(report.outcomes)]
+
+
+class TestHeavyPins:
+    """Two checks too heavy for a pool scan, pinned by the sha256 of their
+    ``report_to_dict`` payload."""
+
+    @pytest.mark.parametrize(
+        "m,n,counts,digest",
+        [
+            (60, 4, {"QUASI": 7704, "STANDARD": 8, "FAIL": 98},
+             "7899cf1a0e97e9ed74ed6f541f79917c3f6e02e080ecf41ffeec3e8e5342392b"),
+            (30, 6, {"QUASI": 3990, "STANDARD": 4, "FAIL": 0},
+             "274c9e2586dd7fc3eba3de3417595d432d1b86844efcc433193b2f814149831a"),
+        ],
+        ids=["60-4", "30-6"],
+    )
+    def test_report_is_pinned(self, m, n, counts, digest):
+        report = check_condition(m, n=n, exclude_standard=True)
+        assert report.complete and report.counts == counts
+        payload = json.dumps(report_to_dict(report), sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 class TestPoolBudget:
@@ -357,10 +387,10 @@ class TestCheckCondition:
     def test_no_pool_when_every_element_is_standard(self, monkeypatch):
         import fermat_hodge.cycles as cycles
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("pool built although nothing is searched")
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched although every element is standard")
 
-        monkeypatch.setattr(cycles, "build_pool", no_pool)
+        monkeypatch.setattr(cycles, "_witnesses", no_search)
         report = check_condition(25, n=4, exclude_standard=True)
         assert report.verdict and report.outcomes
         assert all(o.kind == "STANDARD" for o in report.outcomes)
