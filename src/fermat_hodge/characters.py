@@ -4,8 +4,11 @@ A character is a tuple of nonzero residues mod m with zero sum.  The
 Hodge labels in even dimension n are the characters whose weight under
 every unit t equals n/2 + 1.  As |t*alpha| = sum_k <t*k> x_k / m for
 the count vector x, that condition *is* membership of (x; n/2 + 1) in
-the residue-count monoid, checked by ``monoid.is_member``.  The two
-join operations mirror sum decompositions on the monoid side.
+the residue-count monoid, checked by ``monoid.is_member`` for one
+character.  ``enumerate_hodge_labels`` proves a whole level slice with
+one exact numpy weight check instead, and builds its labels only from
+the rows that check proved.  The two join operations mirror sum
+decompositions on the monoid side.
 """
 
 from __future__ import annotations
@@ -15,9 +18,18 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
+import numpy as np
+
 from .errors import HodgeLabelError, JoinError, MembershipError, ShapeError
 from .hilbert import HilbertBasis, is_decomposable
-from .monoid import MonoidVector, check_dimension, check_modulus, is_member, level_rows
+from .monoid import (
+    MonoidVector,
+    check_dimension,
+    check_modulus,
+    half_units,
+    is_member,
+    level_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -54,6 +66,14 @@ class HodgeLabel(Character):
         if not is_hodge_label(self):
             raise HodgeLabelError(f"not a Hodge label for m={self.m}: {self.entries}")
 
+    @classmethod
+    def _proved(cls, m: int, entries: tuple[int, ...]) -> "HodgeLabel":
+        """A label whose weights the caller has just checked; no second proof."""
+        label = object.__new__(cls)
+        object.__setattr__(label, "m", m)
+        object.__setattr__(label, "entries", entries)
+        return label
+
 
 def weight(alpha: Character, t: int = 1) -> Fraction:
     """|t*alpha| = sum <t*a_i> / m as an exact rational."""
@@ -81,26 +101,50 @@ def is_hodge_label(alpha: Character) -> bool:
     return alpha.n % 2 == 0 and is_member(_counts(alpha), alpha.m)
 
 
+def _proved_entries(m: int, y: int) -> np.ndarray:
+    """The sorted entries of every level-y slice row, each row proved here.
+
+    One exact weight check on the whole ``level_rows`` slice: count
+    sum x_i == 2y, signs x_i >= 0, and x @ (<t*i>) == m*y for every unit
+    t of ``half_units(m)``, which is ``is_member`` on every row at once.
+    Count and sign bound every entry by 2y, so the int64 products cannot
+    overflow.  A row that fails is a HodgeLabelError.  Each row of
+    entries ascends; the rows come in slice order.
+    """
+    rows = level_rows(m, y)
+    x = rows[:, :-1]
+    res = np.arange(1, m)[:, None] * np.asarray(half_units(m)) % m
+    proved = (
+        (x.sum(axis=1) == 2 * y)
+        & (x >= 0).all(axis=1)
+        & (x @ res == m * y).all(axis=1)
+    )
+    if not proved.all():
+        bad = rows[np.argmin(proved)].tolist()
+        raise HodgeLabelError(f"level-{y} slice row is not a Hodge label for m={m}: {bad}")
+    entries = np.repeat(np.tile(np.arange(1, m), len(rows)), x.ravel())
+    return entries.reshape(len(rows), 2 * y)
+
+
 def enumerate_hodge_labels(
     m: int, n: int, expand_permutations: bool = False
 ) -> list[HodgeLabel]:
     """Canonical (sorted-entry) Hodge labels of dimension n, sorted.
 
-    Generated from the rows of the monoid level slice rather than a raw
-    scan of all tuples; the weight conditions are exactly the level
-    equations, and each label's own construction check is its one proof.
-    With ``expand_permutations`` every distinct entry order is listed.
+    Generated from the rows of the monoid level slice n/2 + 1 rather than
+    a raw scan of all tuples: the weight conditions are exactly the level
+    equations, and one weight check on the whole slice proves every row
+    (``_proved_entries``); labels are built only from those rows.  With
+    ``expand_permutations`` every distinct entry order is listed; weights
+    do not depend on entry order, so no permutation is proved again.
     """
     check_modulus(m)
     check_dimension(n)
-    rows = level_rows(m, n // 2 + 1).tolist()
-    reps = sorted(
-        (HodgeLabel(m, _entries(row[:-1])) for row in rows), key=lambda lab: lab.entries
-    )
-    if not expand_permutations:
-        return reps
-    seen = {p for rep in reps for p in permutations(rep.entries)}
-    return [HodgeLabel(m, p) for p in sorted(seen)]
+    entries = _proved_entries(m, n // 2 + 1)
+    entries = entries[np.lexsort(entries.T[::-1])].tolist()
+    if expand_permutations:
+        entries = sorted({p for rep in entries for p in permutations(rep)})
+    return [HodgeLabel._proved(m, tuple(e)) for e in entries]
 
 
 def to_monoid(alpha: Character) -> MonoidVector:

@@ -257,7 +257,7 @@ def cmd_verify_33(args) -> int:
     print(f"non-standard: {'confirmed' if non_standard else 'FAILED'}")
     if not non_standard:
         failures.append("non-standard")
-    not_quasi = member and is_quasi_decomposable(x, 33) is None
+    not_quasi = member and is_quasi_decomposable(x, 33, budget) is None
     print(f"not-quasi-decomposable: {'confirmed' if not_quasi else 'FAILED'}")
     if not not_quasi:
         failures.append("not-quasi-decomposable")

@@ -31,6 +31,7 @@ from .monoid import (
     MonoidVector,
     check_dimension,
     check_modulus,
+    format_vector,
     half_units,
     is_member,
     level_rows,
@@ -105,16 +106,24 @@ def build_pool(
     return np.concatenate([level_rows(m, y, budget) for y in range(1, max_level + 1)])
 
 
-def is_quasi_decomposable(x: MonoidVector, m: int) -> QuasiWitness | None:
+def is_quasi_decomposable(
+    x: MonoidVector, m: int, budget: SearchBudget | None = None
+) -> QuasiWitness | None:
     """First quasi-decomposition witness of x, or None.
 
     A one-row call of the sub-multiset search that ``check_condition``
     runs (see ``_witnesses``): b first in level-one order, then c by
-    level and lexicographic.  A non-member x is a MembershipError.
+    level and lexicographic.  A non-member x is a MembershipError; a
+    search the budget cuts short is a BudgetExceededError.
     """
     if not is_member(x, m):
         raise MembershipError(f"not a member of the degree-{m} monoid: {x}")
-    return _witnesses(np.array([x.row()], dtype=np.int64))[0]
+    found = _witnesses(np.array([x.row()], dtype=np.int64), budget)
+    if not found:
+        raise BudgetExceededError(
+            f"the quasi search of {format_vector(x)} was cut short by the budget"
+        )
+    return found[0]
 
 
 # element x sub-multiset cells evaluated per chunk of the quasi search
@@ -539,23 +548,58 @@ def _elementary_symmetric(xs: tuple[int, ...]) -> tuple[int, int, int]:
 
 
 def power_sum_identity_holds(xs: tuple[int, ...], d: int) -> bool:
-    """sum x_i^(3d) == e1^3 - 3 e1 e2 + 3 e3 on the d-th powers, exactly."""
+    """sum x_i^(3d) == e1^3 - 3 e1 e2 + 3 e3 on the d-th powers, exactly.
+
+    The one-row call of ``newton_identity_check``, which passes six
+    column arrays instead of six integers and gets one answer per row.
+    """
     powered = tuple(x**d for x in xs)
     e1, e2, e3 = _elementary_symmetric(powered)
     return sum(x**3 for x in powered) == e1**3 - 3 * e1 * e2 + 3 * e3
 
 
+# 6-tuples drawn and checked at once by ``newton_identity_check``
+_TUPLES = 1 << 12
+
+
+def _randint_tuples(rng: random.Random, trials: int):
+    """The 6-tuples of ``trials`` rounds of six ``rng.randint(-9, 9)`` calls.
+
+    Yields (k, 6) int64 arrays of at most ``_TUPLES`` rows.  A
+    ``randint(-9, 9)`` call draws ``getrandbits(5)``, the top five bits
+    of one 32-bit word of the generator, until the value is below 19,
+    and subtracts 9.  ``getrandbits(32 * k)`` is the next k such words,
+    little-endian, so the same values come from bulk draws: accepted
+    values beyond a chunk's need are carried to the next chunk.
+    """
+    carry = np.zeros(0, dtype=np.int64)
+    for lo in range(0, trials, _TUPLES):
+        need = 6 * (min(lo + _TUPLES, trials) - lo)
+        while len(carry) < need:
+            # 19 of the 32 top-bit values are accepted
+            words = (need - len(carry)) * 32 // 19 + 64
+            raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+            top = np.frombuffer(raw, dtype="<u4") >> 27
+            carry = np.concatenate([carry, top[top < 19].astype(np.int64) - 9])
+        yield carry[:need].reshape(-1, 6)
+        carry = carry[need:]
+
+
 def newton_identity_check(d: int, trials: int, seed: int) -> bool:
     """Seeded random check of the cubic power-sum identity on 6-tuples.
 
-    Python integers are exact at any size, so no overflow handling is
-    needed beyond using them.
+    The tuples are those of ``trials`` rounds of six
+    ``random.Random(seed).randint(-9, 9)`` calls, drawn in bulk and
+    checked ``_TUPLES`` at a time by ``power_sum_identity_holds`` on the
+    six columns, so memory stays bounded at any ``trials``.  The columns
+    are int64 for d <= 5, where every intermediate is at most
+    546 * 9^(3d) < 2^63, and Python integers beyond, so the check is
+    exact at any d.
     """
     if d < 1 or trials < 1:
         raise ValueError("d and trials must be >= 1")
-    rng = random.Random(seed)
-    for _ in range(trials):
-        xs = tuple(rng.randint(-9, 9) for _ in range(6))
-        if not power_sum_identity_holds(xs, d):
+    dtype = np.int64 if d <= 5 else object
+    for tuples in _randint_tuples(random.Random(seed), trials):
+        if not np.all(power_sum_identity_holds(tuple(tuples.astype(dtype).T), d)):
             return False
     return True

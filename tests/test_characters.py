@@ -1,7 +1,9 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import factorial, prod
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -119,7 +121,9 @@ class TestEnumerate:
             enumerate_hodge_labels(5, 3)
 
     def test_each_label_is_proved_once(self, monkeypatch):
+        # one weight check proves the slice: no per-label is_member or weight
         calls = Counter()
+        slices = []
 
         def counted(name, fn):
             def wrapper(*args):
@@ -130,8 +134,42 @@ class TestEnumerate:
         for name in ("is_member", "weight"):
             original = getattr(characters, name)
             monkeypatch.setattr(characters, name, counted(name, original))
-        assert len(enumerate_hodge_labels(33, 4)) == 990
-        assert calls == {"is_member": 990}
+        level_rows = characters.level_rows
+
+        def recorded(m, y):
+            slices.append(level_rows(m, y))
+            return slices[-1]
+
+        monkeypatch.setattr(characters, "level_rows", recorded)
+        labels = enumerate_hodge_labels(33, 4)
+        assert len(labels) == 990 and not calls
+        (rows,) = slices
+        counts = {characters._counts(label).row() for label in labels}
+        assert counts == {tuple(row) for row in rows.tolist()}
+        assert all(is_hodge_label(label) for label in labels)
+
+    @pytest.mark.parametrize("planted", [
+        (0, 2, 0, 1, 0, 1, 2),  # 2,2,4,6: weights under 1 and 2, not under 3
+        (-1, 0, 3, 3, 0, -1, 2),  # count and every weight, but negative entries
+        (0, 0, 1, 1, 0, 0, 2),  # a level-1 member in the level-2 slice
+    ])
+    def test_a_planted_non_member_row_is_refused(self, planted, monkeypatch):
+        level_rows = characters.level_rows
+
+        def planting(m, y):
+            rows = level_rows(m, y)
+            return np.insert(rows, len(rows) // 2, planted, axis=0)
+
+        monkeypatch.setattr(characters, "level_rows", planting)
+        with pytest.raises(HodgeLabelError):
+            enumerate_hodge_labels(7, 2)
+
+    def test_a_caller_label_keeps_its_own_proof(self, count_member_calls):
+        calls = count_member_calls(characters)
+        assert HodgeLabel(7, (1, 2, 4, 6, 5, 3))
+        with pytest.raises(HodgeLabelError):
+            HodgeLabel(7, (1, 2, 3, 1))  # even n, weight 1 under t = 1
+        assert len(calls) == 2
 
     def test_expansion_lists_permutations(self):
         expanded = enumerate_hodge_labels(3, 2, expand_permutations=True)
@@ -139,6 +177,19 @@ class TestEnumerate:
             (1, 1, 2, 2), (1, 2, 1, 2), (1, 2, 2, 1),
             (2, 1, 1, 2), (2, 1, 2, 1), (2, 2, 1, 1),
         }
+
+    @pytest.mark.parametrize("m,n", [(5, 2), (7, 4), (9, 2), (12, 2)])
+    def test_expansion_is_every_order_of_every_label(self, m, n):
+        reps = enumerate_hodge_labels(m, n)
+        expanded = enumerate_hodge_labels(m, n, expand_permutations=True)
+        entries = [l.entries for l in expanded]
+        assert entries == sorted(set(entries))
+        assert {l.sorted_entries() for l in expanded} == {l.entries for l in reps}
+        assert len(entries) == sum(
+            factorial(n + 2) // prod(factorial(c) for c in Counter(l.entries).values())
+            for l in reps
+        )
+        assert all(is_hodge_label(l) for l in expanded[:: max(1, len(expanded) // 50)])
 
 
 class TestCorrespondence:

@@ -324,6 +324,20 @@ class TestVerify33:
         assert code == 3
         assert "not-quasi-decomposable" not in out
 
+    @pytest.mark.parametrize("cap", [48, 55])
+    def test_quasi_search_honours_the_cap(self, cap, capsys, tmp_path):
+        # the sieve fits under these caps; the 56-cell quasi search does not
+        code, out = run_cli(
+            ["verify-33", "--max-candidates", str(cap), "--cache-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 3
+        assert out.splitlines() == [
+            "membership: confirmed",
+            "indecomposable: confirmed",
+            "non-standard: confirmed",
+        ]
+
 
 _BASIS_12 = ("BASIS", "m12", lambda cache: cache.get_basis(12))
 _REPORT_12 = (

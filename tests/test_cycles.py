@@ -1,8 +1,10 @@
 import hashlib
 import json
+import random
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,6 +164,16 @@ class TestQuasiDecomposable:
     def test_non_member_raises(self):
         with pytest.raises(MembershipError):
             is_quasi_decomposable(MonoidVector((1, 1, 0), 1), 4)
+
+    def test_budget_overrun_raises(self):
+        # the counterexample's search takes 2^6 - 6 - 2 = 56 cells
+        with pytest.raises(BudgetExceededError):
+            is_quasi_decomposable(
+                COUNTEREXAMPLE_33, 33, SearchBudget(max_candidates=55)
+            )
+        assert is_quasi_decomposable(
+            COUNTEREXAMPLE_33, 33, SearchBudget(max_candidates=56)
+        ) is None
 
     @pytest.mark.parametrize("m", [6, 8, 9, 10, 12])
     def test_matches_literal_triple_loop(self, m, get_basis):
@@ -529,3 +541,70 @@ class TestNewtonIdentity:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             newton_identity_check(0, 10, 1)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7, 12345])
+    @pytest.mark.parametrize(
+        "trials",
+        [1, cycles._TUPLES - 1, cycles._TUPLES, cycles._TUPLES + 1, 20000],
+    )
+    def test_draws_are_the_randint_loop(self, seed, trials):
+        rng = random.Random(seed)
+        literal = [tuple(rng.randint(-9, 9) for _ in range(6)) for _ in range(trials)]
+        chunks = list(cycles._randint_tuples(random.Random(seed), trials))
+        assert all(len(chunk) <= cycles._TUPLES for chunk in chunks)
+        assert [tuple(row) for chunk in chunks for row in chunk.tolist()] == literal
+
+    @pytest.mark.parametrize("d", [5, 6])
+    @pytest.mark.parametrize("x", [9, -9])
+    def test_exact_at_the_int64_boundary(self, d, x, monkeypatch):
+        # Every draw is x, so e1, e2, e3 are 6, 15 and 20 times x^d, x^(2d)
+        # and x^(3d).  The identity is polynomial and survives int64
+        # wraparound, so the terms the batch computes are compared with
+        # exact integers instead; e1^3 = 216 x^(3d) exceeds 2^63 at d = 6.
+        def constant(rng, trials):
+            yield np.full((trials, 6), x, dtype=np.int64)
+
+        sums = []
+
+        def recorded(xs):
+            sums.append(symmetric(xs))
+            return sums[-1]
+
+        symmetric = cycles._elementary_symmetric
+        monkeypatch.setattr(cycles, "_randint_tuples", constant)
+        monkeypatch.setattr(cycles, "_elementary_symmetric", recorded)
+        assert newton_identity_check(d, 3, 0)
+        (e1, e2, e3), = sums
+        cube = x ** (3 * d)
+        terms = (e1**3, e1 * e2, e3)
+        assert [[int(v) for v in t] for t in terms] == [
+            [216 * cube] * 3, [90 * cube] * 3, [20 * cube] * 3
+        ]
+        assert power_sum_identity_holds((x,) * 6, d)
+
+    def test_detects_a_wrong_identity(self, monkeypatch):
+        # the check reads the row-wise answers: one false row fails the run
+        def one_false(xs, d):
+            holds = np.ones(len(xs[0]), dtype=bool)
+            holds[-1] = False
+            return holds
+
+        monkeypatch.setattr(cycles, "power_sum_identity_holds", one_false)
+        assert not newton_identity_check(1, cycles._TUPLES + 1, 0)
+
+    @given(
+        st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=8),
+        st.integers(1, 4),
+    )
+    def test_one_row_matches_the_scalar_formula(self, xs, d):
+        powered = [x**d for x in xs]
+        e1 = sum(powered)
+        e2 = sum(a * b for i, a in enumerate(powered) for b in powered[i + 1 :])
+        e3 = sum(
+            a * b * c
+            for i, a in enumerate(powered)
+            for j, b in enumerate(powered[i + 1 :], start=i + 1)
+            for c in powered[j + 1 :]
+        )
+        expected = sum(p**3 for p in powered) == e1**3 - 3 * e1 * e2 + 3 * e3
+        assert power_sum_identity_holds(tuple(xs), d) is expected
