@@ -348,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("scan-fourfolds", help="fourfold condition over a range")
     p.add_argument("--from", dest="m_from", type=int, required=True)
     p.add_argument("--to", dest="m_to", type=int, required=True)
-    p.add_argument("--coprime-to", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--coprime-to", type=_positive, default=None)
+    p.add_argument("--jobs", type=_positive, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_scan_fourfolds)
 

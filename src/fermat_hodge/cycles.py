@@ -271,6 +271,45 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _standard_rows(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct standard rows (x..., y) in canonical order, with the
+    (p, i, doubled) columns of the first candidate giving each row.
+
+    Candidates come per prime p, then seed i, each followed by its
+    double; the construction is described in ``standard_elements``.
+    """
+    check_modulus(m)
+    rows, origin = [np.zeros((0, m), dtype=np.int64)], [np.zeros((0, 3), dtype=np.int64)]
+    for p in _prime_factors(m):
+        if p == m:
+            continue
+        d = m // p
+        i = np.arange(1, m)
+        i = i[p * i % m != 0]
+        if p == 2:
+            residues = np.stack([i, i + d, m - i, m - i - d], axis=1) % m
+        else:
+            residues = np.column_stack([i[:, None] + d * np.arange(p), m - p * i]) % m
+        valid = (residues != 0).all(axis=1)
+        base = _count_rows(residues[valid], m, 2 if p == 2 else (p + 1) // 2)
+        rows.append(np.stack([base, 2 * base], axis=1).reshape(-1, m))
+        seeds = np.repeat(i[valid], 2)
+        origin.append(np.stack([np.full_like(seeds, p), seeds, np.arange(len(seeds)) % 2], 1))
+    rows, origin = np.concatenate(rows), np.concatenate(origin)
+    _, first = np.unique(_canonical_keys(rows), return_index=True)  # first candidate
+    return rows[first], origin[first]
+
+
+def _canonical_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row (x..., y) as one opaque item, equal iff the rows are.
+
+    The items are the big-endian bytes of (y, x...), so for non-negative
+    entries they sort in canonical order: by level, then lexicographic.
+    """
+    big = np.ascontiguousarray(np.roll(rows, 1, axis=1), dtype=">i8")
+    return big.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+
+
 def standard_elements(m: int) -> StandardSet:
     """Members arising from the explicit cycle construction.
 
@@ -281,39 +320,15 @@ def standard_elements(m: int) -> StandardSet:
     componentwise double (the source listing is ambiguous about which
     of the two to keep, and a superset is conservative for the
     exclusion role this set plays).  Zero residues invalidate a
-    candidate.
+    candidate.  The vectors of ``_standard_rows``, in canonical order,
+    each with the provenance of its first candidate.
     """
-    check_modulus(m)
-    vectors: list[MonoidVector] = []
-    provenance: dict[MonoidVector, StandardProvenance] = {}
-
-    def record(residues: list[int], y: int, p: int, i: int) -> None:
-        if any(r == 0 for r in residues):
-            return
-        x = [0] * (m - 1)
-        for r in residues:
-            x[r - 1] += 1
-        base = MonoidVector(x=tuple(x), y=y)
-        for v, doubled in ((base, False), (base + base, True)):
-            if v not in provenance:
-                provenance[v] = StandardProvenance(p=p, i=i, doubled=doubled)
-                vectors.append(v)
-
-    for p in _prime_factors(m):
-        if p == m:
-            continue
-        d = m // p
-        for i in range(1, m):
-            if (p * i) % m == 0:
-                continue
-            if p == 2:
-                residues = [i % m, (i + d) % m, (m - i) % m, (m - i - d) % m]
-                record(residues, 2, p, i)
-            else:
-                residues = [(i + k * d) % m for k in range(p)]
-                residues.append((m - p * i) % m)
-                record(residues, (p + 1) // 2, p, i)
-    vectors.sort(key=sort_key)
+    rows, origin = _standard_rows(m)
+    vectors = rows_to_vectors(rows)
+    provenance = {
+        v: StandardProvenance(p=p, i=i, doubled=bool(doubled))
+        for v, (p, i, doubled) in zip(vectors, origin.tolist())
+    }
     return StandardSet(m=m, vectors=tuple(vectors), provenance=provenance)
 
 
@@ -378,7 +393,10 @@ def check_condition(
     true iff no element is left unexplained (neither quasi-decomposable
     nor excluded as standard).
 
-    Every element that is not excluded as standard is searched in one
+    The standard set is read as rows (``_standard_rows``): its size is
+    always reported, and with ``exclude_standard`` the elements equal to
+    one of its rows are excluded, with that row's provenance.  Every
+    element that is not excluded as standard is searched in one
     batch (``_witnesses``), with the first witness that
     ``is_quasi_decomposable`` would give it; only a caller's ``basis``
     is proved, as the exact slices prove the sieve's rows.  The budget
@@ -413,20 +431,26 @@ def check_condition(
                 raise MembershipError(f"not a member of the degree-{m} monoid: {e}")
         rows = np.array([e.row() for e in elements], dtype=np.int64).reshape(-1, m)
         complete = True
-    standards = standard_elements(m)
-    excluded = [exclude_standard and e in standards for e in elements]
-    searched = rows[~np.array(excluded, dtype=bool)]
+    standards, origin = _standard_rows(m)
+    match = np.full(len(rows), -1)  # the equal standard row, if excluded
+    if exclude_standard and len(standards):
+        keys, probe = _canonical_keys(standards), _canonical_keys(rows)
+        at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+        match = np.where(keys[at] == probe, at, -1)
+    searched = rows[match < 0]
     witnesses = _witnesses(searched, budget) if len(searched) else []
     complete = complete and len(witnesses) == len(searched)
     decided, outcomes = iter(witnesses), []
-    for e, standard in zip(elements, excluded):
-        if standard:
+    for e, at in zip(elements, match.tolist()):
+        provenance = None
+        if at >= 0:
             kind, witness = "STANDARD", None
+            p, i, doubled = origin[at].tolist()
+            provenance = StandardProvenance(p=p, i=i, doubled=bool(doubled))
         elif (witness := next(decided, False)) is False:
             break  # the budget ran out before this element's search
         else:
             kind = "FAIL" if witness is None else "QUASI"
-        provenance = standards.provenance[e] if standard else None
         outcomes.append(ConditionOutcome(e, kind, witness, provenance))
     return ConditionReport(
         m=m,
@@ -435,7 +459,7 @@ def check_condition(
         outcomes=tuple(outcomes),
         verdict=all(o.kind != "FAIL" for o in outcomes),
         complete=complete,
-        standard_count=len(standards.vectors),
+        standard_count=len(standards),
     )
 
 
@@ -594,7 +618,9 @@ def newton_identity_check(d: int, trials: int, seed: int) -> bool:
     six columns, so memory stays bounded at any ``trials``.  The columns
     are int64 for d <= 5, where every intermediate is at most
     546 * 9^(3d) < 2^63, and Python integers beyond, so the check is
-    exact at any d.
+    exact at any d.  The identity is polynomial, so it holds for every
+    integer tuple, even under int64 wraparound: the check can fail only
+    through a fault of this implementation, never because of the tuples.
     """
     if d < 1 or trials < 1:
         raise ValueError("d and trials must be >= 1")

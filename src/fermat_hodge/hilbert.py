@@ -7,7 +7,9 @@ a basis (complete=True):
 
 * ``levelwise`` sieves the exhaustive level slices 1..max_level.  It is
   exact for the levels it reads but cannot show that no indecomposable
-  lives above them, so its result is never complete.
+  lives above them, so its result is never complete.  A slice row is
+  dropped when it lies above an indecomposable of at most half its
+  level, compared on that indecomposable's support only.
 * ``completion`` works in a folded coordinate system.  Every
   indecomposable of level >= 2 contains no complementary residue pair
   {a, m-a} (it would dominate a level-1 element), so it is determined
@@ -430,16 +432,27 @@ def _indecomposable_in_slice(rows: np.ndarray, basis: list[np.ndarray]) -> np.nd
     """Rows of a level slice not dominating any lower-level basis row.
 
     If v = c + d then some indecomposable of level <= y/2 fits under v,
-    so testing against basis elements of level <= y/2 is exact.
+    so testing against basis elements of level <= y/2 is exact.  A row
+    dominates b iff it does so on b's support, at most 2k columns at
+    level k.  Level one is the pairs (a, m-a) and, for even m, 2*(m/2),
+    so one step finds the rows above a pair: min(x_a, x_{m-a}) >= 1
+    for some a < m/2, or x_{m/2} >= 2.  Higher levels are compared, one
+    row b at a time, on b's support and only with the rows still left.
     """
-    if not len(rows):
+    y = int(rows[0, -1]) if len(rows) else 0
+    if y < 2:
         return rows
-    y = int(rows[0, -1])
-    decomposable = np.zeros(len(rows), dtype=bool)
-    for level in basis[: y // 2]:
+    m = rows.shape[1]
+    a = np.arange(1, (m + 1) // 2)
+    over_pair = (np.minimum(rows[:, a - 1], rows[:, m - a - 1]) >= 1).any(axis=1)
+    if m % 2 == 0:
+        over_pair |= rows[:, m // 2 - 1] >= 2
+    left = rows[~over_pair]
+    for level in basis[1 : y // 2]:
         for b in level:
-            decomposable |= (rows >= b).all(axis=1)
-    return rows[~decomposable]
+            support = np.flatnonzero(b[:-1])
+            left = left[(left[:, support] < b[support]).any(axis=1)]
+    return left
 
 
 def _levelwise(

@@ -13,12 +13,15 @@ enumerated exhaustively.
 Slices are enumerated once, by meet in the middle (Horowitz and Sahni,
 J. ACM 21(2), 1974): each sorted multiset of size 2y is its y smallest
 indices followed by its y largest, and the level equations become a
-join of size-y half-multisets on their weight vectors.  The result is
-one (N, m) int64 array of rows (x..., y) per level, which the sieve
-reads directly; only ``rows_to_vectors`` turns rows
-into ``MonoidVector`` objects.  Indices are int16 and half weights
-int32 (a weight is at most y*(m-1)).  ``is_member``, the one exact test
-of a single vector, rejects sum x_i != 2y first and uses Python integers.
+join of size-y half-multisets on their weight vectors.  The weight
+under the unit t = 1 is the index sum, so the smaller half has
+2*w1 <= m*y and the larger 2*w1 >= m*y: each side of the join reads
+about half of the one table of halves.  The result is one (N, m) int64
+array of rows (x..., y) per level, which the sieve reads directly;
+only ``rows_to_vectors`` turns rows into ``MonoidVector`` objects.
+Indices are int16 and half weights int32 (a weight is at most y*(m-1)).
+``is_member``, the one exact test of a single vector, rejects
+sum x_i != 2y first and uses Python integers.
 """
 
 from __future__ import annotations
@@ -180,14 +183,23 @@ def level_rows(m: int, y: int, budget=None) -> np.ndarray:
     into L, the y smallest, and R, the y largest, so max(L) <= min(R).
     Both halves come from one table of the comb(m+y-2, y) multisets of
     size y, and a pair (L, R) is an element iff w(L) + w(R) == m*y for
-    the weight vectors w over ``half_units(m)``.
+    the weight vectors w over ``half_units(m)``.  Under the unit t = 1
+    a weight is the sum of the indices, and L lies under R position by
+    position, so w1(L) <= w1(R): L comes only from halves with
+    2*w1 <= m*y and R only from halves with 2*w1 >= m*y, about half
+    the table each (a half with 2*w1 == m*y is on both sides).
 
-    The join runs on a 64-bit linear key of the weight vector: halves
-    are grouped by key (L by key(w), R by key(m*y - w)), and sorting R
-    by (group, min R) puts the partners of each L in one searchsorted
-    range.  A key collision can only add pairs, never hide one, and the
-    int32 weights of every joined pair, added position by position, are
-    checked, so the result is exact.
+    The join runs on a 64-bit linear key of the weight vector: L is
+    keyed by key(w), R by its complement key(m*y - w).  The low
+    bit_length(m) bits of a key are cleared, so the high bits alone
+    group the halves.  R puts min R in those bits, and one sort orders
+    R by (group, min R): the groups come from R alone.  L is walked in
+    key order and looks up its group with max L in those bits, so the
+    two ``searchsorted`` lookups per chunk get ascending queries.  Keys
+    equal in their high bits only collide like equal keys: a collision
+    can only add pairs, never hide one, and the int32 weights of every
+    joined pair, added position by position, are checked, so the
+    result is exact.
 
     The budget is checked with the table size before the table is
     built, and then per chunk of L with the table size plus the rows
@@ -207,22 +219,25 @@ def level_rows(m: int, y: int, budget=None) -> np.ndarray:
     cols, key = _halves(m, y, res.astype(np.uint64) @ mix)
     target = m * y
     target_key = np.full(len(half), target, dtype=np.uint64) @ mix
-    group = np.unique(np.concatenate([key, target_key - key]), return_inverse=True)[1]
-    # R sorted by (group, min R); L looks up [(group, max L), (group, m))
-    r_key = group[size:] * m + cols[0]
-    r_order = np.argsort(r_key, kind="stable")
-    r_key = r_key[r_order]
-    l_group = group[:size] * m
+    twice_w1 = 2 * sum(c.astype(np.int32) for c in cols)
+    # high key bits group the halves; the low bits hold min R or max L
+    low = np.uint64((1 << m.bit_length()) - 1)
+    r_order = np.flatnonzero(twice_w1 >= target)
+    r_key = (target_key - key[r_order]) & ~low | cols[0][r_order].astype(np.uint64)
+    r_sort = np.argsort(r_key)
+    r_order, r_key = r_order[r_sort], r_key[r_sort]
+    l_order = np.flatnonzero(twice_w1 <= target)
+    l_order = l_order[np.argsort(key[l_order])]
+    l_key = key[l_order] & ~low
     lefts, rights = [], []
     found = 0
-    for lo in range(0, size, _CHUNK):
-        hi = min(lo + _CHUNK, size)
-        g = l_group[lo:hi]
-        start = np.searchsorted(r_key, g + cols[-1][lo:hi], side="left")
-        fan = np.searchsorted(r_key, g + m, side="left") - start
+    for lo in range(0, len(l_order), _CHUNK):
+        left_rows, g = l_order[lo : lo + _CHUNK], l_key[lo : lo + _CHUNK]
+        start = np.searchsorted(r_key, g | cols[-1][left_rows].astype(np.uint64))
+        fan = np.searchsorted(r_key, g | low, side="right") - start
         total = int(fan.sum())
         if total:
-            left = np.repeat(np.arange(lo, hi), fan)
+            left = np.repeat(left_rows, fan)
             first = np.repeat(start - (np.cumsum(fan) - fan), fan)
             right = r_order[first + np.arange(total)]
             weights = res[cols[0][left]] + res[cols[0][right]]

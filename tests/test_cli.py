@@ -186,6 +186,16 @@ class TestScanCommand:
         assert code == 0
         assert "summary: 6 degrees, all conditions hold" in out
 
+    def test_coprime_to_zero_is_a_usage_error(self, capsys, tmp_path):
+        # gcd(m, 0) = m selects no degree, which used to print a vacuous success
+        code, out = run_cli(
+            ["scan-fourfolds", "--from", "10", "--to", "12", "--coprime-to", "0",
+             "--cache-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "all conditions hold" not in out
+
     def test_33_detected(self, capsys, tmp_path):
         code, out = run_cli(
             ["scan-fourfolds", "--from", "33", "--to", "33", "--cache-dir", str(tmp_path)],
@@ -271,6 +281,10 @@ class TestUsageErrors:
             ["newton", "--trials", "0"],
             ["basis", "--m", "12", "--max-level", "0"],
             ["basis", "--m", "12", "--max-level", "-3"],
+            ["scan-fourfolds", "--from", "10", "--to", "12", "--coprime-to", "0"],
+            ["scan-fourfolds", "--from", "10", "--to", "12", "--coprime-to", "-6"],
+            ["scan-fourfolds", "--from", "10", "--to", "12", "--jobs", "0"],
+            ["scan-fourfolds", "--from", "10", "--to", "12", "--jobs", "-2"],
         ],
     )
     def test_parser_rejects(self, argv, capsys, tmp_path):

@@ -108,6 +108,34 @@ def _nonstandard_level_three(m):
     return [e for e in sieve.elements if e.y == 3 and e not in std]
 
 
+def _literal_standard_set(m):
+    """The standard construction one candidate at a time, in Python integers:
+    per prime p of m, then seed i, each candidate and then its double; the
+    first candidate giving a vector names its provenance."""
+    provenance = {}
+    for p in cycles._prime_factors(m):
+        if p == m:
+            continue
+        d = m // p
+        for i in range(1, m):
+            if p * i % m == 0:
+                continue
+            if p == 2:
+                residues, y = [i % m, (i + d) % m, (m - i) % m, (m - i - d) % m], 2
+            else:
+                residues = [(i + k * d) % m for k in range(p)] + [(m - p * i) % m]
+                y = (p + 1) // 2
+            if 0 in residues:
+                continue
+            x = [0] * (m - 1)
+            for r in residues:
+                x[r - 1] += 1
+            base = MonoidVector(tuple(x), y)
+            for v, doubled in ((base, False), (base + base, True)):
+                provenance.setdefault(v, cycles.StandardProvenance(p, i, doubled))
+    return provenance
+
+
 class TestStandardElements:
     def test_m9_seed_one(self):
         std = standard_elements(9)
@@ -124,6 +152,27 @@ class TestStandardElements:
 
     def test_prime_degree_empty(self):
         assert standard_elements(7).vectors == ()
+
+    @pytest.mark.parametrize("m", range(2, 121))
+    def test_rows_equal_the_literal_construction(self, m):
+        expected = _literal_standard_set(m)
+        std = standard_elements(m)
+        assert std.vectors == tuple(sorted(expected, key=lambda v: (v.y, v.x)))
+        assert std.provenance == expected
+        # Python ints and bools, as the JSON report prints them
+        for prov in std.provenance.values():
+            assert (type(prov.p), type(prov.i), type(prov.doubled)) == (int, int, bool)
+
+    @pytest.mark.parametrize("m", [15, 21, 24, 25, 27, 33, 35, 45])
+    def test_check_excludes_exactly_the_standard_rows(self, m):
+        std = standard_elements(m)
+        report = check_condition(m, n=4, exclude_standard=True)
+        plain = check_condition(m, n=4)
+        assert report.standard_count == plain.standard_count == len(std.vectors)
+        assert [o.element for o in report.outcomes] == [o.element for o in plain.outcomes]
+        for o in report.outcomes:
+            assert (o.kind == "STANDARD") == (o.element in std)
+            assert o.provenance == std.provenance.get(o.element)
 
     @pytest.mark.parametrize("m", [9, 10, 12, 21, 25, 27, 33])
     def test_all_members_with_provenance(self, m):

@@ -1,8 +1,11 @@
 import hashlib
 import time
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fermat_hodge import (
     MonoidVector,
@@ -18,7 +21,8 @@ from fermat_hodge import (
     units,
 )
 from fermat_hodge.errors import IncompleteBasisError, MembershipError
-from fermat_hodge.hilbert import _unique_rows
+from fermat_hodge.hilbert import _indecomposable_in_slice, _levelwise, _unique_rows
+from fermat_hodge.monoid import level_rows, rows_to_vectors
 
 V33 = MonoidVector(
     x=tuple(1 if i in (7, 10, 13, 19, 22, 28) else 0 for i in range(1, 33)), y=3
@@ -182,6 +186,55 @@ class TestHilbertBasis:
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
             hilbert_basis(6, algorithm="guesswork")
+
+
+def _all_column_sieve(rows, basis):
+    """The sieve's definition: drop rows dominating any basis row of level <= y/2."""
+    y = int(rows[0, -1]) if len(rows) else 0
+    decomposable = np.zeros(len(rows), dtype=bool)
+    for level in basis[: y // 2]:
+        for b in level:
+            decomposable |= (rows >= b).all(axis=1)
+    return rows[~decomposable]
+
+
+@cache
+def _reference_levels(m, top):
+    """Indecomposable rows of levels 1..top, one array per level, by the definition."""
+    basis = []
+    for y in range(1, top + 1):
+        basis.append(_all_column_sieve(level_rows(m, y), basis))
+    return tuple(basis)
+
+
+class TestSliceSieve:
+    @settings(max_examples=60)
+    @given(st.integers(min_value=2, max_value=30), st.integers(min_value=1, max_value=4))
+    @example(30, 4)
+    @example(24, 4)
+    @example(4, 4)
+    @example(2, 4)
+    def test_support_columns_equal_all_columns(self, m, y):
+        basis = list(_reference_levels(m, y - 1)) if y > 1 else []
+        rows = level_rows(m, y)
+        assert np.array_equal(
+            _indecomposable_in_slice(rows, basis), _all_column_sieve(rows, basis)
+        )
+
+    # (levels sieved, rows, sha256 of the canonical text) of the sieve,
+    # recorded from the all-column comparison
+    @pytest.mark.parametrize(
+        "m,top,count,digest",
+        [
+            (30, 4, 4149, "347069ba52156549e8f46e481ee7a186973858801368b0817e5eccb540b92bfa"),
+            (24, 5, 1112, "40098f9266bb6b57a53615eddd6d4250dfdf08ca673845971a69f20cbe7a4f0b"),
+        ],
+    )
+    def test_pinned_levelwise_rows(self, m, top, count, digest):
+        rows, sieved = _levelwise(m, top, SearchBudget())
+        text = "\n".join(format_vector(v) for v in rows_to_vectors(rows))
+        assert sieved == top and len(rows) == count
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestIsDecomposable:

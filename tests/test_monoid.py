@@ -1,5 +1,5 @@
 import hashlib
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb, gcd
 
 import numpy as np
@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from fermat_hodge import MonoidVector, SearchBudget, enumerate_level, is_member, units
 from fermat_hodge.errors import BudgetExceededError, InvalidModulusError, ShapeError
-from fermat_hodge.monoid import format_vector, level_rows, parse_vector, rows_to_vectors
+from fermat_hodge import monoid
+from fermat_hodge.monoid import (
+    format_vector,
+    half_units,
+    level_rows,
+    parse_vector,
+    rows_to_vectors,
+)
 
 V33 = MonoidVector(
     x=tuple(1 if i in (7, 10, 13, 19, 22, 28) else 0 for i in range(1, 33)), y=3
@@ -192,6 +199,46 @@ class TestLevelRows:
         level_rows(33, 3, SearchBudget(max_seconds=None, max_candidates=size + 990))
         with pytest.raises(BudgetExceededError):
             level_rows(33, 3, SearchBudget(max_seconds=None, max_candidates=size + 989))
+
+
+class _UnitMultipliers:
+    """Stands in for the ``random`` module: every key multiplier is 1."""
+
+    class Random:
+        def __init__(self, seed):
+            pass
+
+        def getrandbits(self, bits):
+            return 0
+
+
+class TestJoin:
+    """The half-table join against enumerations that share nothing with it."""
+
+    @pytest.mark.parametrize("m,y", [(m, y) for m in range(2, 13) for y in range(1, 5)])
+    def test_equals_brute_force(self, m, y):
+        # even m puts a half of weight sum m*y/2 on both sides of the join
+        expected = []
+        for indices in combinations_with_replacement(range(1, m), 2 * y):
+            x = [0] * (m - 1)
+            for i in indices:
+                x[i - 1] += 1
+            if is_member(MonoidVector(tuple(x), y), m):
+                expected.append(tuple(x))
+        assert [v.x for v in rows_to_vectors(level_rows(m, y))] == sorted(expected)
+
+    @pytest.mark.parametrize("m,y", [(12, 3), (33, 3), (15, 4)])
+    def test_forced_key_collisions_keep_the_slice(self, m, y, monkeypatch):
+        # with unit multipliers the key is the sum of the weight vector,
+        # and halves of different weight vectors share it
+        sums = {}
+        for half in combinations_with_replacement(range(1, m), y):
+            w = tuple(sum(t * i % m for i in half) for t in half_units(m))
+            sums.setdefault(sum(w), set()).add(w)
+        assert max(len(ws) for ws in sums.values()) > 1
+        expected = level_rows(m, y)
+        monkeypatch.setattr(monoid, "random", _UnitMultipliers)
+        assert np.array_equal(level_rows(m, y), expected)
 
 
 class TestSerialization:
