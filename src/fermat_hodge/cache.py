@@ -31,7 +31,7 @@ from pathlib import Path
 
 from .cycles import ConditionReport, StandardProvenance, StandardSet
 from .hilbert import HilbertBasis
-from .monoid import MonoidVector, format_vector, parse_vector, sort_key
+from .monoid import MonoidVector, format_vector, parse_vector
 
 SCHEMA_VERSION = 1
 ENV_CACHE_DIR = "FERMAT_CACHE_DIR"
@@ -223,10 +223,10 @@ def basis_to_dict(basis: HilbertBasis) -> dict:
 
 
 def basis_from_dict(payload: dict) -> HilbertBasis:
-    elements = sorted((parse_vector(s) for s in payload["elements"]), key=sort_key)
+    """The basis of a payload, its elements in the stored (canonical) order."""
     return HilbertBasis(
         m=int(payload["m"]),
-        elements=tuple(elements),
+        elements=tuple(parse_vector(s) for s in payload["elements"]),
         complete=bool(payload["complete"]),
         max_level_seen=int(payload["max_level_seen"]),
         algorithm=str(payload["algorithm"]),

@@ -20,15 +20,18 @@ from math import gcd
 
 import numpy as np
 
-from .errors import HodgeLabelError, JoinError, MembershipError, ShapeError
+from .errors import HodgeLabelError, JoinError, MembershipError
 from .hilbert import HilbertBasis, is_decomposable
 from .monoid import (
     MonoidVector,
     check_dimension,
     check_modulus,
-    half_units,
+    indices_to_rows,
     is_member,
     level_rows,
+    rows_to_indices,
+    rows_to_vectors,
+    weight_table,
 )
 
 
@@ -85,15 +88,8 @@ def weight(alpha: Character, t: int = 1) -> Fraction:
 
 def _counts(alpha: Character) -> MonoidVector:
     """Count map: x_k = #{i : a_i = k}, level (n + 2) // 2."""
-    x = [0] * (alpha.m - 1)
-    for a in alpha.entries:
-        x[a - 1] += 1
-    return MonoidVector(x=tuple(x), y=len(alpha.entries) // 2)
-
-
-def _entries(x) -> tuple[int, ...]:
-    """Inverse count map: residue k with multiplicity x_k, sorted."""
-    return tuple(k for k, c in enumerate(x, start=1) for _ in range(c))
+    rows = indices_to_rows(np.array([alpha.entries]), alpha.m, len(alpha.entries) // 2)
+    return rows_to_vectors(rows)[0]
 
 
 def is_hodge_label(alpha: Character) -> bool:
@@ -105,25 +101,23 @@ def _proved_entries(m: int, y: int) -> np.ndarray:
     """The sorted entries of every level-y slice row, each row proved here.
 
     One exact weight check on the whole ``level_rows`` slice: count
-    sum x_i == 2y, signs x_i >= 0, and x @ (<t*i>) == m*y for every unit
-    t of ``half_units(m)``, which is ``is_member`` on every row at once.
-    Count and sign bound every entry by 2y, so the int64 products cannot
-    overflow.  A row that fails is a HodgeLabelError.  Each row of
-    entries ascends; the rows come in slice order.
+    sum x_i == 2y, signs x_i >= 0, and x @ ``weight_table(m)`` == m*y,
+    which is ``is_member`` on every row at once.  Count and sign bound
+    every entry by 2y, so the int64 products cannot overflow.  A row that
+    fails is a HodgeLabelError.  Each row of entries ascends; the rows
+    come in slice order.
     """
     rows = level_rows(m, y)
     x = rows[:, :-1]
-    res = np.arange(1, m)[:, None] * np.asarray(half_units(m)) % m
     proved = (
         (x.sum(axis=1) == 2 * y)
         & (x >= 0).all(axis=1)
-        & (x @ res == m * y).all(axis=1)
+        & (x @ weight_table(m)[1:] == m * y).all(axis=1)
     )
     if not proved.all():
         bad = rows[np.argmin(proved)].tolist()
         raise HodgeLabelError(f"level-{y} slice row is not a Hodge label for m={m}: {bad}")
-    entries = np.repeat(np.tile(np.arange(1, m), len(rows)), x.ravel())
-    return entries.reshape(len(rows), 2 * y)
+    return rows_to_indices(rows)
 
 
 def enumerate_hodge_labels(
@@ -140,8 +134,8 @@ def enumerate_hodge_labels(
     """
     check_modulus(m)
     check_dimension(n)
-    entries = _proved_entries(m, n // 2 + 1)
-    entries = entries[np.lexsort(entries.T[::-1])].tolist()
+    # slice order ascends on x, which is descending order on sorted entries
+    entries = _proved_entries(m, n // 2 + 1)[::-1].tolist()
     if expand_permutations:
         entries = sorted({p for rep in entries for p in permutations(rep)})
     return [HodgeLabel._proved(m, tuple(e)) for e in entries]
@@ -155,16 +149,14 @@ def to_monoid(alpha: Character) -> MonoidVector:
 
 
 def from_monoid(v: MonoidVector, m: int) -> HodgeLabel:
-    """Inverse count map; the label's own check is the membership proof."""
-    check_modulus(m)
-    if len(v.x) != m - 1:
-        raise ShapeError(f"expected {m - 1} entries for degree {m}, got {len(v.x)}")
-    if sum(v.x) == 2 * v.y and min(v.x) >= 0:
-        try:
-            return HodgeLabel(m, _entries(v.x))
-        except ValueError:
-            pass
-    raise MembershipError(f"not a member of the degree-{m} monoid: {v}")
+    """Inverse count map; ``is_member`` is the label's proof.
+
+    A member's 2y entries are nonzero residues summing to its weight m*y
+    under the unit 1, so they form a character of even dimension.
+    """
+    if not is_member(v, m):
+        raise MembershipError(f"not a member of the degree-{m} monoid: {v}")
+    return HodgeLabel._proved(m, tuple(rows_to_indices(np.array([v.row()]))[0].tolist()))
 
 
 def star_join(beta: Character, gamma: Character) -> Character:

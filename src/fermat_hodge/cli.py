@@ -1,9 +1,10 @@
 """Command-line interface: computations, persistent cache, table export.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (the
-parser rejects an argument, or a degree range is empty or starts below
-2), 3 incomplete or budget-truncated result.  Any other library error
-propagates; it is never reported as a usage error.
+parser rejects an argument, or a degree range is empty, starts below 2
+or has no degree coprime to ``--coprime-to``), 3 incomplete or
+budget-truncated result.  Any other library error propagates; it is
+never reported as a usage error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from math import gcd, isfinite
 from multiprocessing import Pool
 
 from .budget import DEFAULT_MAX_CANDIDATES, DEFAULT_MAX_SECONDS, SearchBudget
@@ -184,9 +186,15 @@ def cmd_check(args) -> int:
 def cmd_scan_fourfolds(args) -> int:
     if _bad_range(args):
         return EXIT_USAGE
+    degrees = range(args.m_from, args.m_to + 1)
+    if args.coprime_to and all(gcd(m, args.coprime_to) > 1 for m in degrees):
+        print(
+            f"no degree in {args.m_from}..{args.m_to} is coprime to {args.coprime_to}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     budget = _budget(args)
     if args.jobs > 1 and args.m_from < args.m_to:
-        degrees = range(args.m_from, args.m_to + 1)
         with Pool(processes=args.jobs) as pool:
             per_degree = pool.starmap(
                 scan_fourfolds, [(m, m, args.coprime_to, budget) for m in degrees]
@@ -273,11 +281,11 @@ def cmd_newton(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
-def _int_type(name: str, rule: str, holds):
-    """An argparse type: an integer for which ``holds`` is true, else exit 2."""
+def _number_type(name: str, rule: str, holds, kind=int):
+    """An argparse type: a ``kind`` number for which ``holds`` is true, else exit 2."""
 
-    def parse(text: str) -> int:
-        value = int(text)
+    def parse(text: str):
+        value = kind(text)
         if not holds(value):
             raise argparse.ArgumentTypeError(f"{name} must be {rule}, got {value}")
         return value
@@ -286,9 +294,13 @@ def _int_type(name: str, rule: str, holds):
     return parse
 
 
-_degree = _int_type("degree", ">= 2", lambda v: v >= 2)
-_dimension = _int_type("dimension", "even and >= 0", lambda v: v >= 0 and v % 2 == 0)
-_positive = _int_type("count", ">= 1", lambda v: v >= 1)
+_degree = _number_type("degree", ">= 2", lambda v: v >= 2)
+_dimension = _number_type("dimension", "even and >= 0", lambda v: v >= 0 and v % 2 == 0)
+_positive = _number_type("count", ">= 1", lambda v: v >= 1)
+_candidates = _number_type("candidates", ">= 0", lambda v: v >= 0)
+_seconds = _number_type(
+    "seconds", "finite and >= 0", lambda v: isfinite(v) and v >= 0, float
+)
 
 
 def _add_common(sub, with_format=None, with_budget=True) -> None:
@@ -296,11 +308,11 @@ def _add_common(sub, with_format=None, with_budget=True) -> None:
     sub.add_argument("--cache-dir", default=None, help="cache directory")
     if with_budget:
         sub.add_argument(
-            "--max-seconds", type=float, default=DEFAULT_MAX_SECONDS,
+            "--max-seconds", type=_seconds, default=DEFAULT_MAX_SECONDS,
             help="wall-clock budget per computation",
         )
         sub.add_argument(
-            "--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES,
+            "--max-candidates", type=_candidates, default=DEFAULT_MAX_CANDIDATES,
             help="candidate budget per computation",
         )
     if with_format:

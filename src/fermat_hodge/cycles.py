@@ -11,8 +11,8 @@ which otherwise fall back to the recorded theorem facts.
 There is one quasi search, ``_witnesses``, and it reads the rows of x
 alone: a witness c is a sub-multiset of x plus a part of the level-1 b,
 so the search runs in numpy over the subsets of the sorted indices of
-each x, with their weights under ``half_units(m)``.
-``is_quasi_decomposable`` is its one-row call.
+each x, weighted by ``monoid.weight_table``.  ``is_quasi_decomposable``
+is its one-row call.  Rows convert through the codec of ``monoid``.
 """
 
 from __future__ import annotations
@@ -26,17 +26,19 @@ import numpy as np
 
 from .budget import SearchBudget
 from .errors import BudgetExceededError, IncompleteBasisError, MembershipError
-from .hilbert import HilbertBasis, _levelwise, hilbert_basis
+from .hilbert import HilbertBasis, _levelwise, check_basis, hilbert_basis
 from .monoid import (
     MonoidVector,
+    canonical_keys,
     check_dimension,
     check_modulus,
     format_vector,
-    half_units,
+    indices_to_rows,
     is_member,
     level_rows,
+    rows_to_indices,
     rows_to_vectors,
-    sort_key,
+    weight_table,
 )
 
 __all__ = [
@@ -143,9 +145,7 @@ def _witnesses(
     the cells evaluated once it is done.  On an overrun the list holds
     the elements decided so far.
     """
-    m = rows.shape[1]
-    half = np.asarray(half_units(m), dtype=np.int32)
-    res = np.arange(m, dtype=np.int32)[:, None] * half % m
+    res = weight_table(rows.shape[1])
     found: list[QuasiWitness | None] = []
     cells = 0
 
@@ -178,9 +178,8 @@ def _least_witnesses(
     block to block; within a level, ascending x(c) is descending indices
     of c.
     """
-    m, n = X.shape[1], 2 * int(X[0, -1])
-    idx = np.repeat(np.tile(np.arange(1, m), len(X)), X[:, :-1].ravel())
-    idx = idx.reshape(len(X), n)
+    m, idx = X.shape[1], rows_to_indices(X)
+    n = idx.shape[1]
     low = min(n, _SUBSET_CELLS.bit_length() - 1)
     # the weights under each half unit of every subset of the first low positions
     weights = np.zeros((len(X), 1, res.shape[1]), dtype=np.int32)
@@ -197,8 +196,8 @@ def _least_witnesses(
         best = best[order[np.diff(best[order, 0], prepend=-1) != 0]]
     rows, b, level, seq = best[:, 0], best[:, 1], best[:, 2], best[:, 3:]
     pair = m // 2 - b
-    b_rows = _count_rows(np.c_[pair, m - pair], m, 1)
-    c_rows = _count_rows(seq, m, level)
+    b_rows = indices_to_rows(np.c_[pair, m - pair], m, 1)
+    c_rows = indices_to_rows(seq, m, level)
     d_rows = X[rows] + b_rows - c_rows
     parts = rows_to_vectors(np.concatenate([b_rows, c_rows, d_rows]))
     witnesses: list[QuasiWitness | None] = [None] * len(X)
@@ -248,14 +247,6 @@ def _candidates(idx, res, weights, bits) -> np.ndarray:
     return np.c_[rows, b, level, seq][keep]
 
 
-def _count_rows(seq: np.ndarray, m: int, level) -> np.ndarray:
-    """Rows (x..., level) that count the indices below m in each row of seq."""
-    flat = seq + (m + 1) * np.arange(len(seq))[:, None]
-    rows = np.bincount(flat.ravel(), minlength=len(seq) * (m + 1)).reshape(-1, m + 1)
-    rows[:, m] = level
-    return rows[:, 1:]
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -291,23 +282,13 @@ def _standard_rows(m: int) -> tuple[np.ndarray, np.ndarray]:
         else:
             residues = np.column_stack([i[:, None] + d * np.arange(p), m - p * i]) % m
         valid = (residues != 0).all(axis=1)
-        base = _count_rows(residues[valid], m, 2 if p == 2 else (p + 1) // 2)
+        base = indices_to_rows(residues[valid], m, 2 if p == 2 else (p + 1) // 2)
         rows.append(np.stack([base, 2 * base], axis=1).reshape(-1, m))
         seeds = np.repeat(i[valid], 2)
         origin.append(np.stack([np.full_like(seeds, p), seeds, np.arange(len(seeds)) % 2], 1))
     rows, origin = np.concatenate(rows), np.concatenate(origin)
-    _, first = np.unique(_canonical_keys(rows), return_index=True)  # first candidate
+    _, first = np.unique(canonical_keys(rows), return_index=True)  # first candidate
     return rows[first], origin[first]
-
-
-def _canonical_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row (x..., y) as one opaque item, equal iff the rows are.
-
-    The items are the big-endian bytes of (y, x...), so for non-negative
-    entries they sort in canonical order: by level, then lexicographic.
-    """
-    big = np.ascontiguousarray(np.roll(rows, 1, axis=1), dtype=">i8")
-    return big.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
 
 
 def standard_elements(m: int) -> StandardSet:
@@ -414,27 +395,30 @@ def check_condition(
         top = n // 2 + 1
         rows, sieved = _levelwise(m, top, budget)
         rows = rows[rows[:, -1] >= 3]
-        elements = rows_to_vectors(rows)
         complete = sieved >= top
     else:
         given = basis is not None
-        if not given:
+        if given:
+            check_basis(basis, m)
+        else:
             basis = hilbert_basis(m, budget=budget)
         if not basis.complete:
             raise IncompleteBasisError(
                 f"the all-levels condition for m={m} needs a complete basis",
                 partial_max_level=basis.max_element_level,
             )
-        elements = sorted((b for b in basis.elements if b.y >= 3), key=sort_key)
+        elements = [b for b in basis.elements if b.y >= 3]
         for e in elements if given else ():
             if not is_member(e, m):
                 raise MembershipError(f"not a member of the degree-{m} monoid: {e}")
         rows = np.array([e.row() for e in elements], dtype=np.int64).reshape(-1, m)
+        rows = rows[np.argsort(canonical_keys(rows), kind="stable")]
         complete = True
+    elements = rows_to_vectors(rows)
     standards, origin = _standard_rows(m)
     match = np.full(len(rows), -1)  # the equal standard row, if excluded
     if exclude_standard and len(standards):
-        keys, probe = _canonical_keys(standards), _canonical_keys(rows)
+        keys, probe = canonical_keys(standards), canonical_keys(rows)
         at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
         match = np.where(keys[at] == probe, at, -1)
     searched = rows[match < 0]

@@ -28,7 +28,8 @@ a basis (complete=True):
   certifies completeness without an a-priori level bound.  The result
   needs no minimality pass: the interreduced closure is an antichain
   under the sign order, which on pair-free rows is componentwise
-  domination, and no pair-free row dominates a level-1 pair.
+  domination, and no pair-free row dominates a level-1 pair.  It
+  returns the distinct count rows in canonical order.
 """
 
 from __future__ import annotations
@@ -41,15 +42,15 @@ from .budget import SearchBudget
 from .errors import BudgetExceededError, IncompleteBasisError, MembershipError
 from .monoid import (
     MonoidVector,
+    canonical_keys,
     check_modulus,
     enumerate_level,
     format_vector,
-    half_units,
     is_member,
     level_rows,
     rows_to_vectors,
-    sort_key,
     units,
+    weight_table,
 )
 
 __all__ = [
@@ -102,10 +103,9 @@ def _class_rows(m: int) -> list[list[int]]:
     sum u_a (<t*a> - a) = 0 for the units t of ``half_units(m)`` other
     than 1 (relative balance; the remaining units follow from these).
     """
-    C = m // 2
-    rows = [[2 * a - m for a in range(1, C + 1)]]
-    rows += [[(t * a) % m - a for a in range(1, C + 1)] for t in half_units(m)[1:]]
-    return rows
+    a = np.arange(1, m // 2 + 1)
+    relative = weight_table(m)[a, 1:].T - a
+    return [(2 * a - m).tolist()] + relative.tolist()
 
 
 def _integer_kernel(rows: list[list[int]], n: int) -> list[list[int]]:
@@ -171,32 +171,6 @@ def _even_sum_sublattice(basis: list[list[int]]) -> list[list[int]]:
         out.append([x + y for x, y in zip(b, basis[k])] if i in odd else list(b))
     out.append([2 * x for x in basis[k]])
     return out
-
-
-def _u_to_row(u, m: int) -> tuple[int, ...] | None:
-    """Signed class vector back to (x; y); None when not realizable.
-
-    Positive u_a places mass on residue a, negative on m - a.  The
-    self-paired class m/2 (even m) cannot go negative, and the entry
-    count must be even to yield an integer level.
-    """
-    C = m // 2
-    x = [0] * (m - 1)
-    count = 0
-    for a in range(1, C + 1):
-        v = int(u[a - 1])
-        count += abs(v)
-        if 2 * a == m:
-            if v < 0:
-                return None
-            x[a - 1] = v
-        elif v > 0:
-            x[a - 1] = v
-        elif v < 0:
-            x[m - a - 1] = -v
-    if count == 0 or count % 2:
-        return None
-    return tuple(x) + (count // 2,)
 
 
 # ---------------------------------------------------------------------------
@@ -401,26 +375,35 @@ class _Closure:
         return self.G
 
 
-def _completion_rows(m: int, budget: SearchBudget) -> set[tuple[int, ...]]:
-    """All minimal nonzero solutions of the defining system, unordered."""
+def _completion_rows(m: int, budget: SearchBudget) -> np.ndarray:
+    """All minimal nonzero solutions of the defining system: distinct rows
+    (x..., y) in canonical order.  A closure vector u folds back to
+    x_a = max(u_a, 0), x_{m-a} = max(-u_a, 0) when u_{m/2} >= 0 (even m)
+    and its entry count is nonzero and even (twice the level).
+    """
     budget.start()
-    rows = list(map(tuple, level_rows(m, 1).tolist()))
     C = m // 2
     kernel = _integer_kernel(_class_rows(m), C)
     if m % 2 == 0:
         kernel = _even_sum_sublattice(kernel)
+    U = np.zeros((0, C), dtype=np.int64)
     if kernel:
-        closure = _Closure(C, budget, _class_transforms(m))
-        for u in closure.run(kernel):
-            row = _u_to_row(u, m)
-            if row is not None:
-                rows.append(row)
+        U = _Closure(C, budget, _class_transforms(m)).run(kernel)
+    count = np.abs(U).sum(axis=1)
+    keep = (count > 0) & (count % 2 == 0) & ((U[:, -1] >= 0) | (m % 2 == 1))
+    U, count = U[keep], count[keep]
+    a = np.arange(1, (m + 1) // 2)  # the classes a < m/2, paired with m - a
+    rows = np.zeros((len(U), m), dtype=np.int64)
+    rows[:, :C] = np.maximum(U, 0)
+    rows[:, m - 1 - a] = np.maximum(-U[:, a - 1], 0)
+    rows[:, -1] = count // 2
     # The closure ends interreduced, so its rows form an antichain under
     # the sign order, and pair-free rows cannot dominate the level-one
     # pairs: no domination pass is needed.  Only the self-paired row
     # (x_{m/2} = 2; 1) of even m arrives twice, from level one and from
     # the lattice vector 2e_{m/2}.
-    return set(rows)
+    rows = np.concatenate([level_rows(m, 1), rows])
+    return rows[np.unique(canonical_keys(rows), return_index=True)[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +466,12 @@ def _levelwise(
 # ---------------------------------------------------------------------------
 
 
+def check_basis(basis: HilbertBasis, m: int) -> None:
+    """Reject a caller's basis of another degree; its rows have another width."""
+    if basis.m != m:
+        raise ValueError(f"a basis of degree {basis.m} cannot answer degree {m}")
+
+
 def hilbert_basis(
     m: int,
     max_level: int | None = None,
@@ -515,8 +504,7 @@ def hilbert_basis(
             # alone stops the uncertified sweep below
             budget = budget.remaining()
         else:
-            rows = sorted(rows, key=lambda r: (r[-1], r[:-1]))
-            complete, seen = True, rows[-1][-1]  # level one is never empty
+            complete, seen = True, int(rows[-1, -1])  # level one is never empty
     if not complete:
         rows, seen = _levelwise(m, max_level, budget)
     return HilbertBasis(
@@ -543,6 +531,8 @@ def is_decomposable(
     witness as the full slices.  When the budget stops the sieve of those
     levels short, no answer is certain and IncompleteBasisError is raised.
     """
+    if basis is not None:
+        check_basis(basis, m)
     if not is_member(v, m):
         raise MembershipError(f"not a member of the degree-{m} monoid: {v}")
     if v.y < 2:
@@ -563,7 +553,7 @@ def is_decomposable(
     fits = rows[(rows[:, :-1] <= v.x).all(axis=1)]
     if not len(fits):
         return None
-    c = min(rows_to_vectors(fits), key=sort_key)
+    (c,) = rows_to_vectors(fits[np.argsort(canonical_keys(fits))[:1]])
     return DecompositionWitness(c=c, d=v - c)
 
 
@@ -575,6 +565,7 @@ def phi(
     """Maximum level among the indecomposable elements."""
     if basis is None:
         basis = hilbert_basis(m, budget=budget)
+    check_basis(basis, m)
     if not basis.complete:
         raise IncompleteBasisError(
             f"basis for m={m} is incomplete (levels up to "

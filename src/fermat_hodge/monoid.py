@@ -17,9 +17,11 @@ join of size-y half-multisets on their weight vectors.  The weight
 under the unit t = 1 is the index sum, so the smaller half has
 2*w1 <= m*y and the larger 2*w1 >= m*y: each side of the join reads
 about half of the one table of halves.  The result is one (N, m) int64
-array of rows (x..., y) per level, which the sieve reads directly;
-only ``rows_to_vectors`` turns rows into ``MonoidVector`` objects.
+array of rows (x..., y) per level, which the sieve reads directly.
 Indices are int16 and half weights int32 (a weight is at most y*(m-1)).
+This module owns the row format: every module reads the weight table,
+the count/index conversions, the canonical order and the vector view
+of rows from the one row codec below.
 ``is_member``, the one exact test of a single vector, rejects
 sum x_i != 2y first and uses Python integers.
 """
@@ -109,19 +111,49 @@ class MonoidVector:
         )
 
 
-def rows_to_vectors(rows) -> list[MonoidVector]:
-    """The vectors of (x..., y) rows: an int array, or sequences of ints.
+def weight_table(m: int) -> np.ndarray:
+    """The (m, T) int32 table of <t*i> for i < m and the T units of ``half_units(m)``.
 
-    An array is read with one ``.tolist()``, so every entry is a Python int.
+    Counts x of a level-y member have x @ table[1:] == m*y in every column.
     """
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
-    return [MonoidVector(x=tuple(r[:-1]), y=r[-1]) for r in rows]
+    half = np.asarray(half_units(m), dtype=np.int32)
+    return np.arange(m, dtype=np.int32)[:, None] * half % m
 
 
-def sort_key(v: MonoidVector) -> tuple[int, tuple[int, ...]]:
-    """Canonical order: ascending level, then lexicographic on x."""
-    return (v.y, v.x)
+def rows_to_indices(rows: np.ndarray) -> np.ndarray:
+    """The (N, 2y) ascending indices of rows (x..., y) of one level y, i x_i times."""
+    m, width = rows.shape[1], 2 * int(rows[0, -1]) if len(rows) else 0
+    indices = np.repeat(np.tile(np.arange(1, m), len(rows)), rows[:, :-1].ravel())
+    return indices.reshape(len(rows), width)
+
+
+def indices_to_rows(indices: np.ndarray, m: int, level) -> np.ndarray:
+    """Rows (x..., level) counting the indices 1..m-1 in each row; index m pads.
+
+    One ``bincount``: index i of row r counts in cell r*m + i - 1, so the
+    padding counts in the level column, which ``level`` then overwrites.
+    """
+    n = len(indices)
+    flat = indices - 1 + m * np.arange(n)[:, None]
+    rows = np.bincount(flat.ravel(), minlength=n * m).reshape(n, m)
+    rows[:, -1] = level
+    return rows
+
+
+def canonical_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row (x..., y) as one opaque item, equal iff the rows are.
+
+    The items are the big-endian bytes of (y, x...), so for non-negative
+    entries they sort in canonical order: ascending level, then
+    lexicographic on x.
+    """
+    big = np.ascontiguousarray(np.roll(rows, 1, axis=1), dtype=">i8")
+    return big.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+
+
+def rows_to_vectors(rows: np.ndarray) -> list[MonoidVector]:
+    """The vectors of an int array of rows (x..., y); every entry a Python int."""
+    return [MonoidVector(x=tuple(r[:-1]), y=r[-1]) for r in rows.tolist()]
 
 
 def format_vector(v: MonoidVector) -> str:
@@ -211,14 +243,13 @@ def level_rows(m: int, y: int, budget=None) -> np.ndarray:
     size = comb(m + y - 2, y)
     if budget is not None:
         budget.check(size)
-    half = np.asarray(half_units(m), dtype=np.int32)
-    res = np.arange(m, dtype=np.int32)[:, None] * half[None, :] % m
+    res = weight_table(m)
     # fixed odd multipliers of the weight key, one per half unit
     draw = random.Random(0)
-    mix = np.asarray([draw.getrandbits(64) | 1 for _ in half], dtype=np.uint64)
+    mix = np.asarray([draw.getrandbits(64) | 1 for _ in res[0]], dtype=np.uint64)
     cols, key = _halves(m, y, res.astype(np.uint64) @ mix)
     target = m * y
-    target_key = np.full(len(half), target, dtype=np.uint64) @ mix
+    target_key = np.full(len(mix), target, dtype=np.uint64) @ mix
     twice_w1 = 2 * sum(c.astype(np.int32) for c in cols)
     # high key bits group the halves; the low bits hold min R or max L
     low = np.uint64((1 << m.bit_length()) - 1)
@@ -254,12 +285,7 @@ def level_rows(m: int, y: int, budget=None) -> np.ndarray:
     seq = [c[left] for c in cols] + [c[right] for c in cols]
     # equal-length multisets: ascending x is descending sorted sequence
     order = np.lexsort(seq[::-1])[::-1]
-    rows = np.zeros((found, m), dtype=np.int64)
-    rows[:, -1] = y
-    at = np.arange(found)
-    for s in seq:
-        rows[at, s[order] - 1] += 1
-    return rows
+    return indices_to_rows(np.stack(seq, axis=1)[order], m, y)
 
 
 def enumerate_level(m: int, y: int, budget=None) -> list[MonoidVector]:

@@ -324,6 +324,12 @@ class TestSplits:
         with pytest.raises(HodgeLabelError):
             satisfies_p1(Character(7, (1, 2, 3, 1)))
 
+    def test_p1_rejects_a_basis_of_another_degree(self, get_basis):
+        alpha = Character(13, (1, 12, 2, 11))
+        assert satisfies_p1(alpha, basis=get_basis(13)) is not None
+        with pytest.raises(ValueError, match="degree 26"):
+            satisfies_p1(alpha, basis=get_basis(26))
+
     @pytest.mark.parametrize("m", range(3, 9))
     @pytest.mark.parametrize("n", [2, 4])
     def test_p1_iff_brute_force_split(self, m, n):

@@ -196,6 +196,14 @@ class TestScanCommand:
         assert code == 2
         assert "all conditions hold" not in out
 
+    def test_empty_selection_is_a_usage_error(self, capsys, tmp_path):
+        # no degree of 10..10 is coprime to 5; this used to print a vacuous success
+        code = main(["scan-fourfolds", "--from", "10", "--to", "10", "--coprime-to", "5",
+                     "--cache-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "no degree in 10..10 is coprime to 5" in captured.err
+
     def test_33_detected(self, capsys, tmp_path):
         code, out = run_cli(
             ["scan-fourfolds", "--from", "33", "--to", "33", "--cache-dir", str(tmp_path)],
@@ -285,6 +293,11 @@ class TestUsageErrors:
             ["scan-fourfolds", "--from", "10", "--to", "12", "--coprime-to", "-6"],
             ["scan-fourfolds", "--from", "10", "--to", "12", "--jobs", "0"],
             ["scan-fourfolds", "--from", "10", "--to", "12", "--jobs", "-2"],
+            ["verdict", "--m", "33", "--n", "4", "--max-seconds", "nan"],
+            ["verdict", "--m", "33", "--n", "4", "--max-seconds", "inf"],
+            ["verdict", "--m", "33", "--n", "4", "--max-seconds", "-1"],
+            ["phi", "--m", "12", "--max-candidates", "-1"],
+            ["phi", "--m", "12", "--max-candidates", "1.5"],
         ],
     )
     def test_parser_rejects(self, argv, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -477,6 +478,18 @@ class TestCheckCondition:
         with pytest.raises(MembershipError):
             check_condition(12, basis=basis)
 
+    def test_basis_of_another_degree_is_rejected(self, get_basis):
+        # the basis of 7 has no level >= 3, so degree 13 used to pass vacuously
+        with pytest.raises(ValueError, match="degree 7"):
+            check_condition(13, basis=get_basis(7))
+
+    def test_caller_basis_order_does_not_matter(self, get_basis):
+        basis = get_basis(21)
+        shuffled = dataclasses.replace(basis, elements=basis.elements[::-1])
+        for exclude in (False, True):
+            expected = check_condition(21, exclude_standard=exclude, basis=basis)
+            assert check_condition(21, exclude_standard=exclude, basis=shuffled) == expected
+
     def test_m21_with_exclusion(self, get_basis):
         report = check_condition(21, exclude_standard=True, basis=get_basis(21))
         assert report.verdict and report.complete
@@ -527,6 +540,9 @@ class TestScan:
         reports = scan_fourfolds(5, 21, coprime_to=6)
         assert [r.m for r in reports] == [5, 7, 11, 13, 17, 19]
         assert all(r.verdict for r in reports)
+
+    def test_empty_selection_is_empty(self):
+        assert scan_fourfolds(10, 10, coprime_to=5) == []
 
     def test_m3_vacuous(self):
         reports = scan_fourfolds(3, 3)

@@ -105,6 +105,12 @@ class TestHilbertBasis:
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert (len(elements), digest) == BASIS_PINS[m]
 
+    @pytest.mark.parametrize("m", [2, 12, 22, 25, 26, 33])
+    def test_completion_elements_are_distinct_and_canonical(self, m, get_basis):
+        # for even m, level one and the lattice vector 2e_{m/2} give one row twice
+        elements = get_basis(m).elements
+        assert list(elements) == sorted(set(elements), key=lambda v: (v.y, v.x))
+
     @pytest.mark.parametrize("shape", [(0, 4), (1, 4), (300, 3), (2000, 15)])
     def test_unique_rows_matches_numpy(self, shape):
         V = np.random.default_rng(0).integers(-2, 3, size=shape)
@@ -257,6 +263,13 @@ class TestIsDecomposable:
         with pytest.raises(MembershipError):
             is_decomposable(MonoidVector((1, 1, 0), 1), 4)
 
+    def test_basis_of_another_degree_is_rejected(self, get_basis):
+        # the 26-wide rows used to be reshaped into 13-wide ones
+        ones = enumerate_level(13, 1)
+        v = ones[0] + ones[1]
+        with pytest.raises(ValueError, match="degree 26"):
+            is_decomposable(v, 13, basis=get_basis(26))
+
     def test_truncated_sieve_raises(self):
         ones = enumerate_level(12, 1)
         v = ones[0] + ones[1]
@@ -313,6 +326,13 @@ class TestPhi:
             phi(33, basis=partial)
         with pytest.raises(IncompleteBasisError):
             check_condition(33, basis=partial)
+
+    def test_basis_of_another_degree_is_rejected(self, get_basis):
+        # phi(12) = 5 used to be returned for degree 13, whose phi is 1
+        with pytest.raises(ValueError, match="degree 12"):
+            phi(13, basis=get_basis(12))
+        with pytest.raises(ValueError, match="degree 12"):
+            required_dimension_bound(13, basis=get_basis(12))
 
     def test_dimension_bound(self, get_basis):
         assert required_dimension_bound(21, basis=get_basis(21)) == 4

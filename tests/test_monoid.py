@@ -11,11 +11,15 @@ from fermat_hodge import MonoidVector, SearchBudget, enumerate_level, is_member,
 from fermat_hodge.errors import BudgetExceededError, InvalidModulusError, ShapeError
 from fermat_hodge import monoid
 from fermat_hodge.monoid import (
+    canonical_keys,
     format_vector,
     half_units,
+    indices_to_rows,
     level_rows,
     parse_vector,
+    rows_to_indices,
     rows_to_vectors,
+    weight_table,
 )
 
 V33 = MonoidVector(
@@ -199,6 +203,28 @@ class TestLevelRows:
         level_rows(33, 3, SearchBudget(max_seconds=None, max_candidates=size + 990))
         with pytest.raises(BudgetExceededError):
             level_rows(33, 3, SearchBudget(max_seconds=None, max_candidates=size + 989))
+
+
+class TestRowCodec:
+    @pytest.mark.parametrize("m", range(2, 48))
+    def test_indices_round_trip_the_slices(self, m):
+        for y in (1, 2, 3):
+            rows = level_rows(m, y)
+            indices = rows_to_indices(rows)
+            assert indices.shape == (len(rows), 2 * y)
+            assert (np.diff(indices, axis=1) >= 0).all()
+            assert np.array_equal(indices_to_rows(indices, m, y), rows)
+
+    @pytest.mark.parametrize("m", [2, 7, 12, 33])
+    def test_weight_table_is_the_definition(self, m):
+        table = weight_table(m)
+        assert table.tolist() == [[t * i % m for t in half_units(m)] for i in range(m)]
+
+    def test_canonical_keys_order_by_level_then_x(self):
+        rows = np.concatenate([level_rows(9, y) for y in (3, 1, 2)])
+        rows = rows[np.random.default_rng(0).permutation(len(rows))]
+        ordered = rows[np.argsort(canonical_keys(rows))].tolist()
+        assert ordered == sorted(rows.tolist(), key=lambda r: (r[-1], r[:-1]))
 
 
 class _UnitMultipliers:
