@@ -1,10 +1,25 @@
-"""Persistent result cache with content digests and atomic writes.
+"""Persistent result cache with digests over the stored bytes and atomic writes.
 
-Entries are JSON files keyed by kind (LEVEL, BASIS, STANDARD, REPORT)
-and degree.  A sha256 digest over the canonical payload is verified on
-read; a mismatch invalidates the entry and the caller recomputes.
-Writes go to a temporary file renamed into place under an advisory
-lock, so a crashed writer never leaves a torn entry.
+An entry is a text file keyed by kind (LEVEL, BASIS, STANDARD, REPORT)
+and name, in three parts:
+
+1. the hex sha256 of everything after this line;
+2. a compact JSON meta object: ``kind``, the entry's key (``m``; ``y``
+   for LEVEL; ``n`` and ``exclude_standard`` for REPORT), ``complete``
+   for BASIS and REPORT, and ``phi`` (the largest element level) for
+   BASIS;
+3. the body: the payload as ``json.dumps(payload, sort_keys=True,
+   indent=1)`` plus a newline, which is what ``--format json`` prints.
+
+A read hashes the bytes after line 1 and parses only the meta line; an
+entry whose digest, ``kind`` or key does not match the request is a
+miss, and the caller recomputes.  So the CLI prints a JSON hit as the
+stored body and answers ``phi`` from the meta, decoding and encoding
+nothing.  A write encodes the body once, to a temporary file renamed
+into place under an advisory lock, so a crashed writer never leaves a
+torn entry.  Entries of the earlier layout (one JSON object named
+``<name>.json``, digest over the re-serialized payload) are not read;
+their keys are recomputed and written anew.
 
 The product caches results that cost more to compute than to read:
 complete bases and complete condition reports.  LEVEL and STANDARD
@@ -14,10 +29,10 @@ them (a level slice is recomputed faster than its entry is parsed).
 
 This module owns the JSON layout of a basis and of a condition report:
 ``basis_to_dict`` and ``report_to_dict`` build the payloads that BASIS
-and REPORT entries store and that the CLI prints for ``--format json``.
-``get_basis`` and ``get_report`` return the stored payload, checked only
-for its key, ``complete`` and the fields the CLI prints (else a miss),
-so the CLI prints a hit without parsing or formatting a vector.
+and REPORT entries store.  ``get_basis`` and ``get_report`` return an
+``Entry``; with ``parse=True`` it carries the parsed payload, checked
+for its key, ``complete`` and the fields the text printers read (else a
+miss).
 """
 
 from __future__ import annotations
@@ -26,7 +41,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .cycles import ConditionReport, StandardProvenance, StandardSet
@@ -46,47 +61,64 @@ def default_cache_dir() -> Path:
     return base / "fermat-hodge"
 
 
-def _digest(payload) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+@dataclass(frozen=True)
+class Entry:
+    """A result as the cache stores it: meta, ``--format json`` body and,
+    when it was computed or parsed, the payload."""
+
+    meta: dict
+    body: str
+    payload: dict | None = None
+
+    @classmethod
+    def of(cls, kind: str, m: int, payload: dict, **key) -> "Entry":
+        body = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        return cls({"kind": kind, "m": m, **key}, body, payload)
+
+    def to_bytes(self) -> bytes:
+        head = json.dumps(self.meta, sort_keys=True, separators=(",", ":"))
+        text = f"{head}\n{self.body}".encode("utf-8")
+        return hashlib.sha256(text).hexdigest().encode("ascii") + b"\n" + text
 
 
 class ResultCache:
-    """File-backed store; one JSON entry per computed value."""
+    """File-backed store; one entry file per computed value."""
 
     def __init__(self, root: Path | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
 
     def _path(self, kind: str, name: str) -> Path:
-        return self.root / f"v{SCHEMA_VERSION}" / kind.lower() / f"{name}.json"
+        return self.root / f"v{SCHEMA_VERSION}" / kind.lower() / f"{name}.entry"
 
-    def _read(self, kind: str, name: str):
-        path = self._path(kind, name)
+    def _read(self, kind: str, name: str, **key) -> Entry | None:
+        """The entry stored as ``name`` if its digest verifies and its meta
+        names ``kind`` and ``key``; else None."""
         try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+            data = self._path(kind, name).read_bytes()
+        except OSError:
             return None
-        if not isinstance(entry, dict) or entry.get("schema_version") != SCHEMA_VERSION:
+        digest, _, text = data.partition(b"\n")
+        if digest != hashlib.sha256(text).hexdigest().encode("ascii"):
             return None
-        if entry.get("kind") != kind:
+        head, _, body = text.partition(b"\n")
+        try:
+            meta = json.loads(head)
+            body = body.decode("utf-8")
+        except ValueError:
             return None
-        payload = entry.get("payload")
-        if payload is None or entry.get("content_digest") != _digest(payload):
+        key["kind"] = kind
+        if not isinstance(meta, dict) or any(
+            k not in meta or meta[k] != v for k, v in key.items()
+        ):
             return None
-        return payload
+        return Entry(meta, body)
 
-    def _write(self, kind: str, name: str, m: int, payload) -> None:
+    def _write(self, kind: str, name: str, m: int, payload, **key) -> Entry:
+        """Store ``payload`` under ``name`` with meta ``kind``, ``m`` and ``key``."""
+        entry = Entry.of(kind, m, payload, **key)
         path = self._path(kind, name)
         path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": kind,
-            "m": m,
-            "payload": payload,
-            "content_digest": _digest(payload),
-        }
         lock_path = self.root / ".lock"
-        lock_path.parent.mkdir(parents=True, exist_ok=True)
         with open(lock_path, "w") as lock:
             try:
                 import fcntl
@@ -96,21 +128,27 @@ class ResultCache:
                 pass
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(entry, handle, sort_keys=True, indent=1)
-                    handle.write("\n")
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(entry.to_bytes())
                 os.replace(tmp, path)
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
+        return entry
 
-    def _load(self, kind: str, name: str, parse):
+    def _put(self, kind: str, name: str, m: int, payload: dict, **key) -> Entry:
+        """The entry of a result, written only when it is complete."""
+        if key["complete"]:
+            return self._write(kind, name, m, payload, **key)
+        return Entry.of(kind, m, payload, **key)
+
+    def _load(self, kind: str, name: str, parse, **key):
         """Parsed payload of an entry, or None when it is missing or malformed."""
-        payload = self._read(kind, name)
-        if payload is None:
+        entry = self._read(kind, name, **key)
+        if entry is None:
             return None
         try:
-            return parse(payload)
+            return parse(json.loads(entry.body))
         except (KeyError, TypeError, ValueError, AttributeError):
             return None
 
@@ -118,43 +156,45 @@ class ResultCache:
 
     def get_level(self, m: int, y: int) -> list[MonoidVector] | None:
         def parse(payload):
-            if payload["m"] != m or payload["y"] != y:
-                return None
             return [parse_vector(s) for s in payload["vectors"]]
 
-        return self._load("LEVEL", f"m{m}_y{y}", parse)
+        return self._load("LEVEL", f"m{m}_y{y}", parse, m=m, y=y)
 
     def put_level(self, m: int, y: int, vectors: list[MonoidVector]) -> None:
         payload = {"m": m, "y": y, "vectors": [format_vector(v) for v in vectors]}
-        self._write("LEVEL", f"m{m}_y{y}", m, payload)
+        self._write("LEVEL", f"m{m}_y{y}", m, payload, y=y)
 
     # -- BASIS (complete results only) ----------------------------------------
 
-    def get_basis(self, m: int) -> dict | None:
-        """The stored ``basis_to_dict`` payload of a complete basis, or None."""
-        payload = self._read("BASIS", f"m{m}")
-        if not (
-            _complete(payload, m=m)
-            and {"algorithm", "max_level_seen"} <= payload.keys()
-            and _strings(payload.get("elements"))
-        ):
-            return None
-        payload["schema_version"] = SCHEMA_VERSION  # old payloads lack it
-        return payload
+    def get_basis(self, m: int, parse: bool = False) -> Entry | None:
+        """The entry of a complete basis of degree m, or None.
 
-    def put_basis(self, basis: HilbertBasis) -> dict:
-        """Store a complete basis; return its payload, stored or not."""
-        payload = basis_to_dict(basis)
-        if basis.complete:
-            self._write("BASIS", f"m{basis.m}", basis.m, payload)
-        return payload
+        With ``parse`` the entry carries its payload, checked for the
+        fields the text form prints; without, the body is not decoded.
+        """
+        entry = self._read("BASIS", f"m{m}", m=m, complete=True)
+        if entry is None or not isinstance(entry.meta.get("phi"), int):
+            return None
+        if not parse:
+            return entry
+        return _parsed(
+            entry,
+            lambda p: _complete(p, m=m)
+            and {"algorithm", "max_level_seen"} <= p.keys()
+            and _strings(p.get("elements")),
+        )
+
+    def put_basis(self, basis: HilbertBasis) -> Entry:
+        """The entry of a basis, written only when the basis is complete."""
+        return self._put(
+            "BASIS", f"m{basis.m}", basis.m, basis_to_dict(basis),
+            complete=basis.complete, phi=basis.max_element_level,
+        )
 
     # -- STANDARD --------------------------------------------------------------
 
     def get_standard(self, m: int) -> StandardSet | None:
         def parse(payload):
-            if payload["m"] != m:
-                return None
             vectors = []
             provenance = {}
             for item in payload["vectors"]:
@@ -163,7 +203,7 @@ class ResultCache:
                 provenance[v] = _provenance(item)
             return StandardSet(m=m, vectors=tuple(vectors), provenance=provenance)
 
-        return self._load("STANDARD", f"m{m}", parse)
+        return self._load("STANDARD", f"m{m}", parse, m=m)
 
     def put_standard(self, std: StandardSet) -> None:
         payload = {
@@ -187,25 +227,32 @@ class ResultCache:
         n_part = "all" if n is None else str(n)
         return f"m{m}_n{n_part}_excl{int(exclude_standard)}"
 
-    def get_report(self, m: int, n: int | None, exclude_standard: bool) -> dict | None:
-        """The stored ``report_to_dict`` payload of a complete report, or None."""
-        payload = self._read("REPORT", self._report_name(m, n, exclude_standard))
-        if not (
-            _complete(payload, m=m, n=n, exclude_standard=exclude_standard)
-            and {"verdict", "standard_set"} <= payload.keys()
-            and isinstance(payload.get("counts"), dict)
-            and isinstance(payload.get("outcomes"), list)
-        ):
-            return None
-        return payload
+    def get_report(
+        self, m: int, n: int | None, exclude_standard: bool, parse: bool = False
+    ) -> Entry | None:
+        """The entry of a complete report, or None; ``parse`` as in ``get_basis``."""
+        key = {"m": m, "n": n, "exclude_standard": exclude_standard}
+        name = self._report_name(m, n, exclude_standard)
+        entry = self._read("REPORT", name, complete=True, **key)
+        if entry is None or not parse:
+            return entry
+        return _parsed(
+            entry,
+            lambda p: _complete(p, **key)
+            and {"verdict", "standard_set"} <= p.keys()
+            and isinstance(p.get("counts"), dict)
+            and isinstance(p.get("outcomes"), list),
+        )
 
-    def put_report(self, report: ConditionReport) -> dict:
-        """Store a complete report; return its payload, stored or not."""
-        payload = report_to_dict(report)
-        if report.complete:
-            name = self._report_name(report.m, report.n, report.exclude_standard)
-            self._write("REPORT", name, report.m, payload)
-        return payload
+    def put_report(self, report: ConditionReport) -> Entry:
+        """The entry of a report, written only when the report is complete."""
+        return self._put(
+            "REPORT",
+            self._report_name(report.m, report.n, report.exclude_standard),
+            report.m, report_to_dict(report),
+            n=report.n, exclude_standard=report.exclude_standard,
+            complete=report.complete,
+        )
 
 
 # -- the shared JSON layouts ---------------------------------------------------
@@ -262,6 +309,15 @@ def _complete(payload, **key) -> bool:
         and payload.get("complete") is True
         and all(k in payload and payload[k] == v for k, v in key.items())
     )
+
+
+def _parsed(entry: Entry, valid) -> Entry | None:
+    """``entry`` with its parsed payload, or None if the payload fails ``valid``."""
+    try:
+        payload = json.loads(entry.body)
+    except ValueError:
+        return None
+    return replace(entry, payload=payload) if valid(payload) else None
 
 
 def _strings(items) -> bool:

@@ -17,7 +17,7 @@ from math import gcd, isfinite
 from multiprocessing import Pool
 
 from .budget import DEFAULT_MAX_CANDIDATES, DEFAULT_MAX_SECONDS, SearchBudget
-from .cache import SCHEMA_VERSION, ResultCache, basis_from_dict, basis_to_dict
+from .cache import SCHEMA_VERSION, Entry, ResultCache, basis_from_dict
 from .characters import enumerate_hodge_labels
 from .cycles import (
     COUNTEREXAMPLE_33,
@@ -48,17 +48,17 @@ def _cache(args) -> ResultCache:
     return ResultCache(args.cache_dir)
 
 
-def _cached_basis(m, cache, budget) -> dict:
-    """The ``basis_to_dict`` payload of degree m: the cached one, else computed."""
-    payload = cache.get_basis(m)
-    if payload is None:
-        payload = cache.put_basis(hilbert_basis(m, budget=budget))
-    return payload
+def _cached_basis(m, cache, budget, parse=False) -> Entry:
+    """The basis entry of degree m: the cached one, else computed.
 
-
-def _phi(basis: dict) -> int:
-    """The largest level ``y`` among the elements ``x1,...;y`` of a payload."""
-    return max((int(v[v.rindex(";") + 1:]) for v in basis["elements"]), default=0)
+    ``parse`` asks for the payload, which only the text form and the
+    all-levels check read; ``phi`` and the JSON form read the meta and
+    the body.
+    """
+    entry = cache.get_basis(m, parse=parse)
+    if entry is None:
+        entry = cache.put_basis(hilbert_basis(m, budget=budget))
+    return entry
 
 
 def _bad_range(args) -> bool:
@@ -72,34 +72,35 @@ def _bad_range(args) -> bool:
 def cmd_basis(args) -> int:
     budget = _budget(args)
     cache = _cache(args)
+    text = args.format == "text"
     if args.max_level is None:
-        basis = _cached_basis(args.m, cache, budget)
+        entry = _cached_basis(args.m, cache, budget, parse=text)
     else:
-        # an uncertified sieve of the first levels, never cached
-        sieve = hilbert_basis(
+        # an uncertified sieve of the first levels: incomplete, never written
+        entry = cache.put_basis(hilbert_basis(
             args.m, max_level=args.max_level, algorithm="levelwise", budget=budget
-        )
-        basis = basis_to_dict(sieve)
-    if args.format == "json":
-        print(json.dumps(basis, sort_keys=True, indent=1))
-    else:
+        ))
+    if text:
+        basis = entry.payload
         elements = basis["elements"]
         print(
             f"m={basis['m']} algorithm={basis['algorithm']} "
             f"complete={str(basis['complete']).lower()} "
-            f"max_level={_phi(basis)} elements={len(elements)}"
+            f"max_level={entry.meta['phi']} elements={len(elements)}"
         )
         for v in elements:
             print(v)
-    return EXIT_OK if basis["complete"] else EXIT_INCOMPLETE
+    else:
+        sys.stdout.write(entry.body)
+    return EXIT_OK if entry.meta["complete"] else EXIT_INCOMPLETE
 
 
 def cmd_phi(args) -> int:
-    basis = _cached_basis(args.m, _cache(args), _budget(args))
-    if not basis["complete"]:
-        print(f"phi({args.m}) >= {_phi(basis)} complete=false")
+    meta = _cached_basis(args.m, _cache(args), _budget(args)).meta
+    if not meta["complete"]:
+        print(f"phi({args.m}) >= {meta['phi']} complete=false")
         return EXIT_INCOMPLETE
-    print(f"phi({args.m}) = {_phi(basis)} complete=true")
+    print(f"phi({args.m}) = {meta['phi']} complete=true")
     return EXIT_OK
 
 
@@ -110,9 +111,9 @@ def cmd_phi_table(args) -> int:
     rows = []
     any_incomplete = False
     for m in range(args.m_from, args.m_to + 1):
-        basis = _cached_basis(m, cache, _budget(args))
-        rows.append((m, _phi(basis), basis["complete"]))
-        any_incomplete |= not basis["complete"]
+        meta = _cached_basis(m, cache, _budget(args)).meta
+        rows.append((m, meta["phi"], meta["complete"]))
+        any_incomplete |= not meta["complete"]
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -156,31 +157,35 @@ def _report_lines(report: dict) -> list[str]:
     return lines
 
 
-def _cached_report(m, n, exclude_standard, cache, budget) -> dict:
-    """The ``report_to_dict`` payload of a check: the cached one, else computed.
+def _cached_report(m, n, exclude_standard, cache, budget, parse=False) -> Entry:
+    """The report entry of a check: the cached one, else computed.
 
-    A miss without ``n`` is the one place that parses a basis payload.
+    A miss without ``n`` is the one place that parses a basis payload
+    into vectors.
     """
-    payload = cache.get_report(m, n, exclude_standard)
-    if payload is None:
-        basis = basis_from_dict(_cached_basis(m, cache, budget)) if n is None else None
+    entry = cache.get_report(m, n, exclude_standard, parse=parse)
+    if entry is None:
+        basis = None
+        if n is None:
+            basis = basis_from_dict(_cached_basis(m, cache, budget, parse=True).payload)
         report = check_condition(
             m, n=n, exclude_standard=exclude_standard, budget=budget, basis=basis
         )
-        payload = cache.put_report(report)
-    return payload
+        entry = cache.put_report(report)
+    return entry
 
 
 def cmd_check(args) -> int:
-    report = _cached_report(
-        args.m, args.n, args.exclude_standard, _cache(args), _budget(args)
+    text = args.format == "text"
+    entry = _cached_report(
+        args.m, args.n, args.exclude_standard, _cache(args), _budget(args), parse=text
     )
-    if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=1))
-    else:
-        for line in _report_lines(report):
+    if text:
+        for line in _report_lines(entry.payload):
             print(line)
-    return EXIT_OK if report["complete"] else EXIT_INCOMPLETE
+    else:
+        sys.stdout.write(entry.body)
+    return EXIT_OK if entry.meta["complete"] else EXIT_INCOMPLETE
 
 
 def cmd_scan_fourfolds(args) -> int:

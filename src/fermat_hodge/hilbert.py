@@ -285,27 +285,24 @@ class _Closure:
 
         Rows are sign-normalized (the store is closed under negation)
         and deduplicated.  Each pass subtracts the lowest-index fit from
-        every row that still has one.
+        every row that still has one, and keeps only the pairs that fit:
+        subtraction shrinks both parts of a row, so a pair that does not
+        fit now never will.
         """
         self.budget.check(self.ticks)
         V = np.vstack([np.zeros((0, self.C), dtype=np.int64), *parts])
         first = V[np.arange(len(V)), np.argmax(V != 0, axis=1)]
         V = _unique_rows(V * np.where(first < 0, -1, 1)[:, None])[0]
         out = [np.zeros((0, self.C), dtype=np.int64)]
-        for _, W, pair_row, pair_g in self._chunks(V[V.any(axis=1)]):
-            alive = np.ones(len(W), dtype=bool)
+        for _, W, rows, gs in self._chunks(V[V.any(axis=1)]):
             while True:
                 self.budget.check(self.ticks)
-                sel = alive[pair_row]
-                rows, gs = pair_row[sel], pair_g[sel]
                 fit = self._fits(W, rows, gs)
                 rows, gs = rows[fit], gs[fit]
                 if not len(rows):
                     break
                 first_rows, first_pos = np.unique(rows, return_index=True)
                 W[first_rows] -= self.G[gs[first_pos]]
-                alive[:] = False
-                alive[first_rows[W[first_rows].any(axis=1)]] = True
             out.append(W[W.any(axis=1)])
         return _unique_rows(np.vstack(out))[0]
 

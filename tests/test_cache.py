@@ -2,7 +2,13 @@ import json
 
 import pytest
 
-from fermat_hodge import check_condition, enumerate_level, hilbert_basis, standard_elements
+from fermat_hodge import (
+    check_condition,
+    enumerate_level,
+    format_vector,
+    hilbert_basis,
+    standard_elements,
+)
 from fermat_hodge.cache import (
     ResultCache,
     basis_from_dict,
@@ -10,6 +16,8 @@ from fermat_hodge.cache import (
     default_cache_dir,
     report_to_dict,
 )
+
+from .cache_entries import forge_entry, forge_old_entry, read_entry
 
 
 @pytest.fixture
@@ -26,8 +34,12 @@ class TestRoundTrips:
     def test_basis(self, cache):
         basis = hilbert_basis(9)
         cache.put_basis(basis)
-        assert cache.get_basis(9) == basis_to_dict(basis)
-        assert basis_from_dict(cache.get_basis(9)) == basis
+        entry = cache.get_basis(9)
+        assert entry.meta == {"kind": "BASIS", "m": 9, "complete": True, "phi": 2}
+        assert entry.payload is None and json.loads(entry.body) == basis_to_dict(basis)
+        parsed = cache.get_basis(9, parse=True)
+        assert parsed.body == entry.body and parsed.payload == basis_to_dict(basis)
+        assert basis_from_dict(parsed.payload) == basis
 
     def test_partial_basis_not_cached(self, cache):
         partial = hilbert_basis(12, algorithm="levelwise", max_level=2)
@@ -44,7 +56,12 @@ class TestRoundTrips:
     def test_report(self, cache):
         report = check_condition(12)
         cache.put_report(report)
-        assert cache.get_report(12, None, False) == report_to_dict(report)
+        entry = cache.get_report(12, None, False, parse=True)
+        assert entry.meta == {
+            "kind": "REPORT", "m": 12, "n": None, "exclude_standard": False,
+            "complete": True,
+        }
+        assert entry.payload == report_to_dict(report)
 
     def test_missing_entry(self, cache):
         assert cache.get_level(5, 1) is None
@@ -55,23 +72,42 @@ class TestIntegrity:
         vectors = enumerate_level(9, 2)
         cache.put_level(9, 2, vectors)
         path = cache._path("LEVEL", "m9_y2")
-        entry = json.loads(path.read_text())
-        entry["payload"]["vectors"][0] = "9,9;9"
-        path.write_text(json.dumps(entry))
+        first = format_vector(vectors[0]).encode()
+        path.write_bytes(path.read_bytes().replace(first, b"9,9,9,9,9,9,9,9;9", 1))
         assert cache.get_level(9, 2) is None
 
-    def test_schema_version_checked(self, cache):
+    @pytest.mark.parametrize(
+        "old,new",
+        [(b'"phi":5', b'"phi":9'), (b'"max_level_seen": 5', b'"max_level_seen": 9')],
+        ids=["meta", "body"],
+    )
+    def test_flipped_byte_is_a_miss(self, cache, old, new):
+        cache.put_basis(hilbert_basis(12))
+        path = cache._path("BASIS", "m12")
+        data = path.read_bytes()
+        assert data.count(old) == 1
+        path.write_bytes(data.replace(old, new))
+        assert cache.get_basis(12) is None
+        assert cache.get_basis(12, parse=True) is None
+
+    def test_old_layout_entry_is_a_miss(self, cache):
+        basis = hilbert_basis(9)
+        forge_old_entry(cache, "BASIS", "m9", 9, basis_to_dict(basis))
+        assert cache.get_basis(9) is None
         vectors = enumerate_level(9, 2)
-        cache.put_level(9, 2, vectors)
-        path = cache._path("LEVEL", "m9_y2")
-        entry = json.loads(path.read_text())
-        entry["schema_version"] = 999
-        path.write_text(json.dumps(entry))
+        payload = {"m": 9, "y": 2, "vectors": [format_vector(v) for v in vectors]}
+        forge_old_entry(cache, "LEVEL", "m9_y2", 9, payload)
         assert cache.get_level(9, 2) is None
+        cache.put_basis(basis)
+        assert cache.get_basis(9, parse=True).payload == basis_to_dict(basis)
 
     def test_entry_that_is_not_an_object_is_a_miss(self, cache):
-        cache.put_level(9, 2, enumerate_level(9, 2))
+        vectors = enumerate_level(9, 2)
+        cache.put_level(9, 2, vectors)
         cache._path("LEVEL", "m9_y2").write_text("[1, 2]")
+        assert cache.get_level(9, 2) is None
+        payload = {"m": 9, "y": 2, "vectors": [format_vector(v) for v in vectors]}
+        forge_entry(cache, "LEVEL", "m9_y2", [1, 2], payload)
         assert cache.get_level(9, 2) is None
 
     def test_rewrite_after_poisoning_restores(self, cache):
@@ -97,31 +133,50 @@ class TestKeysAndLayouts:
         cache._path("BASIS", "m9").rename(cache._path("BASIS", "m10"))
         assert cache.get_basis(10) is None
 
+    @pytest.mark.parametrize(
+        "field,value", [("m", 13), ("n", 6), ("exclude_standard", True)]
+    )
+    def test_meta_naming_another_report_key_is_a_miss(self, cache, field, value):
+        cache.put_report(check_condition(12, n=4))
+        meta, body = read_entry(cache, "REPORT", "m12_n4_excl0")
+        edited = {**meta, field: value}
+        forge_entry(cache, "REPORT", "m12_n4_excl0", edited, json.loads(body))
+        assert cache.get_report(12, 4, False) is None
+
+    def test_meta_naming_another_degree_is_a_miss(self, cache):
+        cache.put_basis(hilbert_basis(12))
+        meta, body = read_entry(cache, "BASIS", "m12")
+        forge_entry(cache, "BASIS", "m12", {**meta, "m": 13}, json.loads(body))
+        assert cache.get_basis(12) is None
+
     def test_report_missing_outcomes_is_a_miss(self, cache):
         cache.put_report(check_condition(12))
         _rewrite_payload(cache, "REPORT", "m12_nall_excl0", lambda p: p.pop("outcomes"))
-        assert cache.get_report(12, None, False) is None
+        assert cache.get_report(12, None, False, parse=True) is None
 
     def test_basis_missing_elements_is_a_miss(self, cache):
         cache.put_basis(hilbert_basis(12))
         _rewrite_payload(cache, "BASIS", "m12", lambda p: p.pop("elements"))
-        assert cache.get_basis(12) is None
+        assert cache.get_basis(12, parse=True) is None
 
     def test_payload_is_the_cli_json(self, cache):
         basis, report = hilbert_basis(12), check_condition(12)
         cache.put_basis(basis)
         cache.put_report(report)
-        stored = json.loads(cache._path("BASIS", "m12").read_text())["payload"]
-        assert stored == basis_to_dict(basis)
-        stored = json.loads(cache._path("REPORT", "m12_nall_excl0").read_text())
-        assert stored["payload"] == report_to_dict(report)
+        _, body = read_entry(cache, "BASIS", "m12")
+        assert body == json.dumps(basis_to_dict(basis), sort_keys=True, indent=1) + "\n"
+        _, body = read_entry(cache, "REPORT", "m12_nall_excl0")
+        assert body == json.dumps(
+            report_to_dict(report), sort_keys=True, indent=1
+        ) + "\n"
 
 
 def _rewrite_payload(cache, kind, name, edit):
     """Apply edit to an entry's payload and store it with a valid digest."""
-    payload = json.loads(cache._path(kind, name).read_text())["payload"]
+    meta, body = read_entry(cache, kind, name)
+    payload = json.loads(body)
     edit(payload)
-    cache._write(kind, name, payload["m"], payload)
+    forge_entry(cache, kind, name, meta, payload)
 
 
 class TestDefaultDir:

@@ -9,6 +9,8 @@ from fermat_hodge.cache import ResultCache
 from fermat_hodge.cli import build_parser, main
 from fermat_hodge.errors import MembershipError
 
+from .cache_entries import forge_entry, forge_old_entry, read_entry
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -366,73 +368,86 @@ class TestVerify33:
         ]
 
 
-_BASIS_12 = ("BASIS", "m12", lambda cache: cache.get_basis(12))
+_BASIS_12 = ("BASIS", "m12", lambda cache: cache.get_basis(12, parse=True))
 _REPORT_12 = (
-    "REPORT", "m12_nall_excl0", lambda cache: cache.get_report(12, None, False)
+    "REPORT", "m12_nall_excl0",
+    lambda cache: cache.get_report(12, None, False, parse=True),
 )
 
 
+def _set(key, value):
+    return lambda fields: fields.__setitem__(key, value)
+
+
+def _nothing(fields):
+    pass
+
+
+def _recomputes_older_entry(entry, argv, capsys, tmp_path):
+    """An entry in the earlier layout is a miss: the command prints the
+    cold bytes and rewrites the entry in the current layout."""
+    kind, name, get = entry
+    argv = argv + ["--cache-dir", str(tmp_path)]
+    _, fresh = run_cli(argv, capsys)
+    cache = ResultCache(tmp_path)
+    current = read_entry(cache, kind, name)
+    forge_old_entry(cache, kind, name, 12, json.loads(current[1]))
+    assert get(cache) is None
+    code, out = run_cli(argv, capsys)
+    assert code == 0 and out == fresh
+    assert read_entry(cache, kind, name) == current
+
+
 class TestCacheLayouts:
-    """Entries written in the layout the cache used before it stored the
-    CLI's JSON (no schema_version or counts; standard_count for
-    standard_set), and digest-valid entries that lack what the printers
-    read, are served or recomputed, never a crash."""
+    """Entries in the layout the cache used before it stored digests over
+    its bytes, and digest-valid entries whose meta names another key or
+    whose payload lacks what the text printers read, are recomputed and
+    rewritten, never served and never a crash."""
 
     def test_older_report_entry_is_recomputed_and_rewritten(self, capsys, tmp_path):
-        argv = ["check", "--m", "12", "--format", "json", "--cache-dir", str(tmp_path)]
-        _, fresh = run_cli(argv, capsys)
-        cache, name = ResultCache(tmp_path), "m12_nall_excl0"
-        current = json.loads(cache._path("REPORT", name).read_text())["payload"]
-        older = {k: current[k] for k in
-                 ("m", "n", "exclude_standard", "outcomes", "verdict", "complete")}
-        older["standard_count"] = current["standard_set"]
-        cache._write("REPORT", name, 12, older)
-        code, out = run_cli(argv, capsys)
-        assert code == 0 and out == fresh
-        assert json.loads(cache._path("REPORT", name).read_text())["payload"] == current
+        argv = ["check", "--m", "12", "--format", "json"]
+        _recomputes_older_entry(_REPORT_12, argv, capsys, tmp_path)
+
+    def test_older_basis_entry_is_recomputed_and_rewritten(self, capsys, tmp_path):
+        argv = ["basis", "--m", "12", "--format", "json"]
+        _recomputes_older_entry(_BASIS_12, argv, capsys, tmp_path)
 
     @pytest.mark.parametrize(
-        "entry,argv,edit",
+        "entry,argv,edit_meta,edit_payload",
         [
             (_BASIS_12, ["basis", "--m", "12", "--format", "json"],
-             lambda p: p.update(complete=False)),
+             _set("complete", False), _set("complete", False)),
             (_BASIS_12, ["basis", "--m", "12"],
-             lambda p: p["elements"].__setitem__(0, 7)),
-            (_BASIS_12, ["phi", "--m", "12"],
-             lambda p: p.update(elements="0,0,0,0,0,1,0,0,0,0,0;1")),
+             _nothing, lambda p: p["elements"].__setitem__(0, 7)),
+            (_BASIS_12, ["basis", "--m", "12"],
+             _nothing, _set("elements", "0,0,0,0,0,1,0,0,0,0,0;1")),
             (_BASIS_12, ["basis", "--m", "12", "--format", "json"],
-             lambda p: p.update(m=13)),
-            (_REPORT_12, ["check", "--m", "12"], lambda p: p.pop("counts")),
+             _set("m", 13), _set("m", 13)),
+            (_BASIS_12, ["phi", "--m", "12"], _set("phi", "5"), _nothing),
+            (_REPORT_12, ["check", "--m", "12"], _nothing, lambda p: p.pop("counts")),
+            (_REPORT_12, ["check", "--m", "12", "--format", "json"],
+             _set("exclude_standard", True), _set("exclude_standard", True)),
         ],
         ids=["incomplete", "non-string-element", "elements-not-a-list",
-             "another-degree", "report-without-counts"],
+             "another-degree", "phi-not-an-int", "report-without-counts",
+             "report-of-another-key"],
     )
     def test_entry_failing_the_check_is_recomputed(
-        self, entry, argv, edit, capsys, tmp_path
+        self, entry, argv, edit_meta, edit_payload, capsys, tmp_path
     ):
         kind, name, get = entry
         argv = argv + ["--cache-dir", str(tmp_path)]
         _, fresh = run_cli(argv, capsys)
         cache = ResultCache(tmp_path)
-        current = json.loads(cache._path(kind, name).read_text())["payload"]
-        edited = json.loads(json.dumps(current))
-        edit(edited)
-        cache._write(kind, name, 12, edited)
+        current = read_entry(cache, kind, name)
+        meta, payload = dict(current[0]), json.loads(current[1])
+        edit_meta(meta)
+        edit_payload(payload)
+        forge_entry(cache, kind, name, meta, payload)
         assert get(cache) is None
         code, out = run_cli(argv, capsys)
         assert code == 0 and out == fresh
-        assert get(cache) == current
-
-    def test_older_basis_entry_is_served(self, capsys, tmp_path):
-        argv = ["basis", "--m", "12", "--format", "json", "--cache-dir", str(tmp_path)]
-        _, fresh = run_cli(argv, capsys)
-        cache = ResultCache(tmp_path)
-        older = json.loads(cache._path("BASIS", "m12").read_text())["payload"]
-        del older["schema_version"]
-        cache._write("BASIS", "m12", 12, older)
-        code, out = run_cli(argv, capsys)
-        assert code == 0 and out == fresh
-        assert json.loads(cache._path("BASIS", "m12").read_text())["payload"] == older
+        assert read_entry(cache, kind, name) == current
 
 
 def _hot_requests(m):
@@ -454,6 +469,10 @@ def _raise(*args, **kwargs):
     raise AssertionError("a cache hit parsed, formatted or computed a result")
 
 
+def _raise_on_encode(*args, **kwargs):
+    raise AssertionError("a cache hit encoded JSON")
+
+
 class TestHotReads:
     """A hit prints the stored payload: no vector is parsed or formatted."""
 
@@ -470,6 +489,22 @@ class TestHotReads:
         monkeypatch.setattr(cli, "hilbert_basis", _raise)
         monkeypatch.setattr(cli, "check_condition", _raise)
         warm = [run_cli(argv + cache, capsys) for argv in _hot_requests(m)]
+        assert warm == cold
+
+    def test_hit_encodes_nothing(self, capsys, tmp_path, monkeypatch):
+        # phi-table --format json encodes its own small table, so it is left out
+        requests = [
+            ["phi", "--m", "21"],
+            ["phi-table", "--from", "20", "--to", "22"],
+            ["basis", "--m", "21", "--format", "json"],
+            ["check", "--m", "21", "--n", "4", "--exclude-standard", "--format", "json"],
+        ]
+        cache = ["--cache-dir", str(tmp_path)]
+        cold = [run_cli(argv + cache, capsys) for argv in requests]
+        assert all(code == 0 for code, _ in cold)
+        monkeypatch.setattr(json, "dumps", _raise_on_encode)
+        monkeypatch.setattr(json, "dump", _raise_on_encode)
+        warm = [run_cli(argv + cache, capsys) for argv in requests]
         assert warm == cold
 
 
