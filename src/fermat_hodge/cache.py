@@ -19,7 +19,7 @@ nothing.  A write encodes the body once, to a temporary file renamed
 into place under an advisory lock, so a crashed writer never leaves a
 torn entry.  Entries of the earlier layout (one JSON object named
 ``<name>.json``, digest over the re-serialized payload) are not read;
-their keys are recomputed and written anew.
+their keys are recomputed and rewritten, removing the ``<name>.json`` file.
 
 The product caches results that cost more to compute than to read:
 complete bases and complete condition reports.  LEVEL and STANDARD
@@ -131,6 +131,7 @@ class ResultCache:
                 with os.fdopen(fd, "wb") as handle:
                     handle.write(entry.to_bytes())
                 os.replace(tmp, path)
+                path.with_suffix(".json").unlink(missing_ok=True)
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)

@@ -31,6 +31,7 @@ from .monoid import (
     level_rows,
     rows_to_indices,
     rows_to_vectors,
+    vectors_to_rows,
     weight_table,
 )
 
@@ -156,7 +157,8 @@ def from_monoid(v: MonoidVector, m: int) -> HodgeLabel:
     """
     if not is_member(v, m):
         raise MembershipError(f"not a member of the degree-{m} monoid: {v}")
-    return HodgeLabel._proved(m, tuple(rows_to_indices(np.array([v.row()]))[0].tolist()))
+    (entries,) = rows_to_indices(vectors_to_rows([v], m)).tolist()
+    return HodgeLabel._proved(m, tuple(entries))
 
 
 def star_join(beta: Character, gamma: Character) -> Character:

@@ -14,7 +14,6 @@ import functools
 import json
 import sys
 from math import gcd, isfinite
-from multiprocessing import Pool
 
 from .budget import DEFAULT_MAX_CANDIDATES, DEFAULT_MAX_SECONDS, SearchBudget
 from .cache import SCHEMA_VERSION, Entry, ResultCache, basis_from_dict
@@ -198,15 +197,7 @@ def cmd_scan_fourfolds(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    budget = _budget(args)
-    if args.jobs > 1 and args.m_from < args.m_to:
-        with Pool(processes=args.jobs) as pool:
-            per_degree = pool.starmap(
-                scan_fourfolds, [(m, m, args.coprime_to, budget) for m in degrees]
-            )
-        reports = [report for part in per_degree for report in part]
-    else:
-        reports = scan_fourfolds(args.m_from, args.m_to, args.coprime_to, budget)
+    reports = scan_fourfolds(args.m_from, args.m_to, args.coprime_to, _budget(args))
     for report in reports:
         counts = report.counts
         print(
@@ -366,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="m_from", type=int, required=True)
     p.add_argument("--to", dest="m_to", type=int, required=True)
     p.add_argument("--coprime-to", type=_positive, default=None)
-    p.add_argument("--jobs", type=_positive, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_scan_fourfolds)
 

@@ -38,6 +38,7 @@ from .monoid import (
     level_rows,
     rows_to_indices,
     rows_to_vectors,
+    vectors_to_rows,
     weight_table,
 )
 
@@ -120,7 +121,7 @@ def is_quasi_decomposable(
     """
     if not is_member(x, m):
         raise MembershipError(f"not a member of the degree-{m} monoid: {x}")
-    found = _witnesses(np.array([x.row()], dtype=np.int64), budget)
+    found = _witnesses(vectors_to_rows([x], m), budget)
     if not found:
         raise BudgetExceededError(
             f"the quasi search of {format_vector(x)} was cut short by the budget"
@@ -411,7 +412,7 @@ def check_condition(
         for e in elements if given else ():
             if not is_member(e, m):
                 raise MembershipError(f"not a member of the degree-{m} monoid: {e}")
-        rows = np.array([e.row() for e in elements], dtype=np.int64).reshape(-1, m)
+        rows = vectors_to_rows(elements, m)
         rows = rows[np.argsort(canonical_keys(rows), kind="stable")]
         complete = True
     elements = rows_to_vectors(rows)

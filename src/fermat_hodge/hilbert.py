@@ -50,6 +50,7 @@ from .monoid import (
     level_rows,
     rows_to_vectors,
     units,
+    vectors_to_rows,
     weight_table,
 )
 
@@ -536,9 +537,7 @@ def is_decomposable(
         return None
     limit = v.y // 2
     if basis is not None and (basis.complete or basis.max_level_seen >= limit):
-        rows = np.array(
-            [c.row() for c in basis.elements if c.y <= limit], dtype=np.int64
-        ).reshape(-1, m)
+        rows = vectors_to_rows([c for c in basis.elements if c.y <= limit], m)
     else:
         rows, sieved = _levelwise(m, limit, budget or SearchBudget())
         if sieved < limit:

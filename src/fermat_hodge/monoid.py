@@ -151,6 +151,11 @@ def canonical_keys(rows: np.ndarray) -> np.ndarray:
     return big.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
 
 
+def vectors_to_rows(vectors, m: int) -> np.ndarray:
+    """The (N, m) int64 rows (x..., y) of degree-m vectors; (0, m) for none."""
+    return np.array([v.row() for v in vectors], dtype=np.int64).reshape(-1, m)
+
+
 def rows_to_vectors(rows: np.ndarray) -> list[MonoidVector]:
     """The vectors of an int array of rows (x..., y); every entry a Python int."""
     return [MonoidVector(x=tuple(r[:-1]), y=r[-1]) for r in rows.tolist()]

@@ -30,7 +30,12 @@ def forge_entry(cache, kind, name, meta, payload):
 
 def forge_old_entry(cache, kind, name, m, payload):
     """Store payload under name in the earlier layout: one JSON object with a
-    digest over the compact payload."""
+    digest over the compact payload.
+
+    The bytes go to the layout's own file, ``<name>.json``, and to the
+    current ``<name>.entry``, so neither copy may be served; returns the
+    path of the ``.json`` file.
+    """
     compact = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     entry = {
         "schema_version": 1,
@@ -41,6 +46,9 @@ def forge_old_entry(cache, kind, name, m, payload):
     }
     data = json.dumps(entry, sort_keys=True, indent=1).encode("utf-8")
     _store(cache, kind, name, data)
+    old = cache._path(kind, name).with_suffix(".json")
+    old.write_bytes(data)
+    return old
 
 
 def _store(cache, kind, name, data):

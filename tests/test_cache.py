@@ -91,15 +91,26 @@ class TestIntegrity:
         assert cache.get_basis(12, parse=True) is None
 
     def test_old_layout_entry_is_a_miss(self, cache):
-        basis = hilbert_basis(9)
-        forge_old_entry(cache, "BASIS", "m9", 9, basis_to_dict(basis))
+        basis, report = hilbert_basis(9), check_condition(9)
+        old_basis = forge_old_entry(cache, "BASIS", "m9", 9, basis_to_dict(basis))
         assert cache.get_basis(9) is None
+        old_report = forge_old_entry(
+            cache, "REPORT", "m9_nall_excl0", 9, report_to_dict(report)
+        )
+        assert cache.get_report(9, None, False) is None
         vectors = enumerate_level(9, 2)
         payload = {"m": 9, "y": 2, "vectors": [format_vector(v) for v in vectors]}
         forge_old_entry(cache, "LEVEL", "m9_y2", 9, payload)
         assert cache.get_level(9, 2) is None
         cache.put_basis(basis)
+        cache.put_report(report)
         assert cache.get_basis(9, parse=True).payload == basis_to_dict(basis)
+        assert cache.get_report(9, None, False, parse=True).payload == report_to_dict(
+            report
+        )
+        # the rewrite removes the earlier layout's file: one file per key
+        assert [p.name for p in old_basis.parent.iterdir()] == ["m9.entry"]
+        assert [p.name for p in old_report.parent.iterdir()] == ["m9_nall_excl0.entry"]
 
     def test_entry_that_is_not_an_object_is_a_miss(self, cache):
         vectors = enumerate_level(9, 2)

@@ -224,18 +224,25 @@ class TestScanCommand:
         assert "m=33 verdict=true complete=false" in out
         assert "summary: incomplete at [33]" in out
 
-    def test_jobs_do_not_change_output(self, capsys, tmp_path):
-        cases = [
-            (["--from", "5", "--to", "13", "--coprime-to", "6"], 0),
-            (["--from", "28", "--to", "33", "--max-candidates", "6000"], 3),
-            (["--from", "9", "--to", "5"], 2),
-            (["--from", "1", "--to", "5"], 2),
-        ]
-        for bounds, code in cases:
-            argv = ["scan-fourfolds", *bounds, "--cache-dir", str(tmp_path)]
-            runs = [run_cli(argv + ["--jobs", jobs], capsys) for jobs in ("1", "2")]
-            assert runs[0] == runs[1]
-            assert runs[0][0] == code
+    @pytest.mark.parametrize(
+        "bounds,code,summary",
+        [
+            (["--from", "5", "--to", "13", "--coprime-to", "6"], 0,
+             ["summary: 4 degrees, all conditions hold"]),
+            (["--from", "28", "--to", "33", "--max-candidates", "6000"], 3,
+             ["summary: 6 degrees, all conditions hold",
+              "summary: incomplete at [28, 30, 32, 33]"]),
+            (["--from", "9", "--to", "5"], 2, []),
+            (["--from", "1", "--to", "5"], 2, []),
+        ],
+        ids=["coprime-to-6", "truncated", "empty-range", "below-two"],
+    )
+    def test_scan_exit_code_and_summary(self, bounds, code, summary, capsys, tmp_path):
+        argv = ["scan-fourfolds", *bounds, "--cache-dir", str(tmp_path)]
+        got, out = run_cli(argv, capsys)
+        assert got == code
+        lines = out.splitlines()
+        assert [line for line in lines if line.startswith("summary:")] == summary
 
 
 class TestOtherCommands:
@@ -293,8 +300,7 @@ class TestUsageErrors:
             ["basis", "--m", "12", "--max-level", "-3"],
             ["scan-fourfolds", "--from", "10", "--to", "12", "--coprime-to", "0"],
             ["scan-fourfolds", "--from", "10", "--to", "12", "--coprime-to", "-6"],
-            ["scan-fourfolds", "--from", "10", "--to", "12", "--jobs", "0"],
-            ["scan-fourfolds", "--from", "10", "--to", "12", "--jobs", "-2"],
+            ["scan-fourfolds", "--from", "10", "--to", "12", "--jobs", "2"],
             ["verdict", "--m", "33", "--n", "4", "--max-seconds", "nan"],
             ["verdict", "--m", "33", "--n", "4", "--max-seconds", "inf"],
             ["verdict", "--m", "33", "--n", "4", "--max-seconds", "-1"],
@@ -305,7 +311,9 @@ class TestUsageErrors:
     def test_parser_rejects(self, argv, capsys, tmp_path):
         assert main(argv + ["--cache-dir", str(tmp_path)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "error: argument" in captured.err
+        # an unknown flag is unrecognized; every other case names its argument
+        error = "unrecognized arguments: --jobs" if "--jobs" in argv else "argument"
+        assert captured.out == "" and f"error: {error}" in captured.err
 
     @pytest.mark.parametrize("command", [["hodge", "--m", "33", "--n", "4"], ["newton"]])
     @pytest.mark.parametrize("flag", [["--max-candidates", "1"], ["--max-seconds", "0"]])
@@ -385,17 +393,19 @@ def _nothing(fields):
 
 def _recomputes_older_entry(entry, argv, capsys, tmp_path):
     """An entry in the earlier layout is a miss: the command prints the
-    cold bytes and rewrites the entry in the current layout."""
+    cold bytes, rewrites the entry in the current layout and removes the
+    earlier layout's file."""
     kind, name, get = entry
     argv = argv + ["--cache-dir", str(tmp_path)]
     _, fresh = run_cli(argv, capsys)
     cache = ResultCache(tmp_path)
     current = read_entry(cache, kind, name)
-    forge_old_entry(cache, kind, name, 12, json.loads(current[1]))
+    old = forge_old_entry(cache, kind, name, 12, json.loads(current[1]))
     assert get(cache) is None
     code, out = run_cli(argv, capsys)
     assert code == 0 and out == fresh
     assert read_entry(cache, kind, name) == current
+    assert not old.exists()
 
 
 class TestCacheLayouts:
@@ -546,3 +556,14 @@ class TestDeterminism:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "d=1 trials=10 seed=3 passed=true"
+
+    def test_cli_import_loads_no_multiprocessing(self):
+        # every command runs in the one process that parsed it
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, fermat_hodge.cli; print('multiprocessing' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"

@@ -19,6 +19,7 @@ from fermat_hodge.monoid import (
     parse_vector,
     rows_to_indices,
     rows_to_vectors,
+    vectors_to_rows,
     weight_table,
 )
 
@@ -193,6 +194,7 @@ class TestLevelRows:
         vectors = rows_to_vectors(rows)
         assert vectors == enumerate_level(m, y)
         assert {type(c) for v in vectors for c in v.row()} == {int}
+        assert np.array_equal(vectors_to_rows(vectors, m), rows)
 
     def test_budget_checked_with_half_table_before_building_it(self):
         with pytest.raises(BudgetExceededError, match=str(comb(47 + 3 - 2, 3))):
