@@ -301,6 +301,7 @@ class TestUsageErrors:
             ["scan-fourfolds", "--from", "10", "--to", "12", "--coprime-to", "0"],
             ["scan-fourfolds", "--from", "10", "--to", "12", "--coprime-to", "-6"],
             ["scan-fourfolds", "--from", "10", "--to", "12", "--jobs", "2"],
+            ["scan-fourfolds", "--from", "10", "--to", "12", "--jobs", "0"],
             ["verdict", "--m", "33", "--n", "4", "--max-seconds", "nan"],
             ["verdict", "--m", "33", "--n", "4", "--max-seconds", "inf"],
             ["verdict", "--m", "33", "--n", "4", "--max-seconds", "-1"],
