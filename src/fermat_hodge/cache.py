@@ -86,9 +86,11 @@ class ResultCache:
 
     def __init__(self, root: Path | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
+        self._prefix = os.path.join(self.root, f"v{SCHEMA_VERSION}", "")
 
     def _path(self, kind: str, name: str) -> Path:
-        return self.root / f"v{SCHEMA_VERSION}" / kind.lower() / f"{name}.entry"
+        """``<root>/v<SCHEMA_VERSION>/<kind>/<name>.entry``, built from one string."""
+        return Path(f"{self._prefix}{kind.lower()}{os.sep}{name}.entry")
 
     def _read(self, kind: str, name: str, **key) -> Entry | None:
         """The entry stored as ``name`` if its digest verifies and its meta

@@ -315,9 +315,14 @@ def _add_common(sub, with_format=None, with_budget=True) -> None:
         sub.add_argument("--format", choices=with_format, default=with_format[0])
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it unchanged."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="fermat-hodge",
         description=(
@@ -385,13 +390,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, with_budget=False)
     p.set_defaults(func=cmd_newton)
 
-    return parser
+    return parser, subs.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    sub = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if sub is None:  # no command first: the full parser's help or error
+            args = parser.parse_args(argv)
+        else:
+            # the subparser the full parser would hand argv[1:] to; what it
+            # leaves over is reported under the top-level usage, as there
+            args, extras = sub.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.command = argv[0]
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -27,6 +27,7 @@ from fermat_hodge import (
     level_one,
     newton_identity_check,
     satisfies_p1,
+    scan_fourfolds,
     to_monoid,
 )
 from fermat_hodge.characters import Character
@@ -229,6 +230,15 @@ def test_stretch_phi_values(m):
         pytest.skip(f"budget exhausted before certifying m={m}")
     assert basis.max_element_level == PHI_STRETCH[m]
     print(f"\n[stretch] phi({m}) = {PHI_STRETCH[m]}: PASS")
+
+
+def test_fourfold_scan_61_to_100():
+    """The range of the stretch scan below, in one ``scan_fourfolds`` call
+    with its default budget: every degree coprime to 6 holds."""
+    reports = scan_fourfolds(61, 100, 6)
+    assert [r.m for r in reports] == [m for m in range(61, 101) if gcd(m, 6) == 1]
+    assert len(reports) == 13
+    assert all(r.verdict and r.complete for r in reports)
 
 
 @pytest.mark.skipif(not stretch_enabled(), reason="set FERMAT_STRETCH=1 to run")

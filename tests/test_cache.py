@@ -190,6 +190,37 @@ def _rewrite_payload(cache, kind, name, edit):
     forge_entry(cache, kind, name, meta, payload)
 
 
+class TestEntryPaths:
+    """Entry file names stay ``<root>/v1/<kind>/<name>.entry``, so caches
+    written by earlier versions keep answering."""
+
+    @pytest.mark.parametrize("as_path", [False, True])
+    @pytest.mark.parametrize(
+        "kind,name",
+        [("BASIS", "m12"), ("REPORT", "m9_nall_excl0"), ("LEVEL", "m9_y2"),
+         ("STANDARD", "m9")],
+    )
+    def test_path_layout(self, kind, name, as_path, tmp_path):
+        root = tmp_path / "cache"
+        cache = ResultCache(root if as_path else str(root))
+        expected = root / "v1" / kind.lower() / f"{name}.entry"
+        assert cache._path(kind, name) == expected
+        assert str(cache._path(kind, name)) == str(expected)
+
+    def test_entry_at_the_joined_path_is_a_hit(self, tmp_path):
+        basis, report = hilbert_basis(9), check_condition(9)
+        written = ResultCache(tmp_path / "written")
+        stored = [written.put_basis(basis), written.put_report(report)]
+        root = tmp_path / "cache"
+        for entry, name in zip(stored, ["m9", "m9_nall_excl0"]):
+            path = root / "v1" / entry.meta["kind"].lower() / f"{name}.entry"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(entry.to_bytes())
+        cache = ResultCache(root)
+        assert cache.get_basis(9).body == stored[0].body
+        assert cache.get_report(9, None, False).body == stored[1].body
+
+
 class TestDefaultDir:
     def test_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("FERMAT_CACHE_DIR", str(tmp_path / "envcache"))

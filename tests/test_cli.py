@@ -287,34 +287,71 @@ class TestOtherCommands:
         assert main(["no-such-command"]) == 2
 
 
+_COMMANDS = [
+    "basis", "phi", "phi-table", "check", "scan-fourfolds", "hodge", "verdict",
+    "verify-33", "newton",
+]
+
+_REJECTED = [
+    ["check", "--m", "12", "--n", "3"],
+    ["hodge", "--m", "5", "--n", "3"],
+    ["verdict", "--m", "33", "--n", "3"],
+    ["newton", "--d", "0"],
+    ["newton", "--trials", "0"],
+    ["basis", "--m", "12", "--max-level", "0"],
+    ["basis", "--m", "12", "--max-level", "-3"],
+    ["scan-fourfolds", "--from", "10", "--to", "12", "--coprime-to", "0"],
+    ["scan-fourfolds", "--from", "10", "--to", "12", "--coprime-to", "-6"],
+    ["scan-fourfolds", "--from", "10", "--to", "12", "--jobs", "2"],
+    ["scan-fourfolds", "--from", "10", "--to", "12", "--jobs", "0"],
+    ["verdict", "--m", "33", "--n", "4", "--max-seconds", "nan"],
+    ["verdict", "--m", "33", "--n", "4", "--max-seconds", "inf"],
+    ["verdict", "--m", "33", "--n", "4", "--max-seconds", "-1"],
+    ["phi", "--m", "12", "--max-candidates", "-1"],
+    ["phi", "--m", "12", "--max-candidates", "1.5"],
+]
+
+# argv the full parser answers with help or an error, never a request
+_NOT_REQUESTS = [
+    [], ["-h"], ["--help"], ["nope"], ["--cache-dir", "x", "phi", "--m", "12"],
+    ["phi", "--m", "12", "extra"], ["phi", "--m", "12", "--", "x"],
+    ["phi", "--", "--m", "12"], ["phi", "--m"], ["phi"],
+    ["check", "--m", "12", "-h"],
+] + [[command, "-h"] for command in _COMMANDS]
+
+
+def _full_parse(argv, capsys):
+    """Exit code, stdout and stderr of the full parser on argv."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
 class TestUsageErrors:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["check", "--m", "12", "--n", "3"],
-            ["hodge", "--m", "5", "--n", "3"],
-            ["verdict", "--m", "33", "--n", "3"],
-            ["newton", "--d", "0"],
-            ["newton", "--trials", "0"],
-            ["basis", "--m", "12", "--max-level", "0"],
-            ["basis", "--m", "12", "--max-level", "-3"],
-            ["scan-fourfolds", "--from", "10", "--to", "12", "--coprime-to", "0"],
-            ["scan-fourfolds", "--from", "10", "--to", "12", "--coprime-to", "-6"],
-            ["scan-fourfolds", "--from", "10", "--to", "12", "--jobs", "2"],
-            ["scan-fourfolds", "--from", "10", "--to", "12", "--jobs", "0"],
-            ["verdict", "--m", "33", "--n", "4", "--max-seconds", "nan"],
-            ["verdict", "--m", "33", "--n", "4", "--max-seconds", "inf"],
-            ["verdict", "--m", "33", "--n", "4", "--max-seconds", "-1"],
-            ["phi", "--m", "12", "--max-candidates", "-1"],
-            ["phi", "--m", "12", "--max-candidates", "1.5"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", _REJECTED)
     def test_parser_rejects(self, argv, capsys, tmp_path):
         assert main(argv + ["--cache-dir", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         # an unknown flag is unrecognized; every other case names its argument
         error = "unrecognized arguments: --jobs" if "--jobs" in argv else "argument"
         assert captured.out == "" and f"error: {error}" in captured.err
+
+    @pytest.mark.parametrize("argv", _REJECTED + _NOT_REQUESTS)
+    def test_messages_match_the_full_parser(self, argv, capsys, tmp_path):
+        if argv in _REJECTED:
+            argv = argv + ["--cache-dir", str(tmp_path)]
+        expected = _full_parse(argv, capsys)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
+
+    def test_unknown_flag_is_reported_under_the_top_level_usage(self, capsys, tmp_path):
+        argv = ["scan-fourfolds", "--from", "10", "--to", "12", "--jobs", "2"]
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fermat-hodge [-h]\n")
+        assert err.endswith("error: unrecognized arguments: --jobs 2\n")
 
     @pytest.mark.parametrize("command", [["hodge", "--m", "33", "--n", "4"], ["newton"]])
     @pytest.mark.parametrize("flag", [["--max-candidates", "1"], ["--max-seconds", "0"]])
@@ -540,6 +577,30 @@ class TestParserReuse:
         code, out = run_cli(["hodge", "--m", "3", "--n", "2"], capsys)
         assert code == 0 and out.splitlines() == ["m=3 n=2 labels=1", "1,1,2,2"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phi", "--m", "12"],
+            ["check", "--m", "21", "--n", "4", "--exclude-standard", "--format", "json"],
+            ["newton", "--d", "2"],
+            ["verify-33"],
+        ],
+    )
+    def test_request_gets_the_full_parsers_namespace(self, argv, tmp_path):
+        argv = argv + ["--cache-dir", str(tmp_path)]
+        expected = vars(build_parser().parse_args(argv))
+        sub = cli._parsers()[1][argv[0]]
+        func = expected.pop("func")
+        assert sub.get_default("func") is func
+        seen = []
+        sub.set_defaults(func=lambda args: seen.append(vars(args)) or 0)
+        try:
+            assert main(argv) == 0
+        finally:
+            sub.set_defaults(func=func)
+        seen[0].pop("func")
+        assert seen == [expected] and expected["command"] == argv[0]
+
 
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, capsys, tmp_path):
@@ -557,6 +618,15 @@ class TestDeterminism:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "d=1 trials=10 seed=3 passed=true"
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch, tmp_path):
+        argv = ["fermat-hodge", "phi", "--m", "9", "--cache-dir", str(tmp_path)]
+        monkeypatch.setattr(sys, "argv", argv)
+        code, out = run_cli(None, capsys)
+        assert code == 0 and out.strip() == "phi(9) = 2 complete=true"
+        monkeypatch.setattr(sys, "argv", ["fermat-hodge", "phi", "--m", "1"])
+        assert main() == 2
+        assert "error: argument --m: degree must be >= 2" in capsys.readouterr().err
 
     def test_cli_import_loads_no_multiprocessing(self):
         # every command runs in the one process that parsed it

@@ -571,6 +571,12 @@ class TestVerdict:
         assert report.condition_report is not None
         assert report.condition_report.verdict
 
+    @pytest.mark.parametrize("m", [24, 30])
+    def test_tenfold_pnm_check(self, m):
+        report = verdict(m, 10)
+        assert report.status == VerdictStatus.PROVEN_BY_PNM_CHECK
+        assert report.condition_report.complete and report.condition_report.verdict
+
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValueError):
             verdict(7, 3)
