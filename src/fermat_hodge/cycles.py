@@ -17,7 +17,6 @@ is its one-row call.  Rows convert through the codec of ``monoid``.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd
@@ -571,46 +570,35 @@ def power_sum_identity_holds(xs: tuple[int, ...], d: int) -> bool:
 _TUPLES = 1 << 12
 
 
-def _randint_tuples(rng: random.Random, trials: int):
-    """The 6-tuples of ``trials`` rounds of six ``rng.randint(-9, 9)`` calls.
+def _draw_tuples(seed: int, trials: int):
+    """``trials`` 6-tuples of integers in [-9, 9], seeded by ``seed``.
 
-    Yields (k, 6) int64 arrays of at most ``_TUPLES`` rows.  A
-    ``randint(-9, 9)`` call draws ``getrandbits(5)``, the top five bits
-    of one 32-bit word of the generator, until the value is below 19,
-    and subtracts 9.  ``getrandbits(32 * k)`` is the next k such words,
-    little-endian, so the same values come from bulk draws: accepted
-    values beyond a chunk's need are carried to the next chunk.
+    Yields (k, 6) int64 arrays of at most ``_TUPLES`` rows.  As with
+    ``random.Random``, the seed's sign is ignored.
     """
-    carry = np.zeros(0, dtype=np.int64)
+    rng = np.random.default_rng(abs(seed))
     for lo in range(0, trials, _TUPLES):
-        need = 6 * (min(lo + _TUPLES, trials) - lo)
-        while len(carry) < need:
-            # 19 of the 32 top-bit values are accepted
-            words = (need - len(carry)) * 32 // 19 + 64
-            raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-            top = np.frombuffer(raw, dtype="<u4") >> 27
-            carry = np.concatenate([carry, top[top < 19].astype(np.int64) - 9])
-        yield carry[:need].reshape(-1, 6)
-        carry = carry[need:]
+        k = min(_TUPLES, trials - lo)
+        yield rng.integers(-9, 10, size=(k, 6), dtype=np.int64)
 
 
 def newton_identity_check(d: int, trials: int, seed: int) -> bool:
     """Seeded random check of the cubic power-sum identity on 6-tuples.
 
-    The tuples are those of ``trials`` rounds of six
-    ``random.Random(seed).randint(-9, 9)`` calls, drawn in bulk and
-    checked ``_TUPLES`` at a time by ``power_sum_identity_holds`` on the
-    six columns, so memory stays bounded at any ``trials``.  The columns
-    are int64 for d <= 5, where every intermediate is at most
-    546 * 9^(3d) < 2^63, and Python integers beyond, so the check is
-    exact at any d.  The identity is polynomial, so it holds for every
-    integer tuple, even under int64 wraparound: the check can fail only
-    through a fault of this implementation, never because of the tuples.
+    The tuples are ``trials`` rows of six integers in [-9, 9] from
+    ``np.random.default_rng(seed)``, drawn and checked ``_TUPLES`` at a
+    time by ``power_sum_identity_holds`` on the six columns, so memory
+    stays bounded at any ``trials``.  The columns are int64 for d <= 5,
+    where every intermediate is at most 546 * 9^(3d) < 2^63, and Python
+    integers beyond, so the check is exact at any d.  The identity is
+    polynomial, so it holds for every integer tuple, even under int64
+    wraparound: the check can fail only through a fault of this
+    implementation, never because of the tuples.
     """
     if d < 1 or trials < 1:
         raise ValueError("d and trials must be >= 1")
     dtype = np.int64 if d <= 5 else object
-    for tuples in _randint_tuples(random.Random(seed), trials):
+    for tuples in _draw_tuples(seed, trials):
         if not np.all(power_sum_identity_holds(tuple(tuples.astype(dtype).T), d)):
             return False
     return True

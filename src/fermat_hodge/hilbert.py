@@ -226,7 +226,9 @@ class _Closure:
     pair loop runs over representatives only: a sum of two orbit
     members is a unit transform of a representative paired against the
     transformed other, and reduction chains transform along, so closing
-    over representative pairs closes over all pairs.
+    over representative pairs closes over all pairs.  Each round pairs
+    every representative with the orbits of all new ones; no scheduling
+    is needed for termination, which follows from Dickson's lemma.
     """
 
     def __init__(self, C: int, budget: SearchBudget, transforms):
@@ -335,17 +337,10 @@ class _Closure:
         while True:
             self.interreduce(np.vstack([self.reps, fresh]))
             rep_keys = [r.tobytes() for r in self.reps]
-            unpaired = [i for i, k in enumerate(rep_keys) if k not in paired]
-            if not unpaired:
+            new = np.array([k not in paired for k in rep_keys], dtype=bool)
+            if not new.any():
                 break
-            # pair the lowest-norm band first so that junk generators get
-            # interreduced away before they multiply into more sums
-            norms = np.abs(self.reps).sum(axis=1)
-            cutoff = norms[unpaired].min() + 2
-            band = [i for i in unpaired if norms[i] <= cutoff]
-            in_block = np.zeros(len(self.reps), dtype=bool)
-            in_block[band] = True
-            block_rows = np.flatnonzero(in_block[self.rep_of_row])
+            block_rows = np.flatnonzero(new[self.rep_of_row])
             block = self.G[block_rows]
             block_rep_idx = self.rep_of_row[block_rows]
             sums: list[np.ndarray] = []
@@ -354,12 +349,10 @@ class _Closure:
             neg_block = block < 0
             pos_block = block > 0
             for i, g in enumerate(self.reps):
-                if not in_block[i] and rep_keys[i] not in paired:
-                    continue  # deferred rep; this pair runs when its band comes
                 cancel = (neg_block & (g > 0)).any(axis=1) | (
                     pos_block & (g < 0)
                 ).any(axis=1)
-                if in_block[i]:
+                if new[i]:
                     cancel[block_rep_idx < i] = False
                 if cancel.any():
                     sums.append(block[cancel] + g)
@@ -368,7 +361,7 @@ class _Closure:
                         remainders.append(self.reduce(sums))
                         sums, buffered = [], 0
             remainders.append(self.reduce(sums))
-            paired.update(rep_keys[i] for i in band)
+            paired.update(rep_keys)
             fresh = np.vstack(remainders)
         return self.G
 
@@ -376,8 +369,8 @@ class _Closure:
 def _completion_rows(m: int, budget: SearchBudget) -> np.ndarray:
     """All minimal nonzero solutions of the defining system: distinct rows
     (x..., y) in canonical order.  A closure vector u folds back to
-    x_a = max(u_a, 0), x_{m-a} = max(-u_a, 0) when u_{m/2} >= 0 (even m)
-    and its entry count is nonzero and even (twice the level).
+    x_a = max(u_a, 0), x_{m-a} = max(-u_a, 0) when u_{m/2} >= 0 (even m),
+    at level half its entry count.
     """
     budget.start()
     C = m // 2
@@ -387,9 +380,9 @@ def _completion_rows(m: int, budget: SearchBudget) -> np.ndarray:
     U = np.zeros((0, C), dtype=np.int64)
     if kernel:
         U = _Closure(C, budget, _class_transforms(m)).run(kernel)
+    # stored rows are nonzero, of even count: absolute balance or the even-sum lattice
+    U = U[(U[:, -1] >= 0) | (m % 2 == 1)]
     count = np.abs(U).sum(axis=1)
-    keep = (count > 0) & (count % 2 == 0) & ((U[:, -1] >= 0) | (m % 2 == 1))
-    U, count = U[keep], count[keep]
     a = np.arange(1, (m + 1) // 2)  # the classes a < m/2, paired with m - a
     rows = np.zeros((len(U), m), dtype=np.int64)
     rows[:, :C] = np.maximum(U, 0)
@@ -528,6 +521,8 @@ def is_decomposable(
     level <= y/2 (the sieve's, or a deep-enough ``basis``) give the same
     witness as the full slices.  When the budget stops the sieve of those
     levels short, no answer is certain and IncompleteBasisError is raised.
+    A fit taken from ``basis`` is proved with ``is_member`` (d = v - c is
+    then a member too); a non-member raises MembershipError.
     """
     if basis is not None:
         check_basis(basis, m)
@@ -536,7 +531,8 @@ def is_decomposable(
     if v.y < 2:
         return None
     limit = v.y // 2
-    if basis is not None and (basis.complete or basis.max_level_seen >= limit):
+    given = basis is not None and (basis.complete or basis.max_level_seen >= limit)
+    if given:
         rows = vectors_to_rows([c for c in basis.elements if c.y <= limit], m)
     else:
         rows, sieved = _levelwise(m, limit, budget or SearchBudget())
@@ -550,6 +546,8 @@ def is_decomposable(
     if not len(fits):
         return None
     (c,) = rows_to_vectors(fits[np.argsort(canonical_keys(fits))[:1]])
+    if given and not is_member(c, m):
+        raise MembershipError(f"not a member of the degree-{m} monoid: {c}")
     return DecompositionWitness(c=c, d=v - c)
 
 

@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import json
-import random
 from itertools import product
 from math import gcd
 
@@ -618,12 +617,24 @@ class TestNewtonIdentity:
         "trials",
         [1, cycles._TUPLES - 1, cycles._TUPLES, cycles._TUPLES + 1, 20000],
     )
-    def test_draws_are_the_randint_loop(self, seed, trials):
-        rng = random.Random(seed)
-        literal = [tuple(rng.randint(-9, 9) for _ in range(6)) for _ in range(trials)]
-        chunks = list(cycles._randint_tuples(random.Random(seed), trials))
+    def test_draws_are_seeded_bounded_chunks(self, seed, trials):
+        chunks = list(cycles._draw_tuples(seed, trials))
+        again = list(cycles._draw_tuples(seed, trials))
+        assert len(chunks) == len(again)
+        assert all(np.array_equal(a, b) for a, b in zip(chunks, again))
+        assert all(chunk.dtype == np.int64 for chunk in chunks)
+        assert all(chunk.shape[1] == 6 for chunk in chunks)
         assert all(len(chunk) <= cycles._TUPLES for chunk in chunks)
-        assert [tuple(row) for chunk in chunks for row in chunk.tolist()] == literal
+        assert sum(len(chunk) for chunk in chunks) == trials
+        drawn = np.concatenate(chunks)
+        assert drawn.min() >= -9 and drawn.max() <= 9
+
+    def test_negative_seed_draws_as_its_absolute_value(self):
+        # like random.Random, the draw ignores the sign of the seed
+        (negative,) = cycles._draw_tuples(-3, 10)
+        (positive,) = cycles._draw_tuples(3, 10)
+        assert np.array_equal(negative, positive)
+        assert newton_identity_check(2, 10, -3)
 
     @pytest.mark.parametrize("d", [5, 6])
     @pytest.mark.parametrize("x", [9, -9])
@@ -632,7 +643,7 @@ class TestNewtonIdentity:
         # and x^(3d).  The identity is polynomial and survives int64
         # wraparound, so the terms the batch computes are compared with
         # exact integers instead; e1^3 = 216 x^(3d) exceeds 2^63 at d = 6.
-        def constant(rng, trials):
+        def constant(seed, trials):
             yield np.full((trials, 6), x, dtype=np.int64)
 
         sums = []
@@ -642,7 +653,7 @@ class TestNewtonIdentity:
             return sums[-1]
 
         symmetric = cycles._elementary_symmetric
-        monkeypatch.setattr(cycles, "_randint_tuples", constant)
+        monkeypatch.setattr(cycles, "_draw_tuples", constant)
         monkeypatch.setattr(cycles, "_elementary_symmetric", recorded)
         assert newton_identity_check(d, 3, 0)
         (e1, e2, e3), = sums

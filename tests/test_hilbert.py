@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermat_hodge import (
+    HilbertBasis,
     MonoidVector,
     SearchBudget,
     check_condition,
@@ -46,7 +47,10 @@ BASIS_PINS = {
     33: (122, "a5a51341e4bd5886e5ee34e6a9b083357e16252b4477f3d5b81ddbafb702463d"),
     34: (433, "a65b3e73559d626696301d3c1980aaa6cc97f21ce08a1e751139d8b58af2aa0c"),
     35: (147, "c3ee67f01ec5af938ed6a754155543687f3305e7b96c757dfe402289d1eee512"),
+    38: (1351, "ff01e6fcc0ed17cf5c47814fb79232993e5ab65a917d7d425f80b3b1a2217e7c"),
     39: (175, "90a49bd446cd8752cc0f0ab466676adf0450c2c09e3c355dd5458d0ac27d2192"),
+    45: (3598, "6e2074efb102e38faebee9e080d8efa2f6c8d33ec2101b1acee92d3a2786fde1"),
+    46: (2337, "bdc3e5623a2732179d940821e4b9b0ed03322781fea67d4a39ea7b24316af72a"),
 }
 
 
@@ -269,6 +273,19 @@ class TestIsDecomposable:
         v = ones[0] + ones[1]
         with pytest.raises(ValueError, match="degree 26"):
             is_decomposable(v, 13, basis=get_basis(26))
+
+    def test_unproved_fit_from_a_callers_basis_is_rejected(self):
+        # (0,0,0,1,0,...;1) is no member of 12, yet it fits under the member
+        # v; the witness used to return it, and v minus it, unproved
+        fake = MonoidVector((0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0), 1)
+        basis = HilbertBasis(
+            m=12, elements=(fake,), complete=True, max_level_seen=1,
+            algorithm="completion",
+        )
+        v = MonoidVector((0, 0, 0, 1, 1, 1, 0, 0, 1, 0, 0), 2)
+        assert is_member(v, 12) and not is_member(fake, 12)
+        with pytest.raises(MembershipError, match="degree-12"):
+            is_decomposable(v, 12, basis=basis)
 
     def test_truncated_sieve_raises(self):
         ones = enumerate_level(12, 1)
