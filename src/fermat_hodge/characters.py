@@ -21,7 +21,7 @@ from math import gcd
 import numpy as np
 
 from .errors import HodgeLabelError, JoinError, MembershipError
-from .hilbert import HilbertBasis, is_decomposable
+from .hilbert import is_decomposable
 from .monoid import (
     MonoidVector,
     check_dimension,
@@ -180,17 +180,16 @@ def hash_join(beta: Character, gamma: Character) -> Character:
     return Character(beta.m, beta.entries[:-1] + gamma.entries[:-1])
 
 
-def satisfies_p1(
-    alpha: Character, basis: HilbertBasis | None = None
-) -> tuple[HodgeLabel, HodgeLabel] | None:
+def satisfies_p1(alpha: Character) -> tuple[HodgeLabel, HodgeLabel] | None:
     """A star-join split of alpha into two Hodge labels, if one exists.
 
-    Equivalent to decomposability of the count vector: a monoid witness
-    c + d maps back to labels whose concatenation permutes to alpha.
-    ``is_decomposable``'s membership check proves alpha a label.
+    Equivalent to decomposability of the count vector: the witness
+    c + d of ``is_decomposable``, read off alpha's own entries, maps back
+    to labels whose concatenation permutes to alpha.  Its membership
+    check proves alpha a label.
     """
     try:
-        witness = is_decomposable(_counts(alpha), alpha.m, basis=basis)
+        witness = is_decomposable(_counts(alpha), alpha.m)
     except MembershipError:
         raise HodgeLabelError(f"not a Hodge label: {alpha.entries}") from None
     if witness is None:

@@ -23,9 +23,10 @@ from math import gcd
 
 import numpy as np
 
+from . import monoid
 from .budget import SearchBudget
 from .errors import BudgetExceededError, IncompleteBasisError, MembershipError
-from .hilbert import HilbertBasis, _levelwise, check_basis, hilbert_basis
+from .hilbert import HilbertBasis, _levelwise, hilbert_basis
 from .monoid import (
     MonoidVector,
     canonical_keys,
@@ -37,6 +38,7 @@ from .monoid import (
     level_rows,
     rows_to_indices,
     rows_to_vectors,
+    subset_weights,
     vectors_to_rows,
     weight_table,
 )
@@ -128,10 +130,6 @@ def is_quasi_decomposable(
     return found[0]
 
 
-# element x sub-multiset cells evaluated per chunk of the quasi search
-_SUBSET_CELLS = 1 << 16
-
-
 def _witnesses(
     rows: np.ndarray, budget: SearchBudget | None = None
 ) -> list[QuasiWitness | None]:
@@ -140,10 +138,10 @@ def _witnesses(
     An element of level y is searched over the subsets of its 2y sorted
     indices but the empty, the full and the one-element ones, so it
     takes 2^(2y) - 2y - 2 cells.  A chunk holds at most
-    ``_SUBSET_CELLS`` cells, of several elements or of one block of the
-    subsets of one, and the budget is checked before each chunk with
-    the cells evaluated once it is done.  On an overrun the list holds
-    the elements decided so far.
+    ``monoid._SUBSET_CELLS`` cells, of several elements or of one block
+    of the subsets of one, and the budget is checked before each chunk
+    with the cells evaluated once it is done.  On an overrun the list
+    holds the elements decided so far.
     """
     res = weight_table(rows.shape[1])
     found: list[QuasiWitness | None] = []
@@ -158,7 +156,7 @@ def _witnesses(
     runs = np.flatnonzero(np.diff(rows[:, -1])) + 1
     for lo_run, hi_run in zip(np.r_[0, runs], np.r_[runs, len(rows)]):
         n = 2 * int(rows[lo_run, -1])
-        step = max(1, _SUBSET_CELLS // max((1 << n) - n - 2, 1))
+        step = max(1, monoid._SUBSET_CELLS // max((1 << n) - n - 2, 1))
         for lo in range(lo_run, hi_run, step):
             try:
                 found += _least_witnesses(rows[lo : min(lo + step, hi_run)], res, spend)
@@ -172,26 +170,18 @@ def _least_witnesses(
 ) -> list[QuasiWitness | None]:
     """The first witness of each row of X, all of one level.
 
-    A block is the 2^low subsets of the first low positions, each joined
-    with one subset of the rest; ``spend`` is told its cells first.  The
-    least candidate of each x, by (b, level(c), x(c)), is carried from
-    block to block; within a level, ascending x(c) is descending indices
-    of c.
+    The subsets come in the blocks of ``subset_weights``; ``spend`` is
+    told each block's cells.  The least candidate of each x, by
+    (b, level(c), x(c)), is carried from block to block; within a level,
+    ascending x(c) is descending indices of c.
     """
     m, idx = X.shape[1], rows_to_indices(X)
     n = idx.shape[1]
-    low = min(n, _SUBSET_CELLS.bit_length() - 1)
-    # the weights under each half unit of every subset of the first low positions
-    weights = np.zeros((len(X), 1, res.shape[1]), dtype=np.int32)
-    for p in range(low):
-        weights = np.concatenate([weights, weights + res[idx[:, p], None]], axis=1)
     best = np.zeros((0, n + 5), dtype=np.int64)
-    for high in range(1 << (n - low)):
-        bits = (((high << low) + np.arange(1 << low))[:, None] >> np.arange(n)) & 1 == 1
+    for bits, weights in subset_weights(idx, res):
         size = bits.sum(axis=1)
         spend(len(X) * int(((size > 1) & (size < n)).sum()))
-        rest = res[idx[:, low:][:, bits[0, low:]]].sum(axis=1, dtype=np.int32)
-        best = np.concatenate([best, _candidates(idx, res, weights + rest[:, None], bits)])
+        best = np.concatenate([best, _candidates(idx, res, weights, bits)])
         order = np.lexsort(np.c_[best[:, :3], -best[:, 3:]].T[::-1])
         best = best[order[np.diff(best[order, 0], prepend=-1) != 0]]
     rows, b, level, seq = best[:, 0], best[:, 1], best[:, 2], best[:, 3:]
@@ -398,10 +388,10 @@ def check_condition(
         complete = sieved >= top
     else:
         given = basis is not None
-        if given:
-            check_basis(basis, m)
-        else:
+        if not given:
             basis = hilbert_basis(m, budget=budget)
+        elif basis.m != m:  # its rows have another width
+            raise ValueError(f"a basis of degree {basis.m} cannot answer degree {m}")
         if not basis.complete:
             raise IncompleteBasisError(
                 f"the all-levels condition for m={m} needs a complete basis",

@@ -22,6 +22,9 @@ Indices are int16 and half weights int32 (a weight is at most y*(m-1)).
 This module owns the row format: every module reads the weight table,
 the count/index conversions, the canonical order and the vector view
 of rows from the one row codec below.
+``subset_weights``, the one enumerator of sub-multisets, weights the
+position subsets of rows' indices for the quasi search and
+``is_decomposable``.
 ``is_member``, the one exact test of a single vector, rejects
 sum x_i != 2y first and uses Python integers.
 """
@@ -159,6 +162,29 @@ def vectors_to_rows(vectors, m: int) -> np.ndarray:
 def rows_to_vectors(rows: np.ndarray) -> list[MonoidVector]:
     """The vectors of an int array of rows (x..., y); every entry a Python int."""
     return [MonoidVector(x=tuple(r[:-1]), y=r[-1]) for r in rows.tolist()]
+
+
+# subsets per block of ``subset_weights``; (row, subset) cells per quasi-search chunk
+_SUBSET_CELLS = 1 << 16
+
+
+def subset_weights(idx: np.ndarray, table: np.ndarray):
+    """Every position subset of the (N, n) indices ``idx``, weighted, in blocks.
+
+    A block joins the 2^low <= ``_SUBSET_CELLS`` subsets of the first low
+    positions with one subset of the rest.  Yields per block its subsets
+    as (2^low, n) bool positions and their (N, 2^low, T) int32 weights
+    under the columns of ``table``, a ``weight_table``.
+    """
+    n = idx.shape[1]
+    low = min(n, _SUBSET_CELLS.bit_length() - 1)
+    weights = np.zeros((len(idx), 1, table.shape[1]), dtype=np.int32)
+    for p in range(low):
+        weights = np.concatenate([weights, weights + table[idx[:, p], None]], axis=1)
+    for high in range(1 << (n - low)):
+        bits = (((high << low) + np.arange(1 << low))[:, None] >> np.arange(n)) & 1 == 1
+        rest = table[idx[:, low:][:, bits[0, low:]]].sum(axis=1, dtype=np.int32)
+        yield bits, weights + rest[:, None]
 
 
 def format_vector(v: MonoidVector) -> str:

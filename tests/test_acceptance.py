@@ -181,7 +181,7 @@ def test_criterion_08_oracle_equivalences(get_basis):
           f"cross-checks agree ({elapsed:.0f}s): PASS")
 
 
-def test_criterion_09_correspondence_suite(get_basis):
+def test_criterion_09_correspondence_suite():
     t0 = time.time()
     for m in range(2, 11):
         for y in (1, 2, 3):
@@ -199,8 +199,8 @@ def test_criterion_09_correspondence_suite(get_basis):
         for n in (2, 4):
             for alpha in enumerate_hodge_labels(m, n):
                 brute = _brute_force_p1(alpha)
-                split = satisfies_p1(alpha, basis=get_basis(m))
-                witness = is_decomposable(to_monoid(alpha), m, basis=get_basis(m))
+                split = satisfies_p1(alpha)
+                witness = is_decomposable(to_monoid(alpha), m)
                 assert (split is not None) == (witness is not None) == brute
     elapsed = time.time() - t0
     print(f"\n[criterion 9] correspondence round trips and split "

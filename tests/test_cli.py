@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -79,6 +80,15 @@ class TestPhiCommands:
         code, out = run_cli(["phi", "--m", "9", "--cache-dir", str(tmp_path)], capsys)
         assert code == 0
         assert out.strip() == "phi(9) = 2 complete=true"
+
+    def test_spent_time_budget_reports_level_one(self, capsys, tmp_path):
+        code, out = run_cli(
+            ["phi", "--m", "30", "--max-seconds", "0", "--cache-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 3
+        match = re.fullmatch(r"phi\(30\) >= (\d+) complete=false", out.strip())
+        assert match and int(match[1]) >= 1
 
     def test_phi_table_csv(self, capsys, tmp_path):
         code, out = run_cli(

@@ -37,6 +37,7 @@ from fermat_hodge.errors import (
 )
 from fermat_hodge.cache import report_to_dict
 import fermat_hodge.cycles as cycles
+import fermat_hodge.monoid as monoid
 from fermat_hodge.cycles import _is_prime, _prime_square
 
 # (m, x, b, c, d): first witnesses of the search, recorded from the
@@ -283,7 +284,7 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("m", [12, 24, 32, 33])
     def test_chunk_size_does_not_change_reports(self, m, cells, monkeypatch):
         default = [check_condition(m, n=4, exclude_standard=ex) for ex in (False, True)]
-        monkeypatch.setattr(cycles, "_SUBSET_CELLS", cells)
+        monkeypatch.setattr(monoid, "_SUBSET_CELLS", cells)
         chunked = [check_condition(m, n=4, exclude_standard=ex) for ex in (False, True)]
         assert chunked == default
 
@@ -319,7 +320,7 @@ class TestSearchBudget:
         assert report.outcomes == ()
 
     def test_decided_elements_are_a_prefix(self, overrun_after_sieve, monkeypatch):
-        monkeypatch.setattr(cycles, "_SUBSET_CELLS", 64)  # one level-3 element a chunk
+        monkeypatch.setattr(monoid, "_SUBSET_CELLS", 64)  # one level-3 element a chunk
         budget = overrun_after_sieve()
         budget.grace = 3
         report = check_condition(36, n=4, budget=budget)
@@ -331,7 +332,7 @@ class TestSearchBudget:
     def test_standard_elements_before_the_cut_are_kept(
         self, overrun_after_sieve, monkeypatch
     ):
-        monkeypatch.setattr(cycles, "_SUBSET_CELLS", 64)  # one level-3 element a chunk
+        monkeypatch.setattr(monoid, "_SUBSET_CELLS", 64)  # one level-3 element a chunk
         budget = overrun_after_sieve()
         budget.grace = 1
         report = check_condition(15, n=4, exclude_standard=True, budget=budget)

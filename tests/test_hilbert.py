@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermat_hodge import (
-    HilbertBasis,
     MonoidVector,
     SearchBudget,
     check_condition,
@@ -17,11 +16,12 @@ from fermat_hodge import (
     hilbert_basis,
     is_decomposable,
     is_member,
+    level_one,
     phi,
     required_dimension_bound,
     units,
 )
-from fermat_hodge.errors import IncompleteBasisError, MembershipError
+from fermat_hodge.errors import BudgetExceededError, IncompleteBasisError, MembershipError
 from fermat_hodge.hilbert import _indecomposable_in_slice, _levelwise, _unique_rows
 from fermat_hodge.monoid import level_rows, rows_to_vectors
 
@@ -177,6 +177,13 @@ class TestHilbertBasis:
         )
         assert not basis.complete
 
+    def test_spent_time_budget_still_reports_level_one(self):
+        # the salvage sieve gets no time left; level one needs no search
+        basis = hilbert_basis(30, budget=SearchBudget(max_seconds=0))
+        assert not basis.complete and basis.max_level_seen >= 1
+        assert set(level_one(30)) <= set(basis.elements)
+        assert len(level_one(30)) == 15
+
     @pytest.mark.parametrize(
         "budget",
         [
@@ -247,6 +254,18 @@ class TestSliceSieve:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+_slice = cache(enumerate_level)
+
+
+def _least_fit_below(v, m):
+    """The least c of levels 1..y/2 with c.x <= v.x componentwise, by brute force."""
+    for k in range(1, v.y // 2 + 1):
+        for c in _slice(m, k):
+            if all(a <= b for a, b in zip(c.x, v.x)):
+                return c
+    return None
+
+
 class TestIsDecomposable:
     def test_witness_for_m4_level_two(self):
         v = MonoidVector((1, 2, 1), 2)
@@ -267,33 +286,35 @@ class TestIsDecomposable:
         with pytest.raises(MembershipError):
             is_decomposable(MonoidVector((1, 1, 0), 1), 4)
 
-    def test_basis_of_another_degree_is_rejected(self, get_basis):
-        # the 26-wide rows used to be reshaped into 13-wide ones
-        ones = enumerate_level(13, 1)
-        v = ones[0] + ones[1]
-        with pytest.raises(ValueError, match="degree 26"):
-            is_decomposable(v, 13, basis=get_basis(26))
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_witness_is_the_least_fit_of_the_level_slices(self, m):
+        for y in range(2, (4 if m < 13 else 3) + 1):
+            for v in enumerate_level(m, y):
+                witness = is_decomposable(v, m)
+                c = None if witness is None else witness.c
+                assert c == _least_fit_below(v, m), v
 
-    def test_unproved_fit_from_a_callers_basis_is_rejected(self):
-        # (0,0,0,1,0,...;1) is no member of 12, yet it fits under the member
-        # v; the witness used to return it, and v minus it, unproved
-        fake = MonoidVector((0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0), 1)
-        basis = HilbertBasis(
-            m=12, elements=(fake,), complete=True, max_level_seen=1,
-            algorithm="completion",
-        )
-        v = MonoidVector((0, 0, 0, 1, 1, 1, 0, 0, 1, 0, 0), 2)
-        assert is_member(v, 12) and not is_member(fake, 12)
-        with pytest.raises(MembershipError, match="degree-12"):
-            is_decomposable(v, 12, basis=basis)
+    def test_reads_no_level_slice(self, monkeypatch):
+        import fermat_hodge.hilbert as hilbert
 
-    def test_truncated_sieve_raises(self):
+        def refuse(*args, **kwargs):
+            raise AssertionError("is_decomposable read a level slice")
+
+        monkeypatch.setattr(hilbert, "level_rows", refuse)
+        monkeypatch.setattr(hilbert, "_levelwise", refuse)
+        assert is_decomposable(V33, 33) is None
+        self.test_witness_for_m4_level_two()
+
+    def test_truncated_search_raises(self):
         ones = enumerate_level(12, 1)
-        v = ones[0] + ones[1]
+        v = ones[0] + ones[1]  # level 2: its C(4, 2) = 6 pairs are the candidates
         assert is_decomposable(v, 12) is not None
-        with pytest.raises(IncompleteBasisError):
+        assert is_decomposable(
+            v, 12, budget=SearchBudget(max_seconds=None, max_candidates=6)
+        ) is not None
+        with pytest.raises(BudgetExceededError):
             is_decomposable(
-                v, 12, budget=SearchBudget(max_seconds=None, max_candidates=10)
+                v, 12, budget=SearchBudget(max_seconds=None, max_candidates=5)
             )
 
     @pytest.mark.parametrize("cap", [0, 10, 16, 20, 50, 100, 1000])
@@ -305,7 +326,7 @@ class TestIsDecomposable:
             budget = SearchBudget(max_seconds=None, max_candidates=cap)
             try:
                 answer = is_decomposable(v, m, budget=budget)
-            except IncompleteBasisError:
+            except BudgetExceededError:
                 continue
             assert answer == is_decomposable(v, m)
 
@@ -314,7 +335,7 @@ class TestIsDecomposable:
         basis = get_basis(m)
         for y in (2, 3):
             for v in enumerate_level(m, y):
-                witness = is_decomposable(v, m, basis=basis)
+                witness = is_decomposable(v, m)
                 if witness is None:
                     assert v in set(basis.elements)
                 else:
@@ -324,15 +345,14 @@ class TestIsDecomposable:
 
 
 class TestPhi:
-    def test_reference_values(self, get_basis):
-        assert phi(21, basis=get_basis(21)) == 3
-        assert phi(7, basis=get_basis(7)) == 1
-        assert phi(2, basis=get_basis(2)) == 1
+    def test_reference_values(self):
+        assert phi(21) == 3
+        assert phi(7) == 1
+        assert phi(2) == 1
 
     def test_incomplete_raises_with_partial(self):
-        partial = hilbert_basis(12, algorithm="levelwise", max_level=3)
         with pytest.raises(IncompleteBasisError) as err:
-            phi(12, basis=partial)
+            phi(30, budget=SearchBudget(max_candidates=1000))
         assert err.value.partial_max_level >= 1
 
     @pytest.mark.parametrize("k", range(1, 6))
@@ -340,23 +360,13 @@ class TestPhi:
         # levels 1..5 hold every indecomposable of 33, yet no sieve is a proof
         partial = hilbert_basis(33, algorithm="levelwise", max_level=k)
         with pytest.raises(IncompleteBasisError):
-            phi(33, basis=partial)
-        with pytest.raises(IncompleteBasisError):
             check_condition(33, basis=partial)
 
-    def test_basis_of_another_degree_is_rejected(self, get_basis):
-        # phi(12) = 5 used to be returned for degree 13, whose phi is 1
-        with pytest.raises(ValueError, match="degree 12"):
-            phi(13, basis=get_basis(12))
-        with pytest.raises(ValueError, match="degree 12"):
-            required_dimension_bound(13, basis=get_basis(12))
-
-    def test_dimension_bound(self, get_basis):
-        assert required_dimension_bound(21, basis=get_basis(21)) == 4
-        assert required_dimension_bound(5, basis=get_basis(5)) == 0
+    def test_dimension_bound(self):
+        assert required_dimension_bound(21) == 4
+        assert required_dimension_bound(5) == 0
 
     @pytest.mark.parametrize("m", [3, 5, 7, 11, 13, 4])
     def test_phi_one_iff_level_one_basis(self, m, get_basis):
-        basis = get_basis(m)
-        assert phi(m, basis=basis) == 1
-        assert all(v.y == 1 for v in basis.elements)
+        assert phi(m) == 1
+        assert all(v.y == 1 for v in get_basis(m).elements)

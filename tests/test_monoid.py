@@ -228,6 +228,23 @@ class TestRowCodec:
         ordered = rows[np.argsort(canonical_keys(rows))].tolist()
         assert ordered == sorted(rows.tolist(), key=lambda r: (r[-1], r[:-1]))
 
+    @pytest.mark.parametrize("cells", [1, 4, 1 << 16])
+    def test_subset_weights_lists_every_subset_once(self, cells, monkeypatch):
+        monkeypatch.setattr(monoid, "_SUBSET_CELLS", cells)
+        table = weight_table(12)
+        idx = rows_to_indices(level_rows(12, 2)[:5])
+        seen = []
+        for bits, weights in monoid.subset_weights(idx, table):
+            assert weights.shape == (len(idx), len(bits), table.shape[1])
+            for k, subset in enumerate(bits):
+                seen.append(tuple(np.flatnonzero(subset)))
+                expected = table[idx[:, subset]].sum(axis=1)
+                assert np.array_equal(weights[:, k], expected)
+        assert sorted(seen) == sorted(
+            tuple(np.flatnonzero([(s >> p) & 1 for p in range(4)])) for s in range(16)
+        )
+        assert len(seen) == 16
+
 
 class _UnitMultipliers:
     """Stands in for the ``random`` module: every key multiplier is 1."""
