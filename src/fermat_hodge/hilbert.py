@@ -22,7 +22,11 @@ a basis (complete=True):
   pairwise sums, reducing each sum by sign-compatible subtraction of
   known vectors.  One batched reducer does all reduction, against a
   store rebuilt in bulk from whole orbits under the signed action of
-  every unit of Z/m.  Interreduction runs in rounds; each one lowers
+  every unit of Z/m.  It reduces one fixed member of each orbit among
+  the incoming sums: the store is closed under the action and
+  reduction chains transform along, so a sum reduces to zero when that
+  member does, and each remainder enters the store as a whole orbit.
+  Interreduction runs in rounds; each one lowers
   the total norm of the orbit representatives, so it ends.
   Termination of the closure follows from Dickson's lemma, and it
   certifies completeness without an a-priori level bound.  The result
@@ -34,6 +38,7 @@ a basis (complete=True):
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,13 +235,24 @@ class _Closure:
     transformed other, and reduction chains transform along, so closing
     over representative pairs closes over all pairs.  Each round pairs
     every representative with the orbits of all new ones; no scheduling
-    is needed for termination, which follows from Dickson's lemma.
+    is needed for termination, which follows from Dickson's lemma.  For
+    the same reason ``reduce`` reduces one member of each orbit among
+    the sums it gets, so the budget's ticks (rows handed to ``_chunks``)
+    count orbit members, not distinct sums.
     """
 
     def __init__(self, C: int, budget: SearchBudget, transforms):
         self.C = C
         self.budget = budget
         self.perm, self.sign = transforms
+        # the 2T signed transforms, negation second; a linear key scores
+        # each of them, with fixed odd multipliers below 2^32 so that no
+        # score of a row with an L1 norm below 2^31 overflows int64
+        self.orbit_perm = np.vstack([self.perm, self.perm])
+        self.orbit_sign = np.vstack([self.sign, -self.sign])
+        draw = random.Random(0)
+        mix = np.asarray([draw.getrandbits(32) | 1 for _ in range(C)], dtype=np.int64)
+        self.orbit_key = (self.orbit_sign * mix[self.orbit_perm]).T
         self.bits = 1 << np.arange(C, dtype=np.int64)
         self.ticks = 0
         self.set_reps(np.zeros((0, C), dtype=np.int64))
@@ -285,19 +301,42 @@ class _Closure:
             self.Gm[gs] <= Wm[rows]
         ).all(axis=1)
 
+    def orbit_rows(self, V: np.ndarray) -> np.ndarray:
+        """Each row of V mapped to one fixed member of its orbit.
+
+        The member is the signed transform (or its negation) of least
+        linear key, so every member of an orbit maps to the same row
+        unless two of its members tie on the key.  The scores are taken
+        in row blocks of 2^16 cells, so a block's scores and gathered
+        transforms stay small beside the rows themselves.
+        """
+        out = np.empty_like(V)
+        block = max(1, (1 << 16) // len(self.orbit_perm))
+        for lo in range(0, len(V), block):
+            W = V[lo : lo + block]
+            best = (W @ self.orbit_key).argmin(axis=1)
+            out[np.arange(lo, lo + len(W))[:, None], self.orbit_perm[best]] = (
+                self.orbit_sign[best] * W
+            )
+        return out
+
     def reduce(self, parts: list[np.ndarray]) -> np.ndarray:
         """Reduce every row of the parts against the store; distinct remainders.
 
-        Rows are sign-normalized (the store is closed under negation)
-        and deduplicated.  Each pass subtracts the lowest-index fit from
+        Only one member of each orbit is reduced: rows are mapped by
+        ``orbit_rows`` and exact duplicates dropped.  This is exact: the
+        store is closed under the signed unit action and negation, so a
+        reduction chain of t*s transformed by t^-1 is one of s, and each
+        remainder enters the store as a whole orbit, so s reduces to zero
+        whenever t*s does.  A key tie between two members only keeps
+        both.  Each pass subtracts the lowest-index fit from
         every row that still has one, and keeps only the pairs that fit:
         subtraction shrinks both parts of a row, so a pair that does not
         fit now never will.
         """
         self.budget.check(self.ticks)
         V = np.vstack([np.zeros((0, self.C), dtype=np.int64), *parts])
-        first = V[np.arange(len(V)), np.argmax(V != 0, axis=1)]
-        V = _unique_rows(V * np.where(first < 0, -1, 1)[:, None])[0]
+        V = _unique_rows(self.orbit_rows(V))[0]
         out = [np.zeros((0, self.C), dtype=np.int64)]
         for _, W, rows, gs in self._chunks(V[V.any(axis=1)]):
             while True:
@@ -473,7 +512,11 @@ def hilbert_basis(
     no ``max_level``.  ``levelwise`` needs ``max_level``: it sieves
     levels 1..max_level, exactly, and its result is never complete.  A
     budget overrun of the completion yields a partial result with
-    complete=False, sieved in what is left of the budget.
+    complete=False, sieved in what is left of the budget.  The
+    completion counts against ``max_candidates`` the rows it tests
+    against its store: orbit representatives, and of the pair sums one
+    member per orbit under the unit group and negation, not every
+    distinct sum, so one cap reaches further than a count of sums.
     """
     check_modulus(m)
     budget = budget or SearchBudget()

@@ -22,7 +22,13 @@ from fermat_hodge import (
     units,
 )
 from fermat_hodge.errors import BudgetExceededError, IncompleteBasisError, MembershipError
-from fermat_hodge.hilbert import _indecomposable_in_slice, _levelwise, _unique_rows
+from fermat_hodge.hilbert import (
+    _class_transforms,
+    _Closure,
+    _indecomposable_in_slice,
+    _levelwise,
+    _unique_rows,
+)
 from fermat_hodge.monoid import level_rows, rows_to_vectors
 
 V33 = MonoidVector(
@@ -203,6 +209,59 @@ class TestHilbertBasis:
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
             hilbert_basis(6, algorithm="guesswork")
+
+
+def _transforms(m, v):
+    """Every signed unit transform of the class row v, then their negations."""
+    perm, sign = _class_transforms(m)
+    images = np.zeros((len(perm), len(v)), dtype=np.int64)
+    images[np.arange(len(perm))[:, None], perm] = sign * v
+    return np.vstack([images, -images])
+
+
+def _orbit_id(m, v):
+    return min(map(tuple, _transforms(m, v).tolist()))
+
+
+class TestClosure:
+    @pytest.mark.parametrize("m", [12, 18, 28, 45])
+    def test_orbit_rows_are_signed_unit_transforms(self, m):
+        V = np.random.default_rng(m).integers(-3, 4, size=(200, m // 2))
+        mapped = _Closure(m // 2, SearchBudget(), _class_transforms(m)).orbit_rows(V)
+        for v, w in zip(V, mapped):
+            assert (_transforms(m, v) == w).all(axis=1).any(), (v, w)
+
+    @pytest.mark.parametrize("m", [12, 18, 28, 45])
+    def test_orbit_rows_map_a_whole_orbit_to_one_row(self, m):
+        closure = _Closure(m // 2, SearchBudget(), _class_transforms(m))
+        for v in np.random.default_rng(m).integers(-3, 4, size=(20, m // 2)):
+            mapped = closure.orbit_rows(_transforms(m, v))
+            assert (mapped == mapped[0]).all(), v
+
+    @pytest.mark.parametrize("m", [18, 28])
+    def test_reduce_hands_one_row_per_orbit_to_the_reducer(self, m, monkeypatch):
+        inside, seen = [], []
+        chunks, reduce = _Closure._chunks, _Closure.reduce
+
+        def recording_chunks(self, V):
+            if inside:
+                seen.append(V.copy())
+            return chunks(self, V)
+
+        def flagged_reduce(self, parts):
+            inside.append(True)
+            try:
+                return reduce(self, parts)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(_Closure, "_chunks", recording_chunks)
+        monkeypatch.setattr(_Closure, "reduce", flagged_reduce)
+        assert hilbert_basis(m).complete
+        assert sum(map(len, seen)) > 0
+        for V in seen:
+            orbits = {_orbit_id(m, v) for v in V}
+            assert len(orbits) == len(V)
 
 
 def _all_column_sieve(rows, basis):
