@@ -20,6 +20,7 @@ from .cache import SCHEMA_VERSION, Entry, ResultCache, basis_from_dict
 from .characters import enumerate_hodge_labels
 from .cycles import (
     COUNTEREXAMPLE_33,
+    _all_levels_report,
     check_condition,
     is_quasi_decomposable,
     newton_identity_check,
@@ -159,17 +160,17 @@ def _report_lines(report: dict) -> list[str]:
 def _cached_report(m, n, exclude_standard, cache, budget, parse=False) -> Entry:
     """The report entry of a check: the cached one, else computed.
 
-    A miss without ``n`` is the one place that parses a basis payload
-    into vectors.
+    A miss without ``n`` reads the basis entry (cached, else computed
+    and stored), the one place that parses a basis payload into
+    vectors, and classifies its elements as ``check_condition`` would.
     """
     entry = cache.get_report(m, n, exclude_standard, parse=parse)
     if entry is None:
-        basis = None
         if n is None:
             basis = basis_from_dict(_cached_basis(m, cache, budget, parse=True).payload)
-        report = check_condition(
-            m, n=n, exclude_standard=exclude_standard, budget=budget, basis=basis
-        )
+            report = _all_levels_report(basis, exclude_standard, budget)
+        else:
+            report = check_condition(m, n=n, exclude_standard=exclude_standard, budget=budget)
         entry = cache.put_report(report)
     return entry
 

@@ -354,13 +354,12 @@ def check_condition(
     n: int | None = None,
     exclude_standard: bool = False,
     budget: SearchBudget | None = None,
-    basis: HilbertBasis | None = None,
 ) -> ConditionReport:
     """Classify every indecomposable in the level range 3..top.
 
     With n given the range is 3..n/2+1 and exhaustive level slices
-    certify it; without n the range runs to the top of a complete
-    basis, ``basis`` or computed (an incomplete one raises).  Verdict is
+    certify it; without n the range runs to the top of the basis that
+    ``hilbert_basis`` certifies (an incomplete one raises).  Verdict is
     true iff no element is left unexplained (neither quasi-decomposable
     nor excluded as standard).
 
@@ -369,41 +368,37 @@ def check_condition(
     one of its rows are excluded, with that row's provenance.  Every
     element that is not excluded as standard is searched in one
     batch (``_witnesses``), with the first witness that
-    ``is_quasi_decomposable`` would give it; only a caller's ``basis``
-    is proved, as the exact slices prove the sieve's rows.  The budget
-    bounds that search too, by its time and its count of evaluated
-    cells: when it runs out, the report has complete=False and the
-    outcomes of the elements decided so far, a prefix of the full
-    report's outcomes.
+    ``is_quasi_decomposable`` would give it.  The budget bounds that
+    search too, by its time and its count of evaluated cells: when it
+    runs out, the report has complete=False and the outcomes of the
+    elements decided so far, a prefix of the full report's outcomes.
     """
     check_modulus(m)
     budget = budget or SearchBudget()
-    if n is not None:
-        check_dimension(n)
-        if basis is not None:
-            raise ValueError("a basis applies to the all-levels condition only")
-        top = n // 2 + 1
-        rows, sieved = _levelwise(m, top, budget)
-        rows = rows[rows[:, -1] >= 3]
-        complete = sieved >= top
-    else:
-        given = basis is not None
-        if not given:
-            basis = hilbert_basis(m, budget=budget)
-        elif basis.m != m:  # its rows have another width
-            raise ValueError(f"a basis of degree {basis.m} cannot answer degree {m}")
-        if not basis.complete:
-            raise IncompleteBasisError(
-                f"the all-levels condition for m={m} needs a complete basis",
-                partial_max_level=basis.max_element_level,
-            )
-        elements = [b for b in basis.elements if b.y >= 3]
-        for e in elements if given else ():
-            if not is_member(e, m):
-                raise MembershipError(f"not a member of the degree-{m} monoid: {e}")
-        rows = vectors_to_rows(elements, m)
-        rows = rows[np.argsort(canonical_keys(rows), kind="stable")]
-        complete = True
+    if n is None:
+        return _all_levels_report(hilbert_basis(m, budget=budget), exclude_standard, budget)
+    check_dimension(n)
+    top = n // 2 + 1
+    rows, sieved = _levelwise(m, top, budget)
+    return _classify(m, n, rows[rows[:, -1] >= 3], sieved >= top, exclude_standard, budget)
+
+
+def _all_levels_report(basis: HilbertBasis, exclude_standard, budget) -> ConditionReport:
+    """The all-levels report of a complete basis, read in its stored
+    (canonical) order: the one ``check_condition`` computes, or the one
+    the CLI's cache verified.  An incomplete basis raises.
+    """
+    if not basis.complete:
+        raise IncompleteBasisError(
+            f"the all-levels condition for m={basis.m} needs a complete basis",
+            partial_max_level=basis.max_element_level,
+        )
+    rows = vectors_to_rows([b for b in basis.elements if b.y >= 3], basis.m)
+    return _classify(basis.m, None, rows, True, exclude_standard, budget)
+
+
+def _classify(m, n, rows, complete, exclude_standard, budget) -> ConditionReport:
+    """The report on the indecomposable rows of levels >= 3, in canonical order."""
     elements = rows_to_vectors(rows)
     standards, origin = _standard_rows(m)
     match = np.full(len(rows), -1)  # the equal standard row, if excluded

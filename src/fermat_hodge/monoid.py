@@ -266,7 +266,9 @@ def level_rows(m: int, y: int, budget=None) -> np.ndarray:
 
     The budget is checked with the table size before the table is
     built, and then per chunk of L with the table size plus the rows
-    found so far, so ``max_candidates`` bounds the memory of a slice.
+    found so far.  ``max_candidates`` counts those rows, not memory: the
+    default 10^8 admits slices past 8 GB ((24, 8) holds 7.2 M rows in
+    3.2 GB).  Bounding slice memory is ROADMAP item 3.
     """
     check_modulus(m)
     if y < 1:

@@ -85,10 +85,10 @@ def test_criterion_03_prime_or_four_generated_in_level_one(get_basis):
     print(f"\n[criterion 3] prime/4 bases live in level 1 ({elapsed:.0f}s): PASS")
 
 
-def test_criterion_04_all_levels_condition_through_20(get_basis):
+def test_criterion_04_all_levels_condition_through_20():
     t0 = time.time()
     for m in range(2, 21):
-        report = check_condition(m, basis=get_basis(m))
+        report = check_condition(m)
         assert report.verdict, f"condition fails at m={m}"
         assert report.complete
     elapsed = time.time() - t0
@@ -98,9 +98,9 @@ def test_criterion_04_all_levels_condition_through_20(get_basis):
 
 
 @pytest.mark.parametrize("m", [21, 27])
-def test_criterion_05_degrees_21_and_27(m, get_basis):
+def test_criterion_05_degrees_21_and_27(m):
     t0 = time.time()
-    report = check_condition(m, exclude_standard=True, basis=get_basis(m))
+    report = check_condition(m, exclude_standard=True)
     assert report.verdict and report.complete
     elapsed = time.time() - t0
     assert elapsed <= 1800, f"took {elapsed:.0f}s, budget is 30 minutes"

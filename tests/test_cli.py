@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from fermat_hodge import cli
+from fermat_hodge import cli, cycles
 from fermat_hodge.cache import ResultCache
 from fermat_hodge.cli import build_parser, main
 from fermat_hodge.errors import MembershipError
@@ -184,6 +184,22 @@ class TestCheckCommand:
         monkeypatch.setattr(cli, "hilbert_basis", no_compute)
         code, out = run_cli(["phi", "--m", "12"] + cache, capsys)
         assert code == 0 and out.strip() == "phi(12) = 5 complete=true"
+
+    @pytest.mark.parametrize("form", [[], ["--format", "json"]])
+    def test_all_levels_check_reads_a_stored_basis(
+        self, form, capsys, tmp_path, monkeypatch
+    ):
+        argv = ["check", "--m", "12"] + form
+        fresh = run_cli(argv + ["--cache-dir", str(tmp_path / "fresh")], capsys)
+        cache = ["--cache-dir", str(tmp_path / "c")]
+        assert run_cli(["phi", "--m", "12"] + cache, capsys)[0] == 0
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("basis recomputed although phi stored it")
+
+        for module in (cli, cycles):
+            monkeypatch.setattr(module, "hilbert_basis", no_compute)
+        assert run_cli(argv + cache, capsys) == fresh
 
 
 class TestScanCommand:
@@ -371,12 +387,20 @@ class TestUsageErrors:
         assert captured.out == "" and "error: unrecognized arguments" in captured.err
 
     def test_library_error_is_not_a_usage_error(self, monkeypatch, tmp_path):
-        def broken(*args, **kwargs):
-            raise MembershipError("raised inside the library")
-
-        monkeypatch.setattr(cli, "check_condition", broken)
+        monkeypatch.setattr(cli, "_all_levels_report", _broken)
         with pytest.raises(MembershipError):
             main(["check", "--m", "12", "--cache-dir", str(tmp_path)])
+
+    def test_library_error_in_a_level_range_is_not_a_usage_error(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(cli, "check_condition", _broken)
+        with pytest.raises(MembershipError):
+            main(["check", "--m", "12", "--n", "4", "--cache-dir", str(tmp_path)])
+
+
+def _broken(*args, **kwargs):
+    raise MembershipError("raised inside the library")
 
 
 class TestVerify33:

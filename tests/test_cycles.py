@@ -1,5 +1,5 @@
-import dataclasses
 import hashlib
+import inspect
 import json
 from itertools import product
 from math import gcd
@@ -292,9 +292,8 @@ class TestBatchedSearch:
         "m,n,levels",
         [(12, None, {3, 4, 5}), (14, None, {3}), (12, 6, {3, 4}), (18, 6, {3, 4})],
     )
-    def test_mixed_levels_equal_b_major_scan(self, m, n, levels, get_basis):
-        basis = get_basis(m) if n is None else None
-        report = check_condition(m, n=n, basis=basis)
+    def test_mixed_levels_equal_b_major_scan(self, m, n, levels):
+        report = check_condition(m, n=n)
         assert {o.element.y for o in report.outcomes} == levels
         for o in report.outcomes:
             assert o.witness == _b_major_scan(o.element, m), o.element
@@ -348,9 +347,7 @@ class TestSearchBudget:
         assert report.status == VerdictStatus.UNDETERMINED
         assert "cut short" in report.justification
 
-    def test_all_levels_search_checks_the_budget(
-        self, get_basis, overrun_after_sieve, monkeypatch
-    ):
+    def test_all_levels_search_checks_the_budget(self, overrun_after_sieve, monkeypatch):
         budget = overrun_after_sieve()
         search = cycles._witnesses
 
@@ -359,7 +356,7 @@ class TestSearchBudget:
             return search(rows, budget_given)
 
         monkeypatch.setattr(cycles, "_witnesses", armed_search)
-        report = check_condition(12, basis=get_basis(12), budget=budget)
+        report = check_condition(12, budget=budget)
         assert not report.complete and report.outcomes == ()
 
     def test_candidate_cap_bounds_the_search(self):
@@ -465,47 +462,31 @@ class TestCheckCondition:
         report = check_condition(33, n=4)
         assert report.outcomes and not calls
 
-    def test_caller_basis_is_proved(self):
-        # level 3 and sum 6 = 2y, but weight 6 under t = 1, not 36
-        stray = MonoidVector((6,) + (0,) * 10, 3)
+    def test_a_callers_basis_is_not_taken(self):
+        # an empty "complete" basis once made degree 33 pass vacuously
         basis = HilbertBasis(
-            m=12,
-            elements=(stray,),
-            complete=True,
-            max_level_seen=3,
-            algorithm="completion",
+            m=33, elements=(), complete=True, max_level_seen=1, algorithm="completion"
         )
-        with pytest.raises(MembershipError):
-            check_condition(12, basis=basis)
+        with pytest.raises(TypeError):
+            check_condition(33, basis=basis)
+        assert "basis" not in inspect.signature(check_condition).parameters
 
-    def test_basis_of_another_degree_is_rejected(self, get_basis):
-        # the basis of 7 has no level >= 3, so degree 13 used to pass vacuously
-        with pytest.raises(ValueError, match="degree 7"):
-            check_condition(13, basis=get_basis(7))
-
-    def test_caller_basis_order_does_not_matter(self, get_basis):
-        basis = get_basis(21)
-        shuffled = dataclasses.replace(basis, elements=basis.elements[::-1])
-        for exclude in (False, True):
-            expected = check_condition(21, exclude_standard=exclude, basis=basis)
-            assert check_condition(21, exclude_standard=exclude, basis=shuffled) == expected
-
-    def test_m21_with_exclusion(self, get_basis):
-        report = check_condition(21, exclude_standard=True, basis=get_basis(21))
+    def test_m21_with_exclusion(self):
+        report = check_condition(21, exclude_standard=True)
         assert report.verdict and report.complete
 
-    def test_m27_with_exclusion(self, get_basis):
-        report = check_condition(27, exclude_standard=True, basis=get_basis(27))
+    def test_m27_with_exclusion(self):
+        report = check_condition(27, exclude_standard=True)
         assert report.verdict and report.complete
 
-    def test_m33_fails_on_counterexample(self, get_basis):
-        report = check_condition(33, basis=get_basis(33))
+    def test_m33_fails_on_counterexample(self):
+        report = check_condition(33)
         assert not report.verdict
         failing = [o.element for o in report.outcomes if o.kind == "FAIL"]
         assert COUNTEREXAMPLE_33 in failing
 
-    def test_m12_all_quasi(self, get_basis):
-        report = check_condition(12, basis=get_basis(12))
+    def test_m12_all_quasi(self):
+        report = check_condition(12)
         assert report.verdict
         assert report.counts["FAIL"] == 0
 
@@ -513,16 +494,10 @@ class TestCheckCondition:
         report = check_condition(13)
         assert report.verdict and not report.outcomes
 
-    def test_basis_with_dimension_rejected(self, get_basis):
-        with pytest.raises(ValueError):
-            check_condition(25, n=4, basis=get_basis(25))
-
     def test_incomplete_basis_rejected(self):
-        from fermat_hodge import hilbert_basis
-
-        partial = hilbert_basis(12, algorithm="levelwise", max_level=3)
+        # the completion of 30 runs out of 1000 candidates and falls back to the sieve
         with pytest.raises(IncompleteBasisError):
-            check_condition(12, basis=partial)
+            check_condition(30, budget=SearchBudget(max_candidates=1000))
 
     def test_fourfold_range_levels_exactly_three(self, get_basis):
         report = check_condition(25, n=4, exclude_standard=True)
