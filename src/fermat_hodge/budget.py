@@ -14,20 +14,26 @@ DEFAULT_MAX_CANDIDATES = 10**8
 
 @dataclass
 class SearchBudget:
-    """Wall-clock and candidate-count caps for a search.
+    """Wall-clock and candidate-count caps for one request.
 
-    ``check`` is called periodically with the running candidate count
-    and raises BudgetExceededError when either cap is exceeded.  A
-    value of None disables the corresponding cap.
+    The budget is the one meter of a request: every search it is handed
+    calls ``spend`` with the candidates it has just evaluated (0 for a
+    time check alone), so ``spent`` is the request's running total and
+    the caps bound the request, not each search on its own.  ``check``
+    raises BudgetExceededError when either cap is exceeded; the clock
+    starts at the first check.  A value of None disables the
+    corresponding cap.
     """
 
     max_seconds: float | None = DEFAULT_MAX_SECONDS
     max_candidates: int | None = DEFAULT_MAX_CANDIDATES
-    _started: float = field(default=0.0, repr=False)
+    spent: int = field(default=0, init=False)
+    _started: float | None = field(default=None, init=False, repr=False)
 
-    def start(self) -> "SearchBudget":
-        self._started = time.monotonic()
-        return self
+    def spend(self, count: int) -> None:
+        """Add ``count`` candidates to the total, then check both caps."""
+        self.spent += count
+        self.check(self.spent)
 
     def check(self, candidates: int) -> None:
         if self.max_candidates is not None and candidates > self.max_candidates:
@@ -35,21 +41,10 @@ class SearchBudget:
                 f"candidate budget exceeded ({candidates} > {self.max_candidates})"
             )
         if self.max_seconds is not None:
-            if not self._started:
-                self.start()
+            if self._started is None:
+                self._started = time.monotonic()
             elapsed = time.monotonic() - self._started
             if elapsed > self.max_seconds:
                 raise BudgetExceededError(
                     f"time budget exceeded ({elapsed:.1f}s > {self.max_seconds}s)"
                 )
-
-    def remaining(self) -> "SearchBudget":
-        """An unstarted budget with the time left of this one.
-
-        The candidate cap carries over unchanged: it bounds each search
-        on its own count, not a total across searches.
-        """
-        seconds = self.max_seconds
-        if seconds is not None and self._started:
-            seconds = max(0.0, seconds - (time.monotonic() - self._started))
-        return type(self)(max_seconds=seconds, max_candidates=self.max_candidates)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from math import gcd
 
 import numpy as np
@@ -31,6 +31,7 @@ from .monoid import (
     level_rows,
     rows_to_indices,
     rows_to_vectors,
+    subset_weights,
     vectors_to_rows,
     weight_table,
 )
@@ -202,32 +203,37 @@ def satisfies_p2(
 ) -> tuple[HodgeLabel, HodgeLabel] | None:
     """A hash-join split of alpha into two Hodge labels, if one exists.
 
-    Searches over the cancelled residue pair (j, m-j) and over balanced
-    sub-multisets of alpha's entries: the left factor takes r+1 entries
-    plus the appended j, the right factor the rest plus m-j, with r and
-    s even and positive.  First hit in (r, j, submultiset) order wins.
+    The left factor is an odd sub-multiset L of alpha's entries, with
+    3 <= |L| <= n - 1, plus the cancelled residue j; the right factor is
+    the rest plus m - j.  Under the unit 1 the left factor's weight
+    fixes j = m(|L| + 1)/2 - w_1(L), which must lie in 1..m-1, and L + j
+    must then pass every half unit; the right factor follows by
+    linearity.  The sub-multisets come from ``subset_weights``; the
+    first split by |L|, then by position in the sorted entries, wins.
     """
     if not is_hodge_label(alpha):
         raise HodgeLabelError(f"not a Hodge label: {alpha.entries}")
-    n = alpha.n
-    m = alpha.m
-    entries = alpha.sorted_entries()
-    for r in range(2, n - 1, 2):
-        seen: set[tuple[int, ...]] = set()
-        for positions in combinations(range(n + 2), r + 1):
-            left = tuple(entries[i] for i in positions)
-            if left in seen:
-                continue
-            seen.add(left)
-            j = (-sum(left)) % m
-            if j == 0:
-                continue
-            taken = set(positions)
-            right = tuple(e for i, e in enumerate(entries) if i not in taken)
-            try:
-                beta = HodgeLabel(m, left + (j,))
-                gamma = HodgeLabel(m, right + (m - j,))
-            except (ValueError, HodgeLabelError):
-                continue
-            return (beta, gamma)
-    return None
+    m, idx = alpha.m, np.asarray([alpha.sorted_entries()])
+    res = weight_table(m)
+    hits = [np.zeros((0, idx.shape[1]), dtype=bool)]
+    for bits, weights in subset_weights(idx, res):
+        size = bits.sum(axis=1)
+        target = m * (size + 1) // 2
+        j = target - weights[0, :, 0]
+        odd = (size % 2 == 1) & (size >= 3) & (size < alpha.n)
+        (k,) = np.nonzero(odd & (j >= 1) & (j < m))
+        fits = (weights[0, k] + res[j[k]] == target[k, None]).all(axis=1)
+        hits.append(bits[k[fits]])
+    hits = np.concatenate(hits)
+    if not len(hits):
+        return None
+    size = hits.sum(axis=1)
+    # the least |L|, then the first in combination order of its positions
+    left = hits[size == size.min()]
+    left = left[np.lexsort(~left.T[::-1])[0]]
+    beta, gamma = idx[0, left].tolist(), idx[0, ~left].tolist()
+    j = m * (len(beta) + 1) // 2 - sum(beta)
+    return (
+        HodgeLabel._proved(m, tuple(beta) + (j,)),
+        HodgeLabel._proved(m, tuple(gamma) + (m - j,)),
+    )

@@ -306,11 +306,11 @@ def _add_common(sub, with_format=None, with_budget=True) -> None:
     if with_budget:
         sub.add_argument(
             "--max-seconds", type=_seconds, default=DEFAULT_MAX_SECONDS,
-            help="wall-clock budget per computation",
+            help="wall-clock budget per request (per degree of a range)",
         )
         sub.add_argument(
             "--max-candidates", type=_candidates, default=DEFAULT_MAX_CANDIDATES,
-            help="candidate budget per computation",
+            help="candidate budget per request (per degree of a range)",
         )
     if with_format:
         sub.add_argument("--format", choices=with_format, default=with_format[0])

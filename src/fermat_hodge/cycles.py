@@ -17,7 +17,7 @@ is its one-row call.  Rows convert through the codec of ``monoid``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from math import gcd
 
@@ -118,10 +118,12 @@ def is_quasi_decomposable(
     A one-row call of the sub-multiset search that ``check_condition``
     runs (see ``_witnesses``): b first in level-one order, then c by
     level and lexicographic.  A non-member x is a MembershipError; a
-    search the budget cuts short is a BudgetExceededError.
+    search the budget cuts short is a BudgetExceededError.  Without a
+    budget the search is unbounded.
     """
     if not is_member(x, m):
         raise MembershipError(f"not a member of the degree-{m} monoid: {x}")
+    budget = budget or SearchBudget(max_seconds=None, max_candidates=None)
     found = _witnesses(vectors_to_rows([x], m), budget)
     if not found:
         raise BudgetExceededError(
@@ -130,36 +132,28 @@ def is_quasi_decomposable(
     return found[0]
 
 
-def _witnesses(
-    rows: np.ndarray, budget: SearchBudget | None = None
-) -> list[QuasiWitness | None]:
+def _witnesses(rows: np.ndarray, budget: SearchBudget) -> list[QuasiWitness | None]:
     """First witnesses of the member rows (x..., y), ordered by level.
 
     An element of level y is searched over the subsets of its 2y sorted
     indices but the empty, the full and the one-element ones, so it
     takes 2^(2y) - 2y - 2 cells.  A chunk holds at most
     ``monoid._SUBSET_CELLS`` cells, of several elements or of one block
-    of the subsets of one, and the budget is checked before each chunk
-    with the cells evaluated once it is done.  On an overrun the list
-    holds the elements decided so far.
+    of the subsets of one, and each chunk's cells are spent of the
+    budget before it is evaluated.  On an overrun the list holds the
+    elements decided so far.
     """
     res = weight_table(rows.shape[1])
     found: list[QuasiWitness | None] = []
-    cells = 0
-
-    def spend(count: int) -> None:
-        nonlocal cells
-        cells += count
-        if budget is not None:
-            budget.check(cells)
-
     runs = np.flatnonzero(np.diff(rows[:, -1])) + 1
     for lo_run, hi_run in zip(np.r_[0, runs], np.r_[runs, len(rows)]):
         n = 2 * int(rows[lo_run, -1])
         step = max(1, monoid._SUBSET_CELLS // max((1 << n) - n - 2, 1))
         for lo in range(lo_run, hi_run, step):
             try:
-                found += _least_witnesses(rows[lo : min(lo + step, hi_run)], res, spend)
+                found += _least_witnesses(
+                    rows[lo : min(lo + step, hi_run)], res, budget.spend
+                )
             except BudgetExceededError:
                 return found
     return found
@@ -368,10 +362,11 @@ def check_condition(
     one of its rows are excluded, with that row's provenance.  Every
     element that is not excluded as standard is searched in one
     batch (``_witnesses``), with the first witness that
-    ``is_quasi_decomposable`` would give it.  The budget bounds that
-    search too, by its time and its count of evaluated cells: when it
-    runs out, the report has complete=False and the outcomes of the
-    elements decided so far, a prefix of the full report's outcomes.
+    ``is_quasi_decomposable`` would give it.  The sieve (or the
+    completion) and that search spend one budget, the call's meter, by
+    their candidates and cells: when it runs out, the report has
+    complete=False and the outcomes of the elements decided so far, a
+    prefix of the full report's outcomes.
     """
     check_modulus(m)
     budget = budget or SearchBudget()
@@ -440,8 +435,9 @@ def scan_fourfolds(
 ) -> list[ConditionReport]:
     """Fourfold condition reports over a degree range.
 
-    A degree whose check runs out of budget gets a report with
-    complete=False (see ``check_condition``).
+    Each degree spends a fresh meter with the caps of ``budget_per_m``;
+    the template itself is never spent.  A degree whose check runs out of
+    budget gets a report with complete=False (see ``check_condition``).
     """
     if m_from < 2 or m_from > m_to:
         raise ValueError(f"invalid range {m_from}..{m_to}")
@@ -449,7 +445,7 @@ def scan_fourfolds(
     for m in range(m_from, m_to + 1):
         if coprime_to is not None and gcd(m, coprime_to) != 1:
             continue
-        budget = budget_per_m or SearchBudget()
+        budget = replace(budget_per_m or SearchBudget())
         reports.append(check_condition(m, n=4, exclude_standard=True, budget=budget))
     return reports
 

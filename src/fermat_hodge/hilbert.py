@@ -237,8 +237,8 @@ class _Closure:
     every representative with the orbits of all new ones; no scheduling
     is needed for termination, which follows from Dickson's lemma.  For
     the same reason ``reduce`` reduces one member of each orbit among
-    the sums it gets, so the budget's ticks (rows handed to ``_chunks``)
-    count orbit members, not distinct sums.
+    the sums it gets, so the rows it spends of the budget (the rows
+    handed to ``_chunks``) count orbit members, not distinct sums.
     """
 
     def __init__(self, C: int, budget: SearchBudget, transforms):
@@ -254,7 +254,6 @@ class _Closure:
         mix = np.asarray([draw.getrandbits(32) | 1 for _ in range(C)], dtype=np.int64)
         self.orbit_key = (self.orbit_sign * mix[self.orbit_perm]).T
         self.bits = 1 << np.arange(C, dtype=np.int64)
-        self.ticks = 0
         self.set_reps(np.zeros((0, C), dtype=np.int64))
 
     def _keys(self, V: np.ndarray) -> np.ndarray:
@@ -289,8 +288,7 @@ class _Closure:
         chunk = max(32, (1 << 20) // max(len(self.G), 1))
         for lo in range(0, len(V), chunk):
             W = V[lo : lo + chunk].copy()
-            self.budget.check(self.ticks)
-            self.ticks += len(W)
+            self.budget.spend(len(W))
             cand = (self.keys[None, :] & ~self._keys(W)[:, None]) == 0
             yield lo, W, *np.nonzero(cand)
 
@@ -334,13 +332,13 @@ class _Closure:
         subtraction shrinks both parts of a row, so a pair that does not
         fit now never will.
         """
-        self.budget.check(self.ticks)
+        self.budget.spend(0)
         V = np.vstack([np.zeros((0, self.C), dtype=np.int64), *parts])
         V = _unique_rows(self.orbit_rows(V))[0]
         out = [np.zeros((0, self.C), dtype=np.int64)]
         for _, W, rows, gs in self._chunks(V[V.any(axis=1)]):
             while True:
-                self.budget.check(self.ticks)
+                self.budget.spend(0)
                 fit = self._fits(W, rows, gs)
                 rows, gs = rows[fit], gs[fit]
                 if not len(rows):
@@ -361,7 +359,7 @@ class _Closure:
         """
         self.set_reps(R)
         while True:
-            self.budget.check(self.ticks)
+            self.budget.spend(0)
             marked = np.zeros(len(self.reps), dtype=bool)
             for lo, W, rows, gs in self._chunks(self.reps):
                 fit = self._fits(W, rows, gs) & (self.rep_of_row[gs] != lo + rows)
@@ -413,7 +411,6 @@ def _completion_rows(m: int, budget: SearchBudget) -> np.ndarray:
     x_a = max(u_a, 0), x_{m-a} = max(-u_a, 0) when u_{m/2} >= 0 (even m),
     at level half its entry count.
     """
-    budget.start()
     C = m // 2
     kernel = _integer_kernel(_class_rows(m), C)
     if m % 2 == 0:
@@ -470,25 +467,19 @@ def _indecomposable_in_slice(rows: np.ndarray, basis: list[np.ndarray]) -> np.nd
     return left
 
 
-def _levelwise(
-    m: int, top: int | None, budget: SearchBudget
-) -> tuple[np.ndarray, int]:
+def _levelwise(m: int, top: int, budget: SearchBudget) -> tuple[np.ndarray, int]:
     """Sieve levels 1..top upwards; the indecomposable rows and the levels sieved.
 
-    Only the budget stops the sieve before ``top`` (with no top, only
-    the budget stops it), and the rows, stacked in canonical order, are
-    never a certified basis.  Level one, the m//2 residue pairs, needs
-    no search and is read without the budget.
+    Only the budget stops the sieve before ``top``, and the rows,
+    stacked in canonical order, are never a certified basis.  Each slice
+    past level one spends the budget as ``level_rows`` does, on the
+    caller's meter; level one, the m//2 residue pairs, needs no search
+    and is read without the budget.
     """
     basis: list[np.ndarray] = []  # indecomposable rows, one array per level
-    budget.start()
-    processed = 0
-    while top is None or len(basis) < top:
+    while len(basis) < top:
         try:
             rows = level_rows(m, len(basis) + 1, budget=budget if basis else None)
-            processed += len(rows)
-            if basis:
-                budget.check(processed)
         except BudgetExceededError:
             break  # report the last fully sieved level
         basis.append(_indecomposable_in_slice(rows, basis))
@@ -512,11 +503,11 @@ def hilbert_basis(
     no ``max_level``.  ``levelwise`` needs ``max_level``: it sieves
     levels 1..max_level, exactly, and its result is never complete.  A
     budget overrun of the completion yields a partial result with
-    complete=False, sieved in what is left of the budget.  The
-    completion counts against ``max_candidates`` the rows it tests
-    against its store: orbit representatives, and of the pair sums one
-    member per orbit under the unit group and negation, not every
-    distinct sum, so one cap reaches further than a count of sums.
+    complete=False, holding level one.  The completion spends of the
+    budget the rows it tests against its store: orbit representatives,
+    and of the pair sums one member per orbit under the unit group and
+    negation, not every distinct sum, so one cap reaches further than a
+    count of sums.
     """
     check_modulus(m)
     budget = budget or SearchBudget()
@@ -524,6 +515,7 @@ def hilbert_basis(
     if algorithm == "levelwise":
         if max_level is None:
             raise ValueError("the levelwise sieve needs a max_level")
+        rows, seen = _levelwise(m, max_level, budget)
     elif algorithm != "completion":
         raise ValueError(f"unknown algorithm {algorithm!r}")
     elif max_level is not None:
@@ -532,13 +524,11 @@ def hilbert_basis(
         try:
             rows = _completion_rows(m, budget)
         except BudgetExceededError:
-            # the budget is finite, as it stopped the completion, and it
-            # alone stops the uncertified sweep below
-            budget = budget.remaining()
+            # the meter is spent, so a sieve would read no level past
+            # one, which needs no search
+            rows, seen = level_rows(m, 1), 1
         else:
             complete, seen = True, int(rows[-1, -1])  # level one is never empty
-    if not complete:
-        rows, seen = _levelwise(m, max_level, budget)
     return HilbertBasis(
         m=m,
         elements=tuple(rows_to_vectors(rows)),
@@ -559,8 +549,8 @@ def is_decomposable(
     weight under every half unit is m/2 times its size is a member, and
     v - c is then one by linearity.  The witness is the least member c
     by level, then x: it is indecomposable, so it is the first fit among
-    the indecomposables of level <= y/2.  The budget counts candidates
-    per block; an overrun raises BudgetExceededError.  A call weighs all
+    the indecomposables of level <= y/2.  The candidates are spent of
+    the budget per block; an overrun raises BudgetExceededError.  A call weighs all
     4^y subsets whatever m is, about 10 ms at level 8; the package's own
     call (``verify-33``) is at level 3.
     """
@@ -568,12 +558,11 @@ def is_decomposable(
         raise MembershipError(f"not a member of the degree-{m} monoid: {v}")
     budget = budget or SearchBudget()
     idx = rows_to_indices(vectors_to_rows([v], m))
-    members, candidates = [], 0
+    members = []
     for bits, weights in subset_weights(idx, weight_table(m)):
         size = bits.sum(axis=1)
         even = (size % 2 == 0) & (size >= 2) & (size <= v.y)
-        candidates += int(even.sum())
-        budget.check(candidates)
+        budget.spend(int(even.sum()))
         member = even & (2 * weights[0] == (m * size)[:, None]).all(axis=1)
         members.append(np.where(bits[member], idx, m))  # index m pads
     seq = np.concatenate(members)

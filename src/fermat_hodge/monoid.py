@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-# L rows joined per budget check
+# L rows joined per budget spend
 _CHUNK = 1 << 12
 
 
@@ -264,18 +264,18 @@ def level_rows(m: int, y: int, budget=None) -> np.ndarray:
     joined pair, added position by position, are checked, so the
     result is exact.
 
-    The budget is checked with the table size before the table is
-    built, and then per chunk of L with the table size plus the rows
-    found so far.  ``max_candidates`` counts those rows, not memory: the
-    default 10^8 admits slices past 8 GB ((24, 8) holds 7.2 M rows in
-    3.2 GB).  Bounding slice memory is ROADMAP item 3.
+    The budget is spent the table size before the table is built, and
+    then per chunk of L the rows that chunk found.  ``max_candidates``
+    counts those rows, not memory: the default 10^8 admits slices past
+    8 GB ((24, 8) holds 7.2 M rows in 3.2 GB).  Bounding slice memory is
+    ROADMAP item 3.
     """
     check_modulus(m)
     if y < 1:
         raise ValueError(f"level must be >= 1, got {y}")
     size = comb(m + y - 2, y)
     if budget is not None:
-        budget.check(size)
+        budget.spend(size)
     res = weight_table(m)
     # fixed odd multipliers of the weight key, one per half unit
     draw = random.Random(0)
@@ -294,27 +294,23 @@ def level_rows(m: int, y: int, budget=None) -> np.ndarray:
     l_order = l_order[np.argsort(key[l_order])]
     l_key = key[l_order] & ~low
     lefts, rights = [], []
-    found = 0
     for lo in range(0, len(l_order), _CHUNK):
         left_rows, g = l_order[lo : lo + _CHUNK], l_key[lo : lo + _CHUNK]
         start = np.searchsorted(r_key, g | cols[-1][left_rows].astype(np.uint64))
         fan = np.searchsorted(r_key, g | low, side="right") - start
-        total = int(fan.sum())
-        if total:
-            left = np.repeat(left_rows, fan)
-            first = np.repeat(start - (np.cumsum(fan) - fan), fan)
-            right = r_order[first + np.arange(total)]
-            weights = res[cols[0][left]] + res[cols[0][right]]
-            for c in cols[1:]:
-                weights += res[c[left]] + res[c[right]]
-            exact = (weights == target).all(axis=1)
-            lefts.append(left[exact])
-            rights.append(right[exact])
-            found += len(lefts[-1])
+        left = np.repeat(left_rows, fan)
+        first = np.repeat(start - (np.cumsum(fan) - fan), fan)
+        right = r_order[first + np.arange(len(left))]
+        weights = res[cols[0][left]] + res[cols[0][right]]
+        for c in cols[1:]:
+            weights += res[c[left]] + res[c[right]]
+        exact = (weights == target).all(axis=1)
+        lefts.append(left[exact])
+        rights.append(right[exact])
         if budget is not None:
-            budget.check(size + found)
-    left = np.concatenate(lefts) if lefts else np.zeros(0, dtype=np.int64)
-    right = np.concatenate(rights) if rights else np.zeros(0, dtype=np.int64)
+            budget.spend(len(lefts[-1]))
+    # L is never empty: y ones have 2*w1 = 2y <= m*y
+    left, right = np.concatenate(lefts), np.concatenate(rights)
     seq = [c[left] for c in cols] + [c[right] for c in cols]
     # equal-length multisets: ascending x is descending sorted sequence
     order = np.lexsort(seq[::-1])[::-1]
@@ -325,6 +321,6 @@ def enumerate_level(m: int, y: int, budget=None) -> list[MonoidVector]:
     """All elements of the level-y slice in canonical lexicographic order.
 
     The ``MonoidVector`` view of ``level_rows``; the package's own
-    searches read the array.  The optional budget is checked as there.
+    searches read the array.  The optional budget is spent as there.
     """
     return rows_to_vectors(level_rows(m, y, budget))

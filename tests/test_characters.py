@@ -296,6 +296,34 @@ def _brute_force_p1(alpha: Character) -> bool:
     return False
 
 
+def _reference_p2(alpha: HodgeLabel) -> tuple[HodgeLabel, HodgeLabel] | None:
+    """The hash-join split by a loop over position combinations.
+
+    The left factor takes r+1 entries plus the appended j, the right
+    factor the rest plus m-j, with r and n-r even and positive; the first
+    hit in (r, combination) order wins.  Each factor is a checked
+    ``HodgeLabel``.
+    """
+    n, m = alpha.n, alpha.m
+    entries = alpha.sorted_entries()
+    for r in range(2, n - 1, 2):
+        seen: set[tuple[int, ...]] = set()
+        for positions in combinations(range(n + 2), r + 1):
+            left = tuple(entries[i] for i in positions)
+            if left in seen:
+                continue
+            seen.add(left)
+            j = (-sum(left)) % m
+            if j == 0:
+                continue
+            right = tuple(e for i, e in enumerate(entries) if i not in positions)
+            try:
+                return (HodgeLabel(m, left + (j,)), HodgeLabel(m, right + (m - j,)))
+            except (ValueError, HodgeLabelError):
+                continue
+    return None
+
+
 class TestSplits:
     def test_p1_example(self):
         result = satisfies_p1(Character(3, (1, 2, 1, 2)))
@@ -346,3 +374,13 @@ class TestSplits:
 
     def test_p2_degree_33_counterexample_has_none(self):
         assert satisfies_p2(HodgeLabel(33, (7, 10, 13, 19, 22, 28))) is None
+
+    def test_p2_rejects_a_non_label(self):
+        with pytest.raises(HodgeLabelError):
+            satisfies_p2(Character(7, (1, 2, 3, 1)))
+
+    @pytest.mark.parametrize("m", range(3, 17))
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_p2_equals_the_reference_loop(self, m, n):
+        for alpha in enumerate_hodge_labels(m, n):
+            assert satisfies_p2(alpha) == _reference_p2(alpha)

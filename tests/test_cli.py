@@ -257,7 +257,7 @@ class TestScanCommand:
              ["summary: 4 degrees, all conditions hold"]),
             (["--from", "28", "--to", "33", "--max-candidates", "6000"], 3,
              ["summary: 6 degrees, all conditions hold",
-              "summary: incomplete at [28, 30, 32, 33]"]),
+              "summary: incomplete at [28, 30, 31, 32, 33]"]),
             (["--from", "9", "--to", "5"], 2, []),
             (["--from", "1", "--to", "5"], 2, []),
         ],
@@ -433,9 +433,10 @@ class TestVerify33:
         assert code == 3
         assert "not-quasi-decomposable" not in out
 
-    @pytest.mark.parametrize("cap", [48, 55])
+    @pytest.mark.parametrize("cap", [48, 55, 70])
     def test_quasi_search_honours_the_cap(self, cap, capsys, tmp_path):
-        # the sieve fits under these caps; the 56-cell quasi search does not
+        # the 15-candidate decomposability check fits under these caps; it
+        # and the 56-cell quasi search spend one meter, 71 in all
         code, out = run_cli(
             ["verify-33", "--max-candidates", str(cap), "--cache-dir", str(tmp_path)],
             capsys,
@@ -446,6 +447,13 @@ class TestVerify33:
             "indecomposable: confirmed",
             "non-standard: confirmed",
         ]
+
+    def test_cap_of_the_whole_request_is_enough(self, capsys, tmp_path):
+        code, out = run_cli(
+            ["verify-33", "--max-candidates", "71", "--cache-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0 and out.count(": confirmed\n") == 4
 
 
 _BASIS_12 = ("BASIS", "m12", lambda cache: cache.get_basis(12, parse=True))

@@ -311,7 +311,7 @@ class TestBatchedSearch:
 
 
 class TestSearchBudget:
-    """The quasi search checks the time budget; candidates keep their meaning."""
+    """The quasi search checks the time budget; candidates count the request."""
 
     def test_overrun_in_the_search_is_incomplete(self, overrun_after_sieve):
         report = check_condition(36, n=4, budget=overrun_after_sieve())
@@ -360,15 +360,19 @@ class TestSearchBudget:
         assert not report.complete and report.outcomes == ()
 
     def test_candidate_cap_bounds_the_search(self):
-        """``max_candidates`` counts the search's cells, not only the sieve's.
+        """``max_candidates`` bounds the request: the sieve and the search
+        spend one meter.
 
-        The sieve of (24, n=4) checks at most 3,778 candidates.  The
+        The sieve of (24, n=4) spends 4,200: the half tables of levels 2
+        and 3 (276 + 2,300) and the rows found (146 + 1,478).  The
         search evaluates 56 subsets (sizes 2 to 5 of the 6 sorted
         indices) of each of its 298 level-3 elements, 16,688 cells.
         """
-        full = check_condition(24, n=4, exclude_standard=True)
+        uncapped = SearchBudget(max_seconds=None, max_candidates=None)
+        full = check_condition(24, n=4, exclude_standard=True, budget=uncapped)
         assert sum(o.kind != "STANDARD" for o in full.outcomes) == 298
-        for cap, complete in ((5000, False), (298 * 56 - 1, False), (298 * 56, True)):
+        assert uncapped.spent == 4200 + 298 * 56 == 20888
+        for cap, complete in ((5000, False), (20887, False), (20888, True)):
             budget = SearchBudget(max_seconds=None, max_candidates=cap)
             report = check_condition(24, n=4, exclude_standard=True, budget=budget)
             assert report.complete == complete, cap
@@ -522,6 +526,19 @@ class TestScan:
     def test_m3_vacuous(self):
         reports = scan_fourfolds(3, 3)
         assert reports[0].verdict and not reports[0].outcomes
+
+    def test_each_degree_spends_a_fresh_meter(self):
+        template = SearchBudget(max_seconds=None, max_candidates=6000)
+        reports = scan_fourfolds(28, 33, budget_per_m=template)
+        assert reports == [
+            check_condition(
+                m, n=4, exclude_standard=True,
+                budget=SearchBudget(max_seconds=None, max_candidates=6000),
+            )
+            for m in range(28, 34)
+        ]
+        assert template.spent == 0
+        assert [r.m for r in reports if r.complete] == [29]
 
     def test_truncated_degree_is_an_incomplete_report(self):
         budget = SearchBudget(max_seconds=None, max_candidates=100)

@@ -183,7 +183,7 @@ class TestHilbertBasis:
         assert not basis.complete
 
     def test_spent_time_budget_still_reports_level_one(self):
-        # the salvage sieve gets no time left; level one needs no search
+        # level one needs no search
         basis = hilbert_basis(30, budget=SearchBudget(max_seconds=0))
         assert not basis.complete and basis.max_level_seen >= 1
         assert set(level_one(30)) <= set(basis.elements)
@@ -198,12 +198,18 @@ class TestHilbertBasis:
         ids=["seconds", "candidates"],
     )
     def test_truncated_completion_stays_within_budget(self, budget):
-        # the levelwise salvage of an overrun completion gets only the
-        # time left of the caller's budget, not a fresh one
         started = time.monotonic()
         basis = hilbert_basis(30, budget=budget)
         assert not basis.complete
         assert time.monotonic() - started < 1.0 + 1.0
+
+    def test_truncated_completion_holds_level_one_only(self):
+        # one meter: once the cap stops the completion, no sieve reads on
+        budget = SearchBudget(max_seconds=None, max_candidates=10**5)
+        basis = hilbert_basis(30, budget=budget)
+        assert not basis.complete and basis.max_level_seen == 1
+        assert list(basis.elements) == level_one(30)
+        assert budget.spent > 10**5
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
