@@ -44,7 +44,6 @@ from .hilbert import (
     HilbertBasis,
     hilbert_basis,
     is_decomposable,
-    level_one,
     phi,
     required_dimension_bound,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "is_hodge_label",
     "is_member",
     "is_quasi_decomposable",
-    "level_one",
     "newton_identity_check",
     "parse_vector",
     "phi",

@@ -8,7 +8,10 @@ the residue-count monoid, checked by ``monoid.is_member`` for one
 character.  ``enumerate_hodge_labels`` proves a whole level slice with
 one exact numpy weight check instead, and builds its labels only from
 the rows that check proved.  The two join operations mirror sum
-decompositions on the monoid side.
+decompositions on the monoid side: the splits P1 (star join, through
+``is_decomposable``) and P2 (hash join) both read which sub-multisets
+of a label's entries are members or complete to one from
+``monoid.subset_completions``, the one place that decides it.
 """
 
 from __future__ import annotations
@@ -31,8 +34,7 @@ from .monoid import (
     level_rows,
     rows_to_indices,
     rows_to_vectors,
-    subset_weights,
-    vectors_to_rows,
+    subset_completions,
     weight_table,
 )
 
@@ -92,6 +94,11 @@ def _counts(alpha: Character) -> MonoidVector:
     """Count map: x_k = #{i : a_i = k}, level (n + 2) // 2."""
     rows = indices_to_rows(np.array([alpha.entries]), alpha.m, len(alpha.entries) // 2)
     return rows_to_vectors(rows)[0]
+
+
+def _entries(v: MonoidVector) -> tuple[int, ...]:
+    """Inverse count map: the residue k x_k times, ascending."""
+    return tuple(k for k, c in enumerate(v.x, start=1) for _ in range(c))
 
 
 def is_hodge_label(alpha: Character) -> bool:
@@ -158,8 +165,7 @@ def from_monoid(v: MonoidVector, m: int) -> HodgeLabel:
     """
     if not is_member(v, m):
         raise MembershipError(f"not a member of the degree-{m} monoid: {v}")
-    (entries,) = rows_to_indices(vectors_to_rows([v], m)).tolist()
-    return HodgeLabel._proved(m, tuple(entries))
+    return HodgeLabel._proved(m, _entries(v))
 
 
 def star_join(beta: Character, gamma: Character) -> Character:
@@ -187,7 +193,8 @@ def satisfies_p1(alpha: Character) -> tuple[HodgeLabel, HodgeLabel] | None:
     Equivalent to decomposability of the count vector: the witness
     c + d of ``is_decomposable``, read off alpha's own entries, maps back
     to labels whose concatenation permutes to alpha.  Its membership
-    check proves alpha a label.
+    check proves alpha a label, and its exact sub-multiset test proves
+    both parts.
     """
     try:
         witness = is_decomposable(_counts(alpha), alpha.m)
@@ -195,7 +202,7 @@ def satisfies_p1(alpha: Character) -> tuple[HodgeLabel, HodgeLabel] | None:
         raise HodgeLabelError(f"not a Hodge label: {alpha.entries}") from None
     if witness is None:
         return None
-    return (from_monoid(witness.c, alpha.m), from_monoid(witness.d, alpha.m))
+    return tuple(HodgeLabel._proved(alpha.m, _entries(v)) for v in (witness.c, witness.d))
 
 
 def satisfies_p2(
@@ -205,34 +212,27 @@ def satisfies_p2(
 
     The left factor is an odd sub-multiset L of alpha's entries, with
     3 <= |L| <= n - 1, plus the cancelled residue j; the right factor is
-    the rest plus m - j.  Under the unit 1 the left factor's weight
-    fixes j = m(|L| + 1)/2 - w_1(L), which must lie in 1..m-1, and L + j
-    must then pass every half unit; the right factor follows by
-    linearity.  The sub-multisets come from ``subset_weights``; the
-    first split by |L|, then by position in the sorted entries, wins.
+    the rest plus m - j.  ``subset_completions`` codes j for each L that
+    completes to a label L + j; the right factor follows by linearity.
+    The first split by |L|, then by position in the sorted entries, wins.
     """
     if not is_hodge_label(alpha):
         raise HodgeLabelError(f"not a Hodge label: {alpha.entries}")
     m, idx = alpha.m, np.asarray([alpha.sorted_entries()])
-    res = weight_table(m)
-    hits = [np.zeros((0, idx.shape[1]), dtype=bool)]
-    for bits, weights in subset_weights(idx, res):
-        size = bits.sum(axis=1)
-        target = m * (size + 1) // 2
-        j = target - weights[0, :, 0]
-        odd = (size % 2 == 1) & (size >= 3) & (size < alpha.n)
-        (k,) = np.nonzero(odd & (j >= 1) & (j < m))
-        fits = (weights[0, k] + res[j[k]] == target[k, None]).all(axis=1)
-        hits.append(bits[k[fits]])
-    hits = np.concatenate(hits)
+    hits, codes = [np.zeros((0, idx.shape[1]), dtype=bool)], [np.zeros(0, dtype=int)]
+    for bits, size, a in subset_completions(idx, m):
+        (k,) = np.nonzero((a[0] > 0) & (size >= 3) & (size < alpha.n))
+        hits.append(bits[k])
+        codes.append(a[0, k])
+    hits, codes = np.concatenate(hits), np.concatenate(codes)
     if not len(hits):
         return None
     size = hits.sum(axis=1)
     # the least |L|, then the first in combination order of its positions
-    left = hits[size == size.min()]
-    left = left[np.lexsort(~left.T[::-1])[0]]
+    least = np.flatnonzero(size == size.min())
+    first = least[np.lexsort(~hits[least].T[::-1])[0]]
+    left, j = hits[first], int(codes[first])
     beta, gamma = idx[0, left].tolist(), idx[0, ~left].tolist()
-    j = m * (len(beta) + 1) // 2 - sum(beta)
     return (
         HodgeLabel._proved(m, tuple(beta) + (j,)),
         HodgeLabel._proved(m, tuple(gamma) + (m - j,)),

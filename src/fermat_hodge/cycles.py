@@ -11,8 +11,9 @@ which otherwise fall back to the recorded theorem facts.
 There is one quasi search, ``_witnesses``, and it reads the rows of x
 alone: a witness c is a sub-multiset of x plus a part of the level-1 b,
 so the search runs in numpy over the subsets of the sorted indices of
-each x, weighted by ``monoid.weight_table``.  ``is_quasi_decomposable``
-is its one-row call.  Rows convert through the codec of ``monoid``.
+each x, and ``monoid.subset_completions`` decides which of them are
+members or complete to one.  ``is_quasi_decomposable`` is its one-row
+call.  Rows convert through the codec of ``monoid``.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ from .monoid import (
     level_rows,
     rows_to_indices,
     rows_to_vectors,
-    subset_weights,
+    subset_completions,
     vectors_to_rows,
-    weight_table,
 )
 
 __all__ = [
@@ -143,7 +143,6 @@ def _witnesses(rows: np.ndarray, budget: SearchBudget) -> list[QuasiWitness | No
     budget before it is evaluated.  On an overrun the list holds the
     elements decided so far.
     """
-    res = weight_table(rows.shape[1])
     found: list[QuasiWitness | None] = []
     runs = np.flatnonzero(np.diff(rows[:, -1])) + 1
     for lo_run, hi_run in zip(np.r_[0, runs], np.r_[runs, len(rows)]):
@@ -151,20 +150,16 @@ def _witnesses(rows: np.ndarray, budget: SearchBudget) -> list[QuasiWitness | No
         step = max(1, monoid._SUBSET_CELLS // max((1 << n) - n - 2, 1))
         for lo in range(lo_run, hi_run, step):
             try:
-                found += _least_witnesses(
-                    rows[lo : min(lo + step, hi_run)], res, budget.spend
-                )
+                found += _least_witnesses(rows[lo : min(lo + step, hi_run)], budget.spend)
             except BudgetExceededError:
                 return found
     return found
 
 
-def _least_witnesses(
-    X: np.ndarray, res: np.ndarray, spend
-) -> list[QuasiWitness | None]:
+def _least_witnesses(X: np.ndarray, spend) -> list[QuasiWitness | None]:
     """The first witness of each row of X, all of one level.
 
-    The subsets come in the blocks of ``subset_weights``; ``spend`` is
+    The subsets come in the blocks of ``subset_completions``; ``spend`` is
     told each block's cells.  The least candidate of each x, by
     (b, level(c), x(c)), is carried from block to block; within a level,
     ascending x(c) is descending indices of c.
@@ -172,10 +167,9 @@ def _least_witnesses(
     m, idx = X.shape[1], rows_to_indices(X)
     n = idx.shape[1]
     best = np.zeros((0, n + 5), dtype=np.int64)
-    for bits, weights in subset_weights(idx, res):
-        size = bits.sum(axis=1)
+    for bits, size, a in subset_completions(idx, m):
         spend(len(X) * int(((size > 1) & (size < n)).sum()))
-        best = np.concatenate([best, _candidates(idx, res, weights, bits)])
+        best = np.concatenate([best, _candidates(idx, m, bits, size, a)])
         order = np.lexsort(np.c_[best[:, :3], -best[:, 3:]].T[::-1])
         best = best[order[np.diff(best[order, 0], prepend=-1) != 0]]
     rows, b, level, seq = best[:, 0], best[:, 1], best[:, 2], best[:, 3:]
@@ -190,31 +184,25 @@ def _least_witnesses(
     return witnesses
 
 
-def _candidates(idx, res, weights, bits) -> np.ndarray:
+def _candidates(idx, m, bits, size, a) -> np.ndarray:
     """Witness candidates from the subsets ``bits`` of the indices ``idx``.
 
     x + b = c + d with b = e_a + e_{m-a} (or 2e_{m/2}) of level one
     means c = s + t with s = min(c, x) a subset and t <= b, and then d
     is a member by linearity.  So c is one of:
-    - s + e_a for an odd s, where w_1(c) = m * level(c) fixes a and the
-      other half units are checked; |s| = 1 always gives c = b;
-    - s or s + b for an even member s (x is then decomposable), with b
-      among the first two level-one rows.
+    - s + e_a for an odd s that ``subset_completions`` codes a > 0;
+      |s| = 1 always gives c = b;
+    - s or s + b for an even member s, coded 0 (x is then decomposable),
+      with b among the first two level-one rows.
     Candidates with c = x or c = b are dropped.  A candidate is the row
     (x index, b, level(c), c's indices ascending, padded with m); b =
     m//2 - min(a, m - a) indexes the pair of a in level-one order.
     """
-    m, n = res.shape[0], bits.shape[1]
+    n = bits.shape[1]
     half_m = m // 2  # also the number of level-one rows
-    size = bits.sum(axis=1)
-    target = m * (size + 1) // 2
-    a = target - weights[:, :, 0]
-    r, k = np.nonzero((size % 2 == 1) & (size > 1) & (a >= 1) & (a < m))
+    r_even, k_even = np.nonzero((a == 0) & (size > 0) & (size < n))
+    r, k = np.nonzero((a > 0) & (size > 1))
     a = a[r, k]
-    fits = (weights[r, k] + res[a] == target[k, None]).all(axis=1)
-    r, k, a = r[fits], k[fits], a[fits]
-    member = (2 * weights == (m * size)[:, None]).all(axis=2)
-    r_even, k_even = np.nonzero(member & (size % 2 == 0) & (size > 0) & (size < n))
     # c = s with b = 0, 1, then c = s + b with b = 0, 1
     pairs = half_m - np.arange(2)
     t_even = np.r_[np.full((2, 2), m), np.c_[pairs, m - pairs]]

@@ -49,13 +49,12 @@ from .monoid import (
     MonoidVector,
     canonical_keys,
     check_modulus,
-    enumerate_level,
     indices_to_rows,
     is_member,
     level_rows,
     rows_to_indices,
     rows_to_vectors,
-    subset_weights,
+    subset_completions,
     units,
     vectors_to_rows,
     weight_table,
@@ -68,7 +67,6 @@ __all__ = [
     "is_decomposable",
     "phi",
     "required_dimension_bound",
-    "level_one",
 ]
 
 
@@ -91,11 +89,6 @@ class HilbertBasis:
     @property
     def max_element_level(self) -> int:
         return max((v.y for v in self.elements), default=0)
-
-
-def level_one(m: int) -> list[MonoidVector]:
-    """The level-1 slice: residue pairs {a, m-a}, in canonical order."""
-    return enumerate_level(m, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +538,9 @@ def is_decomposable(
 
     v = c + d with members c, d iff some member c is a sub-multiset of
     v's 2y indices, and c or v - c has level <= y/2.  The candidates are
-    v's position subsets of even size 2..y (15 at level 3); one whose
-    weight under every half unit is m/2 times its size is a member, and
-    v - c is then one by linearity.  The witness is the least member c
+    v's position subsets of even size 2..y (15 at level 3); one that
+    ``subset_completions`` codes 0 is a member, and v - c is then one
+    by linearity.  The witness is the least member c
     by level, then x: it is indecomposable, so it is the first fit among
     the indecomposables of level <= y/2.  The candidates are spent of
     the budget per block; an overrun raises BudgetExceededError.  A call weighs all
@@ -559,11 +552,10 @@ def is_decomposable(
     budget = budget or SearchBudget()
     idx = rows_to_indices(vectors_to_rows([v], m))
     members = []
-    for bits, weights in subset_weights(idx, weight_table(m)):
-        size = bits.sum(axis=1)
+    for bits, size, a in subset_completions(idx, m):
         even = (size % 2 == 0) & (size >= 2) & (size <= v.y)
         budget.spend(int(even.sum()))
-        member = even & (2 * weights[0] == (m * size)[:, None]).all(axis=1)
+        member = even & (a[0] == 0)
         members.append(np.where(bits[member], idx, m))  # index m pads
     seq = np.concatenate(members)
     if not len(seq):

@@ -22,9 +22,10 @@ Indices are int16 and half weights int32 (a weight is at most y*(m-1)).
 This module owns the row format: every module reads the weight table,
 the count/index conversions, the canonical order and the vector view
 of rows from the one row codec below.
-``subset_weights``, the one enumerator of sub-multisets, weights the
-position subsets of rows' indices for the quasi search and
-``is_decomposable``.
+``subset_completions`` is the one place that decides which
+sub-multisets of rows' indices are members or complete to one by a
+single index: ``is_decomposable``, the quasi search and P2 read its
+codes.
 ``is_member``, the one exact test of a single vector, rejects
 sum x_i != 2y first and uses Python integers.
 """
@@ -164,18 +165,23 @@ def rows_to_vectors(rows: np.ndarray) -> list[MonoidVector]:
     return [MonoidVector(x=tuple(r[:-1]), y=r[-1]) for r in rows.tolist()]
 
 
-# subsets per block of ``subset_weights``; (row, subset) cells per quasi-search chunk
+# subsets per block of ``subset_completions``; (row, subset) cells per quasi-search chunk
 _SUBSET_CELLS = 1 << 16
 
 
-def subset_weights(idx: np.ndarray, table: np.ndarray):
-    """Every position subset of the (N, n) indices ``idx``, weighted, in blocks.
+def subset_completions(idx: np.ndarray, m: int):
+    """Which position subsets s of the (N, n) indices ``idx`` are members or complete to one.
 
     A block joins the 2^low <= ``_SUBSET_CELLS`` subsets of the first low
     positions with one subset of the rest.  Yields per block its subsets
-    as (2^low, n) bool positions and their (N, 2^low, T) int32 weights
-    under the columns of ``table``, a ``weight_table``.
+    as (2^low, n) bool positions, their sizes and the (N, 2^low) codes a:
+    0 where an even s meets the level equations (the empty s included),
+    the residue in 1..m-1 where an odd s completes to the member s + e_a,
+    and -1 elsewhere.  Under the unit 1 the level fixes a as
+    m*ceil(|s|/2) - w_1(s); one dense int32 test per other half unit,
+    w(s) + w(e_a) == m*ceil(|s|/2), then decides the whole block.
     """
+    table = weight_table(m)
     n = idx.shape[1]
     low = min(n, _SUBSET_CELLS.bit_length() - 1)
     weights = np.zeros((len(idx), 1, table.shape[1]), dtype=np.int32)
@@ -184,7 +190,15 @@ def subset_weights(idx: np.ndarray, table: np.ndarray):
     for high in range(1 << (n - low)):
         bits = (((high << low) + np.arange(1 << low))[:, None] >> np.arange(n)) & 1 == 1
         rest = table[idx[:, low:][:, bits[0, low:]]].sum(axis=1, dtype=np.int32)
-        yield bits, weights + rest[:, None]
+        w = weights + rest[:, None]
+        size = bits.sum(axis=1)
+        target = (m * ((size + 1) // 2)).astype(np.int32)
+        a = target - w[:, :, 0]
+        fits = (a >= 0) & (a < m) & ((a == 0) == (size % 2 == 0))
+        a = np.where(fits, a, 0)
+        for t in range(1, table.shape[1]):  # the unit 1 holds by the choice of a
+            fits &= w[:, :, t] + table[a, t] == target
+        yield bits, size, np.where(fits, a, -1)
 
 
 def format_vector(v: MonoidVector) -> str:

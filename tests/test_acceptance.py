@@ -24,7 +24,6 @@ from fermat_hodge import (
     is_hodge_label,
     is_member,
     is_quasi_decomposable,
-    level_one,
     newton_identity_check,
     satisfies_p1,
     scan_fourfolds,
@@ -158,7 +157,7 @@ def test_criterion_08_oracle_equivalences(get_basis):
         if not targets:
             continue
         levels = {y: tuple(enumerate_level(m, y)) for y in range(1, max(v.y for v in targets) + 1)}
-        ones = level_one(m)
+        ones = enumerate_level(m, 1)
         for x in targets:
             flat = [v for y in range(1, x.y + 1) for v in levels[y]]
             literal = False

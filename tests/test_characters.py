@@ -342,7 +342,15 @@ class TestSplits:
         calls = count_member_calls(characters, hilbert)
         splits = sum(satisfies_p1(alpha) is not None for alpha in labels)
         assert splits
-        assert len(calls) == len(labels) + 2 * splits
+        assert len(calls) == len(labels)
+
+    def test_p1_decomposable_label_costs_one_member_test(self, count_member_calls):
+        import fermat_hodge.hilbert as hilbert
+
+        calls = count_member_calls(characters, hilbert)
+        beta, gamma = satisfies_p1(Character(3, (1, 2, 1, 2)))
+        assert len(calls) == 1
+        assert beta.entries == gamma.entries == (1, 2)
 
     def test_p1_rejects_a_non_label(self):
         alpha = Character(7, (1, 1, 5))

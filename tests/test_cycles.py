@@ -22,7 +22,6 @@ from fermat_hodge import (
     hilbert_basis,
     is_member,
     is_quasi_decomposable,
-    level_one,
     newton_identity_check,
     parse_vector,
     power_sum_identity_holds,
@@ -236,7 +235,7 @@ class TestQuasiDecomposable:
         for x in targets:
             for y in range(1, x.y + 1):
                 pool_levels.setdefault(y, tuple(enumerate_level(m, y)))
-            ones = level_one(m)
+            ones = enumerate_level(m, 1)
             flat_pool = [v for y in sorted(pool_levels) for v in pool_levels[y] if y <= x.y]
             brute = False
             for b, c, d in product(ones, flat_pool, flat_pool):

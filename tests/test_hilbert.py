@@ -15,7 +15,6 @@ from fermat_hodge import (
     hilbert_basis,
     is_decomposable,
     is_member,
-    level_one,
     phi,
     required_dimension_bound,
     units,
@@ -186,8 +185,8 @@ class TestHilbertBasis:
         # level one needs no search
         basis = hilbert_basis(30, budget=SearchBudget(max_seconds=0))
         assert not basis.complete and basis.max_level_seen >= 1
-        assert set(level_one(30)) <= set(basis.elements)
-        assert len(level_one(30)) == 15
+        assert set(enumerate_level(30, 1)) <= set(basis.elements)
+        assert len(enumerate_level(30, 1)) == 15
 
     @pytest.mark.parametrize(
         "budget",
@@ -208,7 +207,7 @@ class TestHilbertBasis:
         budget = SearchBudget(max_seconds=None, max_candidates=10**5)
         basis = hilbert_basis(30, budget=budget)
         assert not basis.complete and basis.max_level_seen == 1
-        assert list(basis.elements) == level_one(30)
+        assert list(basis.elements) == enumerate_level(30, 1)
         assert budget.spent > 10**5
 
     def test_unknown_algorithm(self):

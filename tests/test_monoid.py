@@ -229,21 +229,39 @@ class TestRowCodec:
         assert ordered == sorted(rows.tolist(), key=lambda r: (r[-1], r[:-1]))
 
     @pytest.mark.parametrize("cells", [1, 4, 1 << 16])
-    def test_subset_weights_lists_every_subset_once(self, cells, monkeypatch):
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 12, 15, 33])
+    def test_subset_completions_match_is_member(self, m, cells, monkeypatch):
         monkeypatch.setattr(monoid, "_SUBSET_CELLS", cells)
-        table = weight_table(12)
-        idx = rows_to_indices(level_rows(12, 2)[:5])
-        seen = []
-        for bits, weights in monoid.subset_weights(idx, table):
-            assert weights.shape == (len(idx), len(bits), table.shape[1])
-            for k, subset in enumerate(bits):
-                seen.append(tuple(np.flatnonzero(subset)))
-                expected = table[idx[:, subset]].sum(axis=1)
-                assert np.array_equal(weights[:, k], expected)
-        assert sorted(seen) == sorted(
-            tuple(np.flatnonzero([(s >> p) & 1 for p in range(4)])) for s in range(16)
-        )
-        assert len(seen) == 16
+
+        def member(indices):
+            x = [0] * (m - 1)
+            for i in indices:
+                x[i - 1] += 1
+            return is_member(MonoidVector(x=tuple(x), y=len(indices) // 2), m)
+
+        for y in range(1, 5):
+            rows = level_rows(m, y)
+            idx = rows_to_indices(rows[np.unique(np.linspace(0, len(rows) - 1, 3, dtype=int))])
+            n = idx.shape[1]
+            seen = []
+            for bits, size, a in monoid.subset_completions(idx, m):
+                assert a.shape == (len(idx), len(bits))
+                assert np.array_equal(size, bits.sum(axis=1))
+                for k, subset in enumerate(bits):
+                    seen.append(tuple(np.flatnonzero(subset)))
+                    for r in range(len(idx)):
+                        s = idx[r, subset].tolist()
+                        if len(s) % 2:
+                            fits = [b for b in range(1, m) if member(s + [b])]
+                            assert len(fits) <= 1
+                            assert a[r, k] == (fits[0] if fits else -1)
+                        else:
+                            assert a[r, k] == (0 if not s or member(s) else -1)
+            # every position subset exactly once
+            assert sorted(seen) == sorted(
+                tuple(np.flatnonzero([(s >> p) & 1 for p in range(n)])) for s in range(1 << n)
+            )
+            assert len(seen) == 1 << n
 
 
 class _UnitMultipliers:
