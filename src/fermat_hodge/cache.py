@@ -46,7 +46,7 @@ from pathlib import Path
 
 from .cycles import ConditionReport, StandardProvenance, StandardSet
 from .hilbert import HilbertBasis
-from .monoid import MonoidVector, format_vector, parse_vector
+from .monoid import MonoidVector, format_vector, is_member, parse_vector
 
 SCHEMA_VERSION = 1
 ENV_CACHE_DIR = "FERMAT_CACHE_DIR"
@@ -273,10 +273,14 @@ def basis_to_dict(basis: HilbertBasis) -> dict:
 
 
 def basis_from_dict(payload: dict) -> HilbertBasis:
-    """The basis of a payload, its elements in the stored (canonical) order."""
+    """The basis of a payload in the stored (canonical) order; a non-member is a ValueError."""
+    m = int(payload["m"])
+    elements = tuple(parse_vector(s) for s in payload["elements"])
+    if not all(is_member(v, m) for v in elements):
+        raise ValueError(f"a stored basis element of m={m} is not a member")
     return HilbertBasis(
-        m=int(payload["m"]),
-        elements=tuple(parse_vector(s) for s in payload["elements"]),
+        m=m,
+        elements=elements,
         complete=bool(payload["complete"]),
         max_level_seen=int(payload["max_level_seen"]),
         algorithm=str(payload["algorithm"]),

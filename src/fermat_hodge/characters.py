@@ -5,13 +5,15 @@ Hodge labels in even dimension n are the characters whose weight under
 every unit t equals n/2 + 1.  As |t*alpha| = sum_k <t*k> x_k / m for
 the count vector x, that condition *is* membership of (x; n/2 + 1) in
 the residue-count monoid, checked by ``monoid.is_member`` for one
-character.  ``enumerate_hodge_labels`` proves a whole level slice with
-one exact numpy weight check instead, and builds its labels only from
-the rows that check proved.  The two join operations mirror sum
-decompositions on the monoid side: the splits P1 (star join, through
-``is_decomposable``) and P2 (hash join) both read which sub-multisets
-of a label's entries are members or complete to one from
-``monoid.subset_completions``, the one place that decides it.
+character.  A label's proof is the exact check made by the code that
+built it: ``enumerate_hodge_labels`` reads the level slice, whose join
+checks every row's weights exactly; the P1 and P2 splits read the
+classifier's fit test; a caller's character runs ``is_member``.  The
+two join operations mirror sum decompositions on the monoid side: the
+splits P1 (star join, through ``is_decomposable``) and P2 (hash join)
+both read which sub-multisets of a label's entries are members or
+complete to one from ``monoid.subset_completions``, the one place that
+decides it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .monoid import (
     rows_to_indices,
     rows_to_vectors,
     subset_completions,
-    weight_table,
 )
 
 
@@ -75,7 +76,11 @@ class HodgeLabel(Character):
 
     @classmethod
     def _proved(cls, m: int, entries: tuple[int, ...]) -> "HodgeLabel":
-        """A label whose weights the caller has just checked; no second proof."""
+        """A label proved by the exact check of the code that built it.
+
+        That check is the slice join, the classifier's fit test or
+        ``is_member``; no second proof runs here.
+        """
         label = object.__new__(cls)
         object.__setattr__(label, "m", m)
         object.__setattr__(label, "entries", entries)
@@ -106,29 +111,6 @@ def is_hodge_label(alpha: Character) -> bool:
     return alpha.n % 2 == 0 and is_member(_counts(alpha), alpha.m)
 
 
-def _proved_entries(m: int, y: int) -> np.ndarray:
-    """The sorted entries of every level-y slice row, each row proved here.
-
-    One exact weight check on the whole ``level_rows`` slice: count
-    sum x_i == 2y, signs x_i >= 0, and x @ ``weight_table(m)`` == m*y,
-    which is ``is_member`` on every row at once.  Count and sign bound
-    every entry by 2y, so the int64 products cannot overflow.  A row that
-    fails is a HodgeLabelError.  Each row of entries ascends; the rows
-    come in slice order.
-    """
-    rows = level_rows(m, y)
-    x = rows[:, :-1]
-    proved = (
-        (x.sum(axis=1) == 2 * y)
-        & (x >= 0).all(axis=1)
-        & (x @ weight_table(m)[1:] == m * y).all(axis=1)
-    )
-    if not proved.all():
-        bad = rows[np.argmin(proved)].tolist()
-        raise HodgeLabelError(f"level-{y} slice row is not a Hodge label for m={m}: {bad}")
-    return rows_to_indices(rows)
-
-
 def enumerate_hodge_labels(
     m: int, n: int, expand_permutations: bool = False
 ) -> list[HodgeLabel]:
@@ -136,15 +118,15 @@ def enumerate_hodge_labels(
 
     Generated from the rows of the monoid level slice n/2 + 1 rather than
     a raw scan of all tuples: the weight conditions are exactly the level
-    equations, and one weight check on the whole slice proves every row
-    (``_proved_entries``); labels are built only from those rows.  With
-    ``expand_permutations`` every distinct entry order is listed; weights
-    do not depend on entry order, so no permutation is proved again.
+    equations, and ``level_rows`` checks every joined row's weights
+    exactly, which proves each label.  With ``expand_permutations`` every
+    distinct entry order is listed; weights do not depend on entry order,
+    so no permutation is proved again.
     """
     check_modulus(m)
     check_dimension(n)
     # slice order ascends on x, which is descending order on sorted entries
-    entries = _proved_entries(m, n // 2 + 1)[::-1].tolist()
+    entries = rows_to_indices(level_rows(m, n // 2 + 1))[::-1].tolist()
     if expand_permutations:
         entries = sorted({p for rep in entries for p in permutations(rep)})
     return [HodgeLabel._proved(m, tuple(e)) for e in entries]

@@ -29,7 +29,7 @@ from .cycles import (
     verdict as cycles_verdict,
 )
 from .errors import BudgetExceededError, IncompleteBasisError
-from .hilbert import hilbert_basis, is_decomposable
+from .hilbert import HilbertBasis, hilbert_basis, is_decomposable
 from .monoid import is_member
 
 EXIT_OK = 0
@@ -51,9 +51,8 @@ def _cache(args) -> ResultCache:
 def _cached_basis(m, cache, budget, parse=False) -> Entry:
     """The basis entry of degree m: the cached one, else computed.
 
-    ``parse`` asks for the payload, which only the text form and the
-    all-levels check read; ``phi`` and the JSON form read the meta and
-    the body.
+    ``parse`` asks for the payload, which only the text form reads;
+    ``phi`` and the JSON form read the meta and the body.
     """
     entry = cache.get_basis(m, parse=parse)
     if entry is None:
@@ -130,7 +129,7 @@ def cmd_phi_table(args) -> int:
     return EXIT_INCOMPLETE if any_incomplete else EXIT_OK
 
 
-def _report_lines(report: dict) -> list[str]:
+def _report_text(report: dict) -> str:
     """The text form of a ``report_to_dict`` payload."""
     counts, n = report["counts"], report["n"]
     lines = [
@@ -154,37 +153,54 @@ def _report_lines(report: dict) -> list[str]:
             )
         else:
             lines.append(f"FAIL {o['element']}")
-    return lines
+    return "\n".join(lines) + "\n"
 
 
-def _cached_report(m, n, exclude_standard, cache, budget, parse=False) -> Entry:
-    """The report entry of a check: the cached one, else computed.
+def _stored_basis(m, cache, budget) -> HilbertBasis:
+    """The basis of degree m: its cached entry's, else computed and stored.
 
-    A miss without ``n`` reads the basis entry (cached, else computed
-    and stored), the one place that parses a basis payload into
-    vectors, and classifies its elements as ``check_condition`` would.
+    The one place that parses a basis payload into vectors; an entry
+    whose elements do not parse into members is a miss.
     """
-    entry = cache.get_report(m, n, exclude_standard, parse=parse)
-    if entry is None:
-        if n is None:
-            basis = basis_from_dict(_cached_basis(m, cache, budget, parse=True).payload)
-            report = _all_levels_report(basis, exclude_standard, budget)
-        else:
-            report = check_condition(m, n=n, exclude_standard=exclude_standard, budget=budget)
-        entry = cache.put_report(report)
-    return entry
+    entry = cache.get_basis(m, parse=True)
+    if entry is not None:
+        try:
+            return basis_from_dict(entry.payload)
+        except (TypeError, ValueError):
+            pass
+    basis = hilbert_basis(m, budget=budget)
+    cache.put_basis(basis)
+    return basis
+
+
+def _cached_report(m, n, exclude_standard, cache, budget, text=False) -> tuple[Entry, str]:
+    """The report entry of a check, cached else computed, and what the
+    command prints: the text form with ``text``, else the JSON body.
+
+    A cached payload the text form cannot render is a miss.  A miss
+    without ``n`` classifies the elements of ``_stored_basis`` as
+    ``check_condition`` would.
+    """
+    entry = cache.get_report(m, n, exclude_standard, parse=text)
+    if entry is not None:
+        try:
+            return entry, _report_text(entry.payload) if text else entry.body
+        except (KeyError, TypeError):
+            pass
+    if n is None:
+        report = _all_levels_report(_stored_basis(m, cache, budget), exclude_standard, budget)
+    else:
+        report = check_condition(m, n=n, exclude_standard=exclude_standard, budget=budget)
+    entry = cache.put_report(report)
+    return entry, _report_text(entry.payload) if text else entry.body
 
 
 def cmd_check(args) -> int:
-    text = args.format == "text"
-    entry = _cached_report(
-        args.m, args.n, args.exclude_standard, _cache(args), _budget(args), parse=text
+    entry, out = _cached_report(
+        args.m, args.n, args.exclude_standard, _cache(args), _budget(args),
+        text=args.format == "text",
     )
-    if text:
-        for line in _report_lines(entry.payload):
-            print(line)
-    else:
-        sys.stdout.write(entry.body)
+    sys.stdout.write(out)
     return EXIT_OK if entry.meta["complete"] else EXIT_INCOMPLETE
 
 

@@ -373,8 +373,7 @@ def _all_levels_report(basis: HilbertBasis, exclude_standard, budget) -> Conditi
     """
     if not basis.complete:
         raise IncompleteBasisError(
-            f"the all-levels condition for m={basis.m} needs a complete basis",
-            partial_max_level=basis.max_element_level,
+            f"the all-levels condition for m={basis.m} needs a complete basis"
         )
     rows = vectors_to_rows([b for b in basis.elements if b.y >= 3], basis.m)
     return _classify(basis.m, None, rows, True, exclude_standard, budget)

@@ -24,14 +24,7 @@ class HodgeLabelError(ValueError):
 
 
 class IncompleteBasisError(RuntimeError):
-    """A complete generating set was required but only a partial one exists.
-
-    Carries the maximum level among the elements found so far.
-    """
-
-    def __init__(self, message: str, partial_max_level: int = 0):
-        super().__init__(message)
-        self.partial_max_level = partial_max_level
+    """A complete generating set was required but only a partial one exists."""
 
 
 class BudgetExceededError(RuntimeError):

@@ -237,12 +237,12 @@ class _Closure:
     def __init__(self, C: int, budget: SearchBudget, transforms):
         self.C = C
         self.budget = budget
-        self.perm, self.sign = transforms
+        perm, sign = transforms
         # the 2T signed transforms, negation second; a linear key scores
         # each of them, with fixed odd multipliers below 2^32 so that no
         # score of a row with an L1 norm below 2^31 overflows int64
-        self.orbit_perm = np.vstack([self.perm, self.perm])
-        self.orbit_sign = np.vstack([self.sign, -self.sign])
+        self.orbit_perm = np.vstack([perm, perm])
+        self.orbit_sign = np.vstack([sign, -sign])
         draw = random.Random(0)
         mix = np.asarray([draw.getrandbits(32) | 1 for _ in range(C)], dtype=np.int64)
         self.orbit_key = (self.orbit_sign * mix[self.orbit_perm]).T
@@ -255,14 +255,13 @@ class _Closure:
     def set_reps(self, R: np.ndarray) -> None:
         """Rebuild the store from the orbits of the nonzero rows of R."""
         R = R[R.any(axis=1)]
-        k, T = len(R), len(self.perm)
+        k, T = len(R), len(self.orbit_perm)
         W = np.zeros((k, T, self.C), dtype=np.int64)
-        W[np.arange(k)[:, None, None], np.arange(T)[None, :, None], self.perm] = (
-            self.sign * R[:, None, :]
+        W[np.arange(k)[:, None, None], np.arange(T)[None, :, None], self.orbit_perm] = (
+            self.orbit_sign * R[:, None, :]
         )
-        W = np.concatenate([W, -W], axis=1).reshape(-1, self.C)
-        self.G, inv = _unique_rows(W)
-        inv = inv.reshape(k, 2 * T)
+        self.G, inv = _unique_rows(W.reshape(-1, self.C))
+        inv = inv.reshape(k, T)
         # rows come out sorted, so an orbit's least row index is its least member
         least, orbit = np.unique(inv.min(axis=1), return_inverse=True)
         self.reps = self.G[least]
@@ -572,7 +571,6 @@ def phi(m: int, budget: SearchBudget | None = None) -> int:
         raise IncompleteBasisError(
             f"basis for m={m} is incomplete (levels up to "
             f"{basis.max_level_seen} certified)",
-            partial_max_level=basis.max_element_level,
         )
     return basis.max_element_level
 

@@ -331,10 +331,10 @@ def level_rows(m: int, y: int, budget=None) -> np.ndarray:
     return indices_to_rows(np.stack(seq, axis=1)[order], m, y)
 
 
-def enumerate_level(m: int, y: int, budget=None) -> list[MonoidVector]:
+def enumerate_level(m: int, y: int) -> list[MonoidVector]:
     """All elements of the level-y slice in canonical lexicographic order.
 
     The ``MonoidVector`` view of ``level_rows``; the package's own
-    searches read the array.  The optional budget is spent as there.
+    searches read the array.
     """
-    return rows_to_vectors(level_rows(m, y, budget))
+    return rows_to_vectors(level_rows(m, y))

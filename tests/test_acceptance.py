@@ -49,6 +49,7 @@ PHI_STRETCH = {
 }
 
 
+@pytest.mark.slow
 def test_criterion_01_phi_table_regression(get_basis):
     t0 = time.time()
     computed = {}
@@ -140,6 +141,7 @@ def test_criterion_07_fourfold_scan_to_60():
           f"({elapsed:.0f}s): PASS")
 
 
+@pytest.mark.slow
 def test_criterion_08_oracle_equivalences(get_basis):
     t0 = time.time()
     # (a) exhaustive box scan equals the pruned enumeration

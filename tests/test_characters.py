@@ -3,7 +3,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -121,7 +120,7 @@ class TestEnumerate:
             enumerate_hodge_labels(5, 3)
 
     def test_each_label_is_proved_once(self, monkeypatch):
-        # one weight check proves the slice: no per-label is_member or weight
+        # the slice join proves each row: no per-label is_member or weight
         calls = Counter()
         slices = []
 
@@ -147,22 +146,6 @@ class TestEnumerate:
         counts = {characters._counts(label).row() for label in labels}
         assert counts == {tuple(row) for row in rows.tolist()}
         assert all(is_hodge_label(label) for label in labels)
-
-    @pytest.mark.parametrize("planted", [
-        (0, 2, 0, 1, 0, 1, 2),  # 2,2,4,6: weights under 1 and 2, not under 3
-        (-1, 0, 3, 3, 0, -1, 2),  # count and every weight, but negative entries
-        (0, 0, 1, 1, 0, 0, 2),  # a level-1 member in the level-2 slice
-    ])
-    def test_a_planted_non_member_row_is_refused(self, planted, monkeypatch):
-        level_rows = characters.level_rows
-
-        def planting(m, y):
-            rows = level_rows(m, y)
-            return np.insert(rows, len(rows) // 2, planted, axis=0)
-
-        monkeypatch.setattr(characters, "level_rows", planting)
-        with pytest.raises(HodgeLabelError):
-            enumerate_hodge_labels(7, 2)
 
     def test_a_caller_label_keeps_its_own_proof(self, count_member_calls):
         calls = count_member_calls(characters)
@@ -230,9 +213,13 @@ class TestCorrespondence:
         for v in enumerate_level(m, y):
             assert to_monoid(from_monoid(v, m)) == v
 
-    @pytest.mark.parametrize("m", range(2, 11))
-    @pytest.mark.parametrize("y", [1, 2, 3])
+    # every small slice, and the slices of the benchmark's hodge requests:
+    # (33, 4), (28, 4), (21, 4), (15, 6), (12, 4) and (9, 6) as (m, n)
+    @pytest.mark.parametrize("y,m", [(y, m) for y in (1, 2, 3) for m in range(2, 11)] + [
+        (3, 33), (3, 28), (3, 21), (4, 15), (3, 12), (4, 9),
+    ])
     def test_bijection_with_level_slice(self, m, y):
+        # to_monoid proves each label with is_member, in Python integers
         labels = enumerate_hodge_labels(m, 2 * (y - 1))
         assert {to_monoid(l) for l in labels} == set(enumerate_level(m, y))
 

@@ -539,6 +539,46 @@ class TestCacheLayouts:
         assert code == 0 and out == fresh
         assert read_entry(cache, kind, name) == current
 
+    def test_report_the_text_form_cannot_render_is_recomputed(self, capsys, tmp_path):
+        # the cache's own check passes: only rendering the outcomes fails
+        kind, name, get = _REPORT_12
+        argv = ["check", "--m", "12", "--cache-dir", str(tmp_path)]
+        _, fresh = run_cli(argv, capsys)
+        cache = ResultCache(tmp_path)
+        current = read_entry(cache, kind, name)
+        payload = json.loads(current[1])
+        assert "QUASI" in {o["kind"] for o in payload["outcomes"]}
+        for o in payload["outcomes"]:
+            o.pop("witness", None)
+            o.pop("provenance", None)
+        forge_entry(cache, kind, name, current[0], payload)
+        assert get(cache) is not None
+        code, out = run_cli(argv, capsys)
+        assert code == 0 and out == fresh
+        assert read_entry(cache, kind, name) == current
+
+    @pytest.mark.parametrize(
+        "element",
+        ["x", "1,2;3", "-1,0,0,0,0,0,0,0,0,0,0,0,1;1", "9" * 20 + ",0,0,0,0,0,0,0,0,0,0,0,1;1"],
+        ids=["not-a-vector", "too-short", "negative", "past-int64"],
+    )
+    def test_basis_whose_elements_are_not_members_is_recomputed(
+        self, element, capsys, tmp_path
+    ):
+        # phi caches the basis; the all-levels check misses and parses it
+        argv = ["check", "--m", "14", "--cache-dir"]
+        _, fresh = run_cli(argv + [str(tmp_path / "fresh")], capsys)
+        cache = ResultCache(tmp_path)
+        assert run_cli(["phi", "--m", "14", "--cache-dir", str(tmp_path)], capsys)[0] == 0
+        current = read_entry(cache, "BASIS", "m14")
+        payload = json.loads(current[1])
+        payload["elements"][0] = element
+        forge_entry(cache, "BASIS", "m14", current[0], payload)
+        assert cache.get_basis(14, parse=True) is not None
+        code, out = run_cli(argv + [str(tmp_path)], capsys)
+        assert code == 0 and out == fresh
+        assert read_entry(cache, "BASIS", "m14") == current
+
 
 def _hot_requests(m):
     m = str(m)

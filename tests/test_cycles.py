@@ -562,7 +562,7 @@ class TestVerdict:
         assert report.condition_report is not None
         assert report.condition_report.verdict
 
-    @pytest.mark.parametrize("m", [24, 30])
+    @pytest.mark.parametrize("m", [24, pytest.param(30, marks=pytest.mark.slow)])
     def test_tenfold_pnm_check(self, m):
         report = verdict(m, 10)
         assert report.status == VerdictStatus.PROVEN_BY_PNM_CHECK
