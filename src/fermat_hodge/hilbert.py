@@ -69,6 +69,11 @@ __all__ = [
     "required_dimension_bound",
 ]
 
+# cells of one rep block's cancelling-pair mask, and the pair sums a
+# batch handed to the reducer reaches before it closes
+_PAIR_CELLS = 1 << 16
+_PAIR_FLUSH = 1 << 17
+
 
 @dataclass(frozen=True)
 class DecompositionWitness:
@@ -195,19 +200,79 @@ def _class_transforms(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.where(upper, m - r, r) - 1, np.where(upper, -1, 1)
 
 
+def _pack(V: np.ndarray, b: int) -> np.ndarray:
+    """Rows of columns in 0..2^b - 1 packed into int64 words.
+
+    Each word holds 63 // b columns, the first column most significant,
+    and no column straddles two words, so no word is negative and the
+    words of two rows compare lexicographically as the rows do.  The
+    packing is one product with a placement matrix, linear in V modulo
+    2^64 whatever its entries.
+    """
+    per = 63 // b
+    C = V.shape[1]
+    c = np.arange(C)
+    place = np.zeros((C, -(-C // per)), dtype=np.int64)
+    place[c, c // per] = 1 << (b * (per - 1 - c % per))
+    return V @ place
+
+
 def _unique_rows(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of V in lexicographic order, and each row's index.
 
-    The same as ``np.unique(V, axis=0, return_inverse=True)``, by one
-    ``lexsort``, which is several times faster on int64 rows.
+    The same as ``np.unique(V, axis=0, return_inverse=True)``: each row is
+    packed by ``_pack`` in offset binary, b = bit_length(max - min) bits
+    a column, and one ``lexsort`` over those few words replaces one
+    stable sort per column.  Needs max - min < 2^63, which closure rows
+    meet: their L1 norms are below 2^31.
     """
-    order = np.lexsort(V.T[::-1])
-    S = V[order]
+    lo, hi = (V.min(), V.max()) if V.size else (0, 0)
+    b = max(1, int(hi - lo).bit_length())
+    # the words of V - lo, without a copy of V: packing is linear mod 2^64
+    words = _pack(V, b) - _pack(np.full((1, V.shape[1]), lo), b)
+    order = np.lexsort(words.T[::-1])
+    S = words[order]
     new = np.ones(len(S), dtype=bool)
     new[1:] = (S[1:] != S[:-1]).any(axis=1)
     inverse = np.empty(len(V), dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
-    return S[new], inverse
+    return V[order[new]], inverse
+
+
+def _pair_sums(
+    reps: np.ndarray, new: np.ndarray, block: np.ndarray, block_rep_idx: np.ndarray
+):
+    """Batches of the cancelling pair sums rep + block row, for ``reduce``.
+
+    A pair cancels when the sign words meet, (pos(rep) & neg(row)) |
+    (neg(rep) & pos(row)) != 0; the words hold every column exactly.  A
+    new rep skips the block rows of lower reps, whose turn paired them
+    already.  The masks are taken in rep blocks of about
+    ``_PAIR_CELLS`` cells, and the sums come out rep-major, block rows
+    ascending.  A batch closes after the rep at which it reaches
+    ``_PAIR_FLUSH`` rows, and the last batch, maybe empty, closes after
+    the last rep.
+    """
+    rep_pos, rep_neg = _pack(reps > 0, 1), _pack(reps < 0, 1)
+    pos, neg = _pack(block > 0, 1), _pack(block < 0, 1)
+    step = max(1, _PAIR_CELLS // max(len(block), 1))
+    batch: list[np.ndarray] = []
+    buffered = 0
+    for lo in range(0, len(reps), step):
+        hi = min(lo + step, len(reps))
+        cancel = ((rep_pos[lo:hi, None] & neg) | (rep_neg[lo:hi, None] & pos)).any(axis=2)
+        cancel &= ~(new[lo:hi, None] & (block_rep_idx < np.arange(lo, hi)[:, None]))
+        r, c = np.nonzero(cancel)
+        r += lo
+        ends = np.cumsum(cancel.sum(axis=1))
+        done = 0
+        while (k := np.searchsorted(ends, _PAIR_FLUSH - buffered + done)) < len(ends):
+            batch.append(block[c[done : ends[k]]] + reps[r[done : ends[k]]])
+            yield batch
+            batch, buffered, done = [], 0, ends[k]
+        batch.append(block[c[done:]] + reps[r[done:]])
+        buffered += len(c) - done
+    yield batch
 
 
 class _Closure:
@@ -218,7 +283,11 @@ class _Closure:
     positive and negative parts both fit inside the target's, and it is
     the only reduction.  Only cancelling pairs (opposite strict signs
     somewhere) need processing: a sum without cancellation reduces to
-    zero through its own summands.
+    zero through its own summands.  ``_pair_sums`` finds them for blocks
+    of representatives at once from one mask over their exact sign
+    words, and every dedup (``_unique_rows``) sorts rows packed into a
+    few int64 words instead of one column at a time; both pack with
+    ``_pack``.
 
     The store holds whole orbits under the signed action of the full
     unit group and negation, rebuilt in bulk from the orbit
@@ -250,6 +319,17 @@ class _Closure:
         self.set_reps(np.zeros((0, C), dtype=np.int64))
 
     def _keys(self, V: np.ndarray) -> np.ndarray:
+        """Support keys: positive columns in the low bits, negative ones 32 up.
+
+        Past 32 columns the halves alias (bit k >= 32 holds column k's
+        positive sign or column k - 32's negative one) and columns past
+        63 drop out.  Every key bit is still an OR of sign bits of the
+        row, so a store row that fits a target, whose signed supports lie
+        inside the target's, has its key inside the target's key:
+        aliasing only admits more pairs to ``_fits`` and never hides a
+        fit.  The mask of ``_pair_sums`` needs the exact signs, so it is
+        not read off these keys.
+        """
         return ((V > 0) @ self.bits) | (((V < 0) @ self.bits) << 32)
 
     def set_reps(self, R: np.ndarray) -> None:
@@ -372,26 +452,12 @@ class _Closure:
             if not new.any():
                 break
             block_rows = np.flatnonzero(new[self.rep_of_row])
-            block = self.G[block_rows]
-            block_rep_idx = self.rep_of_row[block_rows]
-            sums: list[np.ndarray] = []
-            buffered = 0
-            remainders = []
-            neg_block = block < 0
-            pos_block = block > 0
-            for i, g in enumerate(self.reps):
-                cancel = (neg_block & (g > 0)).any(axis=1) | (
-                    pos_block & (g < 0)
-                ).any(axis=1)
-                if new[i]:
-                    cancel[block_rep_idx < i] = False
-                if cancel.any():
-                    sums.append(block[cancel] + g)
-                    buffered += int(cancel.sum())
-                    if buffered >= (1 << 17):
-                        remainders.append(self.reduce(sums))
-                        sums, buffered = [], 0
-            remainders.append(self.reduce(sums))
+            remainders = [
+                self.reduce(batch)
+                for batch in _pair_sums(
+                    self.reps, new, self.G[block_rows], self.rep_of_row[block_rows]
+                )
+            ]
             paired.update(rep_keys)
             fresh = np.vstack(remainders)
         return self.G
@@ -499,7 +565,9 @@ def hilbert_basis(
     budget the rows it tests against its store: orbit representatives,
     and of the pair sums one member per orbit under the unit group and
     negation, not every distinct sum, so one cap reaches further than a
-    count of sums.
+    count of sums.  Each such row is tested against the whole store, so
+    ``max_candidates`` bounds completion rows, not work: 10^5 of them at
+    degree 30 take about 5 s of CPU.  ``max_seconds`` bounds the time.
     """
     check_modulus(m)
     budget = budget or SearchBudget()

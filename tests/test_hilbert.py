@@ -19,12 +19,14 @@ from fermat_hodge import (
     required_dimension_bound,
     units,
 )
+from fermat_hodge import hilbert
 from fermat_hodge.errors import BudgetExceededError, IncompleteBasisError, MembershipError
 from fermat_hodge.hilbert import (
     _class_transforms,
     _Closure,
     _indecomposable_in_slice,
     _levelwise,
+    _pair_sums,
     _unique_rows,
 )
 from fermat_hodge.monoid import level_rows, rows_to_vectors
@@ -124,12 +126,27 @@ class TestHilbertBasis:
         elements = get_basis(m).elements
         assert list(elements) == sorted(set(elements), key=lambda v: (v.y, v.x))
 
-    @pytest.mark.parametrize("shape", [(0, 4), (1, 4), (300, 3), (2000, 15)])
-    def test_unique_rows_matches_numpy(self, shape):
-        V = np.random.default_rng(0).integers(-2, 3, size=shape)
+    @pytest.mark.parametrize(
+        "shape, low, high",
+        [
+            pytest.param((0, 4), -2, 3, id="shape0"),
+            pytest.param((1, 4), -2, 3, id="shape1"),
+            pytest.param((300, 3), -2, 3, id="shape2"),
+            pytest.param((2000, 15), -2, 3, id="shape3"),
+            pytest.param((500, 6), -(2**40), 2**40, id="span-2^41"),  # one column a word
+            pytest.param((300, 1), -5, 6, id="one-column"),
+            pytest.param((50, 9), 7, 8, id="all-equal"),
+            pytest.param((300, 12), 1000, 1004, id="span-3-far-from-zero"),
+            pytest.param((400, 70), -2, 3, id="70-columns"),  # several words
+        ],
+    )
+    def test_unique_rows_matches_numpy(self, shape, low, high):
+        rng = np.random.default_rng(0)
+        V = rng.integers(low, high, size=shape)
+        V = np.vstack([V, V[rng.permutation(len(V))]])  # duplicates at any span
         rows, inverse = _unique_rows(V)
         expected, expected_inverse = np.unique(V, axis=0, return_inverse=True)
-        assert np.array_equal(rows, expected)
+        assert rows.dtype == V.dtype and np.array_equal(rows, expected)
         assert np.array_equal(inverse, expected_inverse.ravel())
 
     @pytest.mark.parametrize("m", [6, 9, 12, 21])
@@ -271,6 +288,118 @@ class TestClosure:
         for V in seen:
             orbits = {_orbit_id(m, v) for v in V}
             assert len(orbits) == len(V)
+
+
+def _literal_pair_sums(reps, new, block, block_rep_idx):
+    """The closure's pair batches by one mask per representative, literally."""
+    batches, sums, buffered = [], [], 0
+    neg_block, pos_block = block < 0, block > 0
+    for i, g in enumerate(reps):
+        cancel = (neg_block & (g > 0)).any(axis=1) | (pos_block & (g < 0)).any(axis=1)
+        if new[i]:
+            cancel[block_rep_idx < i] = False
+        if cancel.any():
+            sums.append(block[cancel] + g)
+            buffered += int(cancel.sum())
+            if buffered >= hilbert._PAIR_FLUSH:
+                batches.append(sums)
+                sums, buffered = [], 0
+    batches.append(sums)
+    return batches
+
+
+def _batch_bytes(batches, C):
+    """Each batch as the bytes of the rows the reducer stacks from it."""
+    return [np.vstack([np.zeros((0, C), dtype=np.int64), *b]).tobytes() for b in batches]
+
+
+def _sparse_rows(rng, rows, C):
+    return rng.integers(-2, 3, size=(rows, C)) * (rng.random((rows, C)) < 0.08)
+
+
+# (cells of a rep block, rows that close a batch): the defaults, and small
+# ones that cut rep blocks and batches many times
+PAIR_SIZES = pytest.mark.parametrize(
+    "cells, flush", [(1 << 16, 1 << 17), (1000, 61)], ids=["default", "small"]
+)
+
+
+class TestPairSums:
+    @PAIR_SIZES
+    @pytest.mark.parametrize("m", [18, 28])
+    def test_reducer_gets_the_literal_loops_batches(self, m, cells, flush, monkeypatch):
+        monkeypatch.setattr(hilbert, "_PAIR_CELLS", cells)
+        monkeypatch.setattr(hilbert, "_PAIR_FLUSH", flush)
+        states, handed, inside = [], [], []
+        interreduce, reduce = _Closure.interreduce, _Closure.reduce
+
+        def recording_interreduce(self, R):
+            inside.append(True)
+            try:
+                interreduce(self, R)
+            finally:
+                inside.pop()
+            states.append((self.reps.copy(), self.G.copy(), self.rep_of_row.copy()))
+
+        def recording_reduce(self, parts):
+            if not inside:
+                handed.append(_batch_bytes([parts], self.C)[0])
+            return reduce(self, parts)
+
+        monkeypatch.setattr(_Closure, "interreduce", recording_interreduce)
+        monkeypatch.setattr(_Closure, "reduce", recording_reduce)
+        assert hilbert_basis(m).complete
+        expected, paired = [], set()
+        for reps, G, rep_of_row in states:
+            keys = [r.tobytes() for r in reps]
+            new = np.array([k not in paired for k in keys], dtype=bool)
+            if not new.any():
+                break
+            rows = np.flatnonzero(new[rep_of_row])
+            batches = _literal_pair_sums(reps, new, G[rows], rep_of_row[rows])
+            expected += _batch_bytes(batches, m // 2)
+            paired.update(keys)
+        assert len(handed) > 1 and handed == expected
+
+    @PAIR_SIZES
+    @pytest.mark.parametrize("C", [40, 70])
+    def test_pair_sums_match_the_literal_loop(self, C, cells, flush, monkeypatch):
+        monkeypatch.setattr(hilbert, "_PAIR_CELLS", cells)
+        monkeypatch.setattr(hilbert, "_PAIR_FLUSH", flush)
+        rng = np.random.default_rng(C)
+        reps = _sparse_rows(rng, 60, C)
+        block = _sparse_rows(rng, 400, C)
+        block_rep_idx = np.sort(rng.integers(0, len(reps), size=len(block)))
+        new = rng.random(len(reps)) < 0.5
+        expected = _literal_pair_sums(reps, new, block, block_rep_idx)
+        got = list(_pair_sums(reps, new, block, block_rep_idx))
+        assert _batch_bytes(got, C) == _batch_bytes(expected, C)
+        # the data tells an exact mask from one read off the support keys'
+        # 32-bit halves, which alias past 32 columns
+        keys = _Closure(C, SearchBudget(), _class_transforms(2 * C))._keys
+        low, high = (1 << 32) - 1, lambda k: (k >> 32) & ((1 << 32) - 1)
+        rk, bk = keys(reps), keys(block)
+        halves = ((rk[:, None] & low) & high(bk)) | (high(rk)[:, None] & (bk & low)) != 0
+        exact = ((reps[:, None] > 0) & (block < 0)).any(axis=2) | (
+            (reps[:, None] < 0) & (block > 0)
+        ).any(axis=2)
+        assert (halves != exact).any()
+
+    def test_support_keys_admit_every_fit_past_32_columns(self):
+        m = 80
+        rng = np.random.default_rng(m)
+        closure = _Closure(m // 2, SearchBudget(), _class_transforms(m))
+        closure.set_reps(_sparse_rows(rng, 12, m // 2))
+        W = rng.integers(-3, 4, size=(300, m // 2))
+        pairs = set()
+        for lo, _, rows, gs in closure._chunks(W):
+            pairs.update(zip((lo + rows).tolist(), gs.tolist()))
+        rows, gs = np.divmod(np.arange(len(W) * len(closure.G)), len(closure.G))
+        fit = closure._fits(W, rows, gs)
+        fits = set(zip(rows[fit].tolist(), gs[fit].tolist()))
+        # fits that only the aliased high bits of the keys could tell apart
+        assert any(closure.G[g, 32:].any() for _, g in fits)
+        assert fits <= pairs
 
 
 def _all_column_sieve(rows, basis):
