@@ -33,6 +33,13 @@ and REPORT entries store.  ``get_basis`` and ``get_report`` return an
 ``Entry``; with ``parse=True`` it carries the parsed payload, checked
 for its key, ``complete`` and the fields the text printers read (else a
 miss).
+
+A BASIS or REPORT read, the cache hit of every command, imports
+nothing beyond the standard library.  ``monoid``, ``hilbert`` and
+``cycles`` (and with them numpy) are imported inside the functions that
+format or parse vectors and build result objects: the writes,
+``basis_from_dict`` and the LEVEL and STANDARD methods, which run only
+where something is computed anyway.
 """
 
 from __future__ import annotations
@@ -44,9 +51,8 @@ import tempfile
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from .cycles import ConditionReport, StandardProvenance, StandardSet
-from .hilbert import HilbertBasis
-from .monoid import MonoidVector, format_vector, is_member, parse_vector
+# Annotations name classes of ``cycles``, ``hilbert`` and ``monoid``, which
+# are imported where they are used: a read needs none of them (see above).
 
 SCHEMA_VERSION = 1
 ENV_CACHE_DIR = "FERMAT_CACHE_DIR"
@@ -158,12 +164,16 @@ class ResultCache:
     # -- LEVEL ---------------------------------------------------------------
 
     def get_level(self, m: int, y: int) -> list[MonoidVector] | None:
+        from .monoid import parse_vector
+
         def parse(payload):
             return [parse_vector(s) for s in payload["vectors"]]
 
         return self._load("LEVEL", f"m{m}_y{y}", parse, m=m, y=y)
 
     def put_level(self, m: int, y: int, vectors: list[MonoidVector]) -> None:
+        from .monoid import format_vector
+
         payload = {"m": m, "y": y, "vectors": [format_vector(v) for v in vectors]}
         self._write("LEVEL", f"m{m}_y{y}", m, payload, y=y)
 
@@ -197,18 +207,25 @@ class ResultCache:
     # -- STANDARD --------------------------------------------------------------
 
     def get_standard(self, m: int) -> StandardSet | None:
+        from .cycles import StandardProvenance, StandardSet
+        from .monoid import parse_vector
+
         def parse(payload):
             vectors = []
             provenance = {}
             for item in payload["vectors"]:
                 v = parse_vector(item["vector"])
                 vectors.append(v)
-                provenance[v] = _provenance(item)
+                provenance[v] = StandardProvenance(
+                    p=int(item["p"]), i=int(item["i"]), doubled=bool(item["doubled"])
+                )
             return StandardSet(m=m, vectors=tuple(vectors), provenance=provenance)
 
         return self._load("STANDARD", f"m{m}", parse, m=m)
 
     def put_standard(self, std: StandardSet) -> None:
+        from .monoid import format_vector
+
         payload = {
             "m": std.m,
             "vectors": [
@@ -262,6 +279,8 @@ class ResultCache:
 
 
 def basis_to_dict(basis: HilbertBasis) -> dict:
+    from .monoid import format_vector
+
     return {
         "schema_version": SCHEMA_VERSION,
         "m": basis.m,
@@ -274,6 +293,9 @@ def basis_to_dict(basis: HilbertBasis) -> dict:
 
 def basis_from_dict(payload: dict) -> HilbertBasis:
     """The basis of a payload in the stored (canonical) order; a non-member is a ValueError."""
+    from .hilbert import HilbertBasis
+    from .monoid import is_member, parse_vector
+
     m = int(payload["m"])
     elements = tuple(parse_vector(s) for s in payload["elements"])
     if not all(is_member(v, m) for v in elements):
@@ -288,6 +310,8 @@ def basis_from_dict(payload: dict) -> HilbertBasis:
 
 
 def report_to_dict(report: ConditionReport) -> dict:
+    from .monoid import format_vector
+
     outcomes = []
     for o in report.outcomes:
         item = {"element": format_vector(o.element), "kind": o.kind}
@@ -329,9 +353,3 @@ def _parsed(entry: Entry, valid) -> Entry | None:
 
 def _strings(items) -> bool:
     return isinstance(items, list) and all(isinstance(s, str) for s in items)
-
-
-def _provenance(item: dict) -> StandardProvenance:
-    return StandardProvenance(
-        p=int(item["p"]), i=int(item["i"]), doubled=bool(item["doubled"])
-    )

@@ -1,5 +1,12 @@
 """Command-line interface: computations, persistent cache, table export.
 
+A cache hit imports only the standard library and the ``budget``,
+``errors`` and ``cache`` modules: the computing modules (``monoid``,
+``hilbert``, ``cycles``, ``characters``) and numpy are imported inside
+the commands, on the branch that computes, after the cache lookup has
+missed.  So a hit in a fresh process pays for no numpy import, and a
+hit in a warm process runs no ``import`` statement.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error (the
 parser rejects an argument, or a degree range is empty, starts below 2
 or has no degree coprime to ``--coprime-to``), 3 incomplete or
@@ -17,20 +24,7 @@ from math import gcd, isfinite
 
 from .budget import DEFAULT_MAX_CANDIDATES, DEFAULT_MAX_SECONDS, SearchBudget
 from .cache import SCHEMA_VERSION, Entry, ResultCache, basis_from_dict
-from .characters import enumerate_hodge_labels
-from .cycles import (
-    COUNTEREXAMPLE_33,
-    _all_levels_report,
-    check_condition,
-    is_quasi_decomposable,
-    newton_identity_check,
-    scan_fourfolds,
-    standard_elements,
-    verdict as cycles_verdict,
-)
 from .errors import BudgetExceededError, IncompleteBasisError
-from .hilbert import HilbertBasis, hilbert_basis, is_decomposable
-from .monoid import is_member
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -56,6 +50,8 @@ def _cached_basis(m, cache, budget, parse=False) -> Entry:
     """
     entry = cache.get_basis(m, parse=parse)
     if entry is None:
+        from .hilbert import hilbert_basis
+
         entry = cache.put_basis(hilbert_basis(m, budget=budget))
     return entry
 
@@ -76,6 +72,8 @@ def cmd_basis(args) -> int:
         entry = _cached_basis(args.m, cache, budget, parse=text)
     else:
         # an uncertified sieve of the first levels: incomplete, never written
+        from .hilbert import hilbert_basis
+
         entry = cache.put_basis(hilbert_basis(
             args.m, max_level=args.max_level, algorithm="levelwise", budget=budget
         ))
@@ -168,6 +166,8 @@ def _stored_basis(m, cache, budget) -> HilbertBasis:
             return basis_from_dict(entry.payload)
         except (TypeError, ValueError):
             pass
+    from .hilbert import hilbert_basis
+
     basis = hilbert_basis(m, budget=budget)
     cache.put_basis(basis)
     return basis
@@ -187,6 +187,8 @@ def _cached_report(m, n, exclude_standard, cache, budget, text=False) -> tuple[E
             return entry, _report_text(entry.payload) if text else entry.body
         except (KeyError, TypeError):
             pass
+    from .cycles import _all_levels_report, check_condition
+
     if n is None:
         report = _all_levels_report(_stored_basis(m, cache, budget), exclude_standard, budget)
     else:
@@ -214,6 +216,8 @@ def cmd_scan_fourfolds(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    from .cycles import scan_fourfolds
+
     reports = scan_fourfolds(args.m_from, args.m_to, args.coprime_to, _budget(args))
     for report in reports:
         counts = report.counts
@@ -236,6 +240,8 @@ def cmd_scan_fourfolds(args) -> int:
 
 
 def cmd_hodge(args) -> int:
+    from .characters import enumerate_hodge_labels
+
     labels = enumerate_hodge_labels(args.m, args.n, expand_permutations=args.expand)
     if args.format == "json":
         payload = {
@@ -253,7 +259,9 @@ def cmd_hodge(args) -> int:
 
 
 def cmd_verdict(args) -> int:
-    report = cycles_verdict(args.m, args.n, budget=_budget(args))
+    from .cycles import verdict
+
+    report = verdict(args.m, args.n, budget=_budget(args))
     print(
         f"m={report.m} n={report.n} status={report.status.value} "
         f"justification={report.justification}"
@@ -263,6 +271,10 @@ def cmd_verdict(args) -> int:
 
 
 def cmd_verify_33(args) -> int:
+    from .cycles import COUNTEREXAMPLE_33, is_quasi_decomposable, standard_elements
+    from .hilbert import is_decomposable
+    from .monoid import is_member
+
     budget = _budget(args)
     failures = []
     x = COUNTEREXAMPLE_33
@@ -286,6 +298,8 @@ def cmd_verify_33(args) -> int:
 
 
 def cmd_newton(args) -> int:
+    from .cycles import newton_identity_check
+
     passed = newton_identity_check(args.d, args.trials, args.seed)
     print(
         f"d={args.d} trials={args.trials} seed={args.seed} "

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from fermat_hodge import cli, cycles
+from fermat_hodge import cli, cycles, hilbert
 from fermat_hodge.cache import ResultCache
 from fermat_hodge.cli import build_parser, main
 from fermat_hodge.errors import MembershipError
@@ -181,7 +181,7 @@ class TestCheckCommand:
         def no_compute(*args, **kwargs):
             raise AssertionError("basis recomputed although the check stored it")
 
-        monkeypatch.setattr(cli, "hilbert_basis", no_compute)
+        monkeypatch.setattr(hilbert, "hilbert_basis", no_compute)
         code, out = run_cli(["phi", "--m", "12"] + cache, capsys)
         assert code == 0 and out.strip() == "phi(12) = 5 complete=true"
 
@@ -197,7 +197,7 @@ class TestCheckCommand:
         def no_compute(*args, **kwargs):
             raise AssertionError("basis recomputed although phi stored it")
 
-        for module in (cli, cycles):
+        for module in (hilbert, cycles):
             monkeypatch.setattr(module, "hilbert_basis", no_compute)
         assert run_cli(argv + cache, capsys) == fresh
 
@@ -387,14 +387,14 @@ class TestUsageErrors:
         assert captured.out == "" and "error: unrecognized arguments" in captured.err
 
     def test_library_error_is_not_a_usage_error(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(cli, "_all_levels_report", _broken)
+        monkeypatch.setattr(cycles, "_all_levels_report", _broken)
         with pytest.raises(MembershipError):
             main(["check", "--m", "12", "--cache-dir", str(tmp_path)])
 
     def test_library_error_in_a_level_range_is_not_a_usage_error(
         self, monkeypatch, tmp_path
     ):
-        monkeypatch.setattr(cli, "check_condition", _broken)
+        monkeypatch.setattr(cycles, "check_condition", _broken)
         with pytest.raises(MembershipError):
             main(["check", "--m", "12", "--n", "4", "--cache-dir", str(tmp_path)])
 
@@ -613,11 +613,12 @@ class TestHotReads:
         cache = ["--cache-dir", str(tmp_path)]
         cold = [run_cli(argv + cache, capsys) for argv in _hot_requests(m)]
         assert all(code == 0 for code, _ in cold)
-        monkeypatch.setattr("fermat_hodge.cache.parse_vector", _raise)
-        monkeypatch.setattr("fermat_hodge.cache.format_vector", _raise)
-        monkeypatch.setattr("fermat_hodge.cli.format_vector", _raise, raising=False)
-        monkeypatch.setattr(cli, "hilbert_basis", _raise)
-        monkeypatch.setattr(cli, "check_condition", _raise)
+        # the defining modules, which the call-time imports of cli and cache read
+        monkeypatch.setattr("fermat_hodge.monoid.parse_vector", _raise)
+        monkeypatch.setattr("fermat_hodge.monoid.format_vector", _raise)
+        monkeypatch.setattr(hilbert, "hilbert_basis", _raise)
+        monkeypatch.setattr(cycles, "check_condition", _raise)
+        monkeypatch.setattr(cycles, "_all_levels_report", _raise)
         warm = [run_cli(argv + cache, capsys) for argv in _hot_requests(m)]
         assert warm == cold
 
@@ -636,6 +637,63 @@ class TestHotReads:
         monkeypatch.setattr(json, "dump", _raise_on_encode)
         warm = [run_cli(argv + cache, capsys) for argv in requests]
         assert warm == cold
+
+
+# Runs the requests of argv[1] (JSON) through cli.main in this fresh
+# interpreter; prints their exit codes and outputs, and which computing
+# modules the interpreter holds afterwards.
+_FRESH_PROCESS = """
+import contextlib, io, json, sys
+from fermat_hodge.cli import main
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        results.append([main(argv), out.getvalue()])
+computing = ("numpy", "fermat_hodge.monoid", "fermat_hodge.hilbert",
+             "fermat_hodge.cycles", "fermat_hodge.characters")
+print(json.dumps([results, [m for m in computing if m in sys.modules]]))
+"""
+
+
+def _in_fresh_process(requests):
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS, json.dumps(requests)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results, loaded = json.loads(proc.stdout)
+    return [tuple(r) for r in results], loaded
+
+
+class TestFreshProcess:
+    """A hit in a fresh interpreter imports no computing module and no numpy."""
+
+    def test_hits_print_the_cold_output_and_load_no_numpy(self, capsys, tmp_path):
+        requests = [argv + ["--cache-dir", str(tmp_path)] for argv in _hot_requests(12)]
+        cold = [run_cli(argv, capsys) for argv in requests]
+        assert all(code == 0 for code, _ in cold)
+        hot, loaded = _in_fresh_process(requests)
+        assert hot == cold
+        assert loaded == []
+
+    def test_a_miss_computes_writes_and_exits_as_before(self, capsys, tmp_path):
+        requests = [
+            ["phi", "--m", "12"],
+            ["check", "--m", "12", "--n", "4", "--exclude-standard"],
+        ]
+        cold = [run_cli(argv + ["--cache-dir", str(tmp_path / "c")], capsys) for argv in requests]
+        fresh = tmp_path / "fresh"
+        got, loaded = _in_fresh_process(
+            [argv + ["--cache-dir", str(fresh)] for argv in requests]
+        )
+        assert got == cold and [code for code, _ in got] == [0, 0]
+        assert "numpy" in loaded and "fermat_hodge.cycles" in loaded
+        cache = ResultCache(fresh)
+        assert cache.get_basis(12) is not None
+        assert cache.get_report(12, 4, True) is not None
 
 
 class TestParserReuse:
