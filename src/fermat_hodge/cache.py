@@ -39,7 +39,8 @@ nothing beyond the standard library.  ``monoid``, ``hilbert`` and
 ``cycles`` (and with them numpy) are imported inside the functions that
 format or parse vectors and build result objects: the writes,
 ``basis_from_dict`` and the LEVEL and STANDARD methods, which run only
-where something is computed anyway.
+where something is computed anyway; ``tempfile`` is imported by the
+write alone.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -123,6 +123,8 @@ class ResultCache:
 
     def _write(self, kind: str, name: str, m: int, payload, **key) -> Entry:
         """Store ``payload`` under ``name`` with meta ``kind``, ``m`` and ``key``."""
+        import tempfile  # with shutil and random, a cost only a write pays
+
         entry = Entry.of(kind, m, payload, **key)
         path = self._path(kind, name)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -340,8 +340,13 @@ def check_condition(
     """Classify every indecomposable in the level range 3..top.
 
     With n given the range is 3..n/2+1 and exhaustive level slices
-    certify it; without n the range runs to the top of the basis that
-    ``hilbert_basis`` certifies (an incomplete one raises).  Verdict is
+    certify it.  The sieve builds only the slices it reads: levels
+    3..n/2+1 and the levels 2..(n/2+1)//2 that sieve them, so n = 4
+    reads (m, 3) alone, n >= 6 reads (m, 2)..(m, n/2+1) and n <= 2
+    reads none; a skipped level counts as sieved, so only a budget
+    overrun in a level read cuts the sieve short.  Without n the
+    range runs to the top of the basis that ``hilbert_basis`` certifies
+    (an incomplete one raises).  Verdict is
     true iff no element is left unexplained (neither quasi-decomposable
     nor excluded as standard).
 
@@ -362,8 +367,8 @@ def check_condition(
         return _all_levels_report(hilbert_basis(m, budget=budget), exclude_standard, budget)
     check_dimension(n)
     top = n // 2 + 1
-    rows, sieved = _levelwise(m, top, budget)
-    return _classify(m, n, rows[rows[:, -1] >= 3], sieved >= top, exclude_standard, budget)
+    rows, sieved = _levelwise(m, top, budget, bottom=3)
+    return _classify(m, n, rows, sieved >= top, exclude_standard, budget)
 
 
 def _all_levels_report(basis: HilbertBasis, exclude_standard, budget) -> ConditionReport:

@@ -525,23 +525,37 @@ def _indecomposable_in_slice(rows: np.ndarray, basis: list[np.ndarray]) -> np.nd
     return left
 
 
-def _levelwise(m: int, top: int, budget: SearchBudget) -> tuple[np.ndarray, int]:
-    """Sieve levels 1..top upwards; the indecomposable rows and the levels sieved.
+def _levelwise(
+    m: int, top: int, budget: SearchBudget, bottom: int = 1
+) -> tuple[np.ndarray, int]:
+    """Sieve levels up to top; the indecomposable rows of levels
+    bottom..top and the levels sieved.
 
-    Only the budget stops the sieve before ``top``, and the rows,
-    stacked in canonical order, are never a certified basis.  Each slice
-    past level one spends the budget as ``level_rows`` does, on the
-    caller's meter; level one, the m//2 residue pairs, needs no search
-    and is read without the budget.
+    Only the slices read are built: the levels bottom..top of the result
+    and the levels 2..top//2 that sieve them, since a level-y row is
+    tested against indecomposables of level at most y/2, and level one
+    by the pairs (a, m-a), never by its slice, which is built only when
+    ``bottom`` is 1.  A skipped level keeps its place in the sieve as an
+    empty array and counts as sieved, so a count of ``top`` means every
+    level the result needs was read.  Only the budget stops the sieve
+    before ``top``, and the rows, stacked in canonical order, are never
+    a certified basis.  Each slice read past level one spends the budget
+    as ``level_rows`` does, on the caller's meter; level one, the m//2
+    residue pairs, needs no search and is read without the budget.
     """
+    empty = np.zeros((0, m), dtype=np.int64)
     basis: list[np.ndarray] = []  # indecomposable rows, one array per level
     while len(basis) < top:
+        y = len(basis) + 1
+        if y < bottom and not 2 <= y <= top // 2:
+            basis.append(empty)
+            continue
         try:
-            rows = level_rows(m, len(basis) + 1, budget=budget if basis else None)
+            rows = level_rows(m, y, budget=budget if y > 1 else None)
         except BudgetExceededError:
             break  # report the last fully sieved level
         basis.append(_indecomposable_in_slice(rows, basis))
-    return np.concatenate([np.zeros((0, m), dtype=np.int64), *basis]), len(basis)
+    return np.concatenate([empty, *basis[bottom - 1 :]]), len(basis)
 
 
 # ---------------------------------------------------------------------------

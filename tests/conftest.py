@@ -71,8 +71,8 @@ def overrun_after_sieve(monkeypatch):
 
     sieve = cycles._levelwise
 
-    def armed_sieve(m, top, budget):
-        result = sieve(m, top, budget)
+    def armed_sieve(m, top, budget, bottom=1):
+        result = sieve(m, top, budget, bottom)
         if isinstance(budget, OverrunAfterSieve):
             budget.armed = True
         return result
@@ -98,3 +98,21 @@ def count_member_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def slice_reads(monkeypatch):
+    """Count the slices built: the (m, y) of every ``level_rows`` call."""
+    import fermat_hodge.cycles as cycles
+    import fermat_hodge.hilbert as hilbert
+
+    calls = []
+    for module in (cycles, hilbert):
+        original = module.level_rows
+
+        def counted(m, y, budget=None, original=original):
+            calls.append((m, y))
+            return original(m, y, budget)
+
+        monkeypatch.setattr(module, "level_rows", counted)
+    return calls

@@ -1,7 +1,9 @@
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -257,7 +259,7 @@ class TestScanCommand:
              ["summary: 4 degrees, all conditions hold"]),
             (["--from", "28", "--to", "33", "--max-candidates", "6000"], 3,
              ["summary: 6 degrees, all conditions hold",
-              "summary: incomplete at [28, 30, 31, 32, 33]"]),
+              "summary: incomplete at [28, 30, 32, 33]"]),
             (["--from", "9", "--to", "5"], 2, []),
             (["--from", "1", "--to", "5"], 2, []),
         ],
@@ -640,8 +642,8 @@ class TestHotReads:
 
 
 # Runs the requests of argv[1] (JSON) through cli.main in this fresh
-# interpreter; prints their exit codes and outputs, and which computing
-# modules the interpreter holds afterwards.
+# interpreter; prints their exit codes and outputs, and which of the
+# modules named in argv[2] (JSON) the interpreter holds afterwards.
 _FRESH_PROCESS = """
 import contextlib, io, json, sys
 from fermat_hodge.cli import main
@@ -651,17 +653,22 @@ for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         results.append([main(argv), out.getvalue()])
-computing = ("numpy", "fermat_hodge.monoid", "fermat_hodge.hilbert",
-             "fermat_hodge.cycles", "fermat_hodge.characters")
-print(json.dumps([results, [m for m in computing if m in sys.modules]]))
+print(json.dumps([results, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))
 """
+_COMPUTING = ["numpy", "fermat_hodge.monoid", "fermat_hodge.hilbert",
+              "fermat_hodge.cycles", "fermat_hodge.characters"]
+# the package's root, on the path also of an interpreter run without site
+_PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
 
 
-def _in_fresh_process(requests):
+def _in_fresh_process(requests, *flags, watch=_COMPUTING):
+    path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _FRESH_PROCESS, json.dumps(requests)],
+        [sys.executable, *flags, "-c", _FRESH_PROCESS, json.dumps(requests),
+         json.dumps(watch)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     results, loaded = json.loads(proc.stdout)
@@ -694,6 +701,15 @@ class TestFreshProcess:
         cache = ResultCache(fresh)
         assert cache.get_basis(12) is not None
         assert cache.get_report(12, 4, True) is not None
+
+    def test_a_hit_loads_no_tempfile(self, capsys, tmp_path):
+        # without site, whose start-up hooks may import tempfile themselves
+        argv = ["check", "--m", "12", "--n", "4", "--exclude-standard",
+                "--cache-dir", str(tmp_path)]
+        cold = run_cli(argv, capsys)
+        assert cold[0] == 0
+        hot, loaded = _in_fresh_process([argv], "-S", watch=["tempfile", *_COMPUTING])
+        assert hot == [cold] and loaded == []
 
 
 class TestParserReuse:

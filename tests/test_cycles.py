@@ -362,16 +362,17 @@ class TestSearchBudget:
         """``max_candidates`` bounds the request: the sieve and the search
         spend one meter.
 
-        The sieve of (24, n=4) spends 4,200: the half tables of levels 2
-        and 3 (276 + 2,300) and the rows found (146 + 1,478).  The
-        search evaluates 56 subsets (sizes 2 to 5 of the 6 sorted
-        indices) of each of its 298 level-3 elements, 16,688 cells.
+        The sieve of (24, n=4) spends 3,778: the half table of level 3
+        (2,300) and the rows found (1,478); it builds no level-2 slice,
+        which a level-3 row is not sieved against.  The search evaluates
+        56 subsets (sizes 2 to 5 of the 6 sorted indices) of each of its
+        298 level-3 elements, 16,688 cells.
         """
         uncapped = SearchBudget(max_seconds=None, max_candidates=None)
         full = check_condition(24, n=4, exclude_standard=True, budget=uncapped)
         assert sum(o.kind != "STANDARD" for o in full.outcomes) == 298
-        assert uncapped.spent == 4200 + 298 * 56 == 20888
-        for cap, complete in ((5000, False), (20887, False), (20888, True)):
+        assert uncapped.spent == 3778 + 298 * 56 == 20466
+        for cap, complete in ((5000, False), (20465, False), (20466, True)):
             budget = SearchBudget(max_seconds=None, max_candidates=cap)
             report = check_condition(24, n=4, exclude_standard=True, budget=budget)
             assert report.complete == complete, cap
@@ -429,22 +430,33 @@ class TestCheckCondition:
         assert not report.condition_report.complete
         assert "cut short" in report.justification
 
-    def test_each_slice_enumerated_once(self, monkeypatch):
-        import fermat_hodge.cycles as cycles
-        import fermat_hodge.hilbert as hilbert
-
-        calls = []
-        for module in (cycles, hilbert):
-            original = module.level_rows
-
-            def counted(m, y, budget=None, original=original):
-                calls.append((m, y))
-                return original(m, y, budget)
-
-            monkeypatch.setattr(module, "level_rows", counted)
+    def test_each_slice_enumerated_once(self, slice_reads):
         report = check_condition(33, n=4)
         assert not report.verdict
-        assert sorted(calls) == [(33, 1), (33, 2), (33, 3)]
+        assert sorted(slice_reads) == [(33, 3)]
+
+    def test_sixfold_check_reads_levels_two_to_four(self, slice_reads):
+        # level 2 sieves level 4; level 1 is the pair test, never a slice
+        report = check_condition(15, n=6)
+        assert report.complete and report.outcomes
+        assert sorted(slice_reads) == [(15, 2), (15, 3), (15, 4)]
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_check_below_level_three_reads_no_slice(self, n, slice_reads):
+        report = check_condition(15, n=n)
+        assert report.complete and report.verdict and report.outcomes == ()
+        assert slice_reads == []
+
+    @pytest.mark.parametrize(
+        "m,n", [(m, 4) for m in range(5, 41)] + [(m, 6) for m in range(5, 25)]
+    )
+    def test_skipped_slices_never_change_a_report(self, m, n):
+        # the levelwise basis sieves every level 1..n/2+1
+        basis = hilbert_basis(m, max_level=n // 2 + 1, algorithm="levelwise")
+        rows = monoid.vectors_to_rows([b for b in basis.elements if b.y >= 3], m)
+        for exclude in (False, True):
+            every_level = cycles._classify(m, n, rows, True, exclude, SearchBudget())
+            assert check_condition(m, n, exclude) == every_level
 
     def test_no_pool_when_every_element_is_standard(self, monkeypatch):
         import fermat_hodge.cycles as cycles
@@ -537,7 +549,7 @@ class TestScan:
             for m in range(28, 34)
         ]
         assert template.spent == 0
-        assert [r.m for r in reports if r.complete] == [29]
+        assert [r.m for r in reports if r.complete] == [29, 31]
 
     def test_truncated_degree_is_an_incomplete_report(self):
         budget = SearchBudget(max_seconds=None, max_candidates=100)

@@ -450,6 +450,31 @@ class TestSliceSieve:
         assert sieved == top and len(rows) == count
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
+    def test_levelwise_basis_reads_every_level_once(self, slice_reads):
+        basis = hilbert_basis(12, max_level=4, algorithm="levelwise")
+        assert basis.max_level_seen == 4
+        assert sorted(slice_reads) == [(12, y) for y in range(1, 5)]
+
+    @pytest.mark.parametrize("bottom", range(1, 7))
+    def test_kept_levels_are_those_of_the_full_sieve(self, bottom):
+        full, _ = _levelwise(24, 5, SearchBudget())
+        rows, sieved = _levelwise(24, 5, SearchBudget(), bottom)
+        assert sieved == 5
+        assert np.array_equal(rows, full[full[:, -1] >= bottom])
+
+    @pytest.mark.parametrize(
+        "cap,sieved",
+        [(100, 1), (300, 2), (2364, 2), (2365, 3), (14162, 3), (14163, 4)],
+    )
+    def test_an_overrun_in_a_read_level_stops_the_sieve(self, cap, sieved):
+        # (20, top=4, bottom=3) reads levels 2, 3 and 4, spending 287,
+        # 2,078 and 11,798; the skipped level one counts as sieved
+        budget = SearchBudget(max_seconds=None, max_candidates=cap)
+        rows, seen = _levelwise(20, 4, budget, bottom=3)
+        assert seen == sieved
+        full, _ = _levelwise(20, 4, SearchBudget(), bottom=3)
+        assert np.array_equal(rows, full[full[:, -1] <= sieved])
+
 
 _slice = cache(enumerate_level)
 
