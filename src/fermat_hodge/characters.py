@@ -31,12 +31,11 @@ from .monoid import (
     MonoidVector,
     check_dimension,
     check_modulus,
-    indices_to_rows,
+    indices_to_vectors,
     is_member,
     level_rows,
-    rows_to_indices,
-    rows_to_vectors,
     subset_completions,
+    vectors_to_indices,
 )
 
 
@@ -95,20 +94,10 @@ def weight(alpha: Character, t: int = 1) -> Fraction:
     return Fraction(sum((t * a) % m for a in alpha.entries), m)
 
 
-def _counts(alpha: Character) -> MonoidVector:
-    """Count map: x_k = #{i : a_i = k}, level (n + 2) // 2."""
-    rows = indices_to_rows(np.array([alpha.entries]), alpha.m, len(alpha.entries) // 2)
-    return rows_to_vectors(rows)[0]
-
-
-def _entries(v: MonoidVector) -> tuple[int, ...]:
-    """Inverse count map: the residue k x_k times, ascending."""
-    return tuple(k for k, c in enumerate(v.x, start=1) for _ in range(c))
-
-
 def is_hodge_label(alpha: Character) -> bool:
     """True iff n is even and |t*alpha| = n/2 + 1 for every unit t (``is_member``)."""
-    return alpha.n % 2 == 0 and is_member(_counts(alpha), alpha.m)
+    (v,) = indices_to_vectors([alpha.entries], alpha.m)
+    return alpha.n % 2 == 0 and is_member(v, alpha.m)
 
 
 def enumerate_hodge_labels(
@@ -126,7 +115,7 @@ def enumerate_hodge_labels(
     check_modulus(m)
     check_dimension(n)
     # slice order ascends on x, which is descending order on sorted entries
-    entries = rows_to_indices(level_rows(m, n // 2 + 1))[::-1].tolist()
+    entries = level_rows(m, n // 2 + 1)[::-1].tolist()
     if expand_permutations:
         entries = sorted({p for rep in entries for p in permutations(rep)})
     return [HodgeLabel._proved(m, tuple(e)) for e in entries]
@@ -136,7 +125,7 @@ def to_monoid(alpha: Character) -> MonoidVector:
     """Count map: x_k = #{i : a_i = k}, level n/2 + 1."""
     if not is_hodge_label(alpha):
         raise HodgeLabelError(f"not a Hodge label: {alpha.entries}")
-    return _counts(alpha)
+    return indices_to_vectors([alpha.entries], alpha.m)[0]
 
 
 def from_monoid(v: MonoidVector, m: int) -> HodgeLabel:
@@ -147,7 +136,8 @@ def from_monoid(v: MonoidVector, m: int) -> HodgeLabel:
     """
     if not is_member(v, m):
         raise MembershipError(f"not a member of the degree-{m} monoid: {v}")
-    return HodgeLabel._proved(m, _entries(v))
+    (entries,) = vectors_to_indices([v])
+    return HodgeLabel._proved(m, tuple(entries[0].tolist()))
 
 
 def star_join(beta: Character, gamma: Character) -> Character:
@@ -179,12 +169,13 @@ def satisfies_p1(alpha: Character) -> tuple[HodgeLabel, HodgeLabel] | None:
     both parts.
     """
     try:
-        witness = is_decomposable(_counts(alpha), alpha.m)
+        witness = is_decomposable(indices_to_vectors([alpha.entries], alpha.m)[0], alpha.m)
     except MembershipError:
         raise HodgeLabelError(f"not a Hodge label: {alpha.entries}") from None
     if witness is None:
         return None
-    return tuple(HodgeLabel._proved(alpha.m, _entries(v)) for v in (witness.c, witness.d))
+    parts = vectors_to_indices([witness.c, witness.d])
+    return tuple(HodgeLabel._proved(alpha.m, tuple(e)) for idx in parts for e in idx.tolist())
 
 
 def satisfies_p2(

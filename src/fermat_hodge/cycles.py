@@ -37,10 +37,9 @@ from .monoid import (
     indices_to_rows,
     is_member,
     level_rows,
-    rows_to_indices,
     rows_to_vectors,
     subset_completions,
-    vectors_to_rows,
+    vectors_to_indices,
 )
 
 __all__ = [
@@ -99,15 +98,16 @@ class StandardSet:
 def build_pool(
     m: int, max_level: int, budget: SearchBudget | None = None
 ) -> np.ndarray:
-    """Level slices 1..max_level stacked into one (N, m) int64 array.
+    """Level slices 1..max_level as count rows (x..., y) stacked in one array.
 
-    Rows (x..., y) run by level, then lexicographic.  The package's
-    quasi search no longer reads a pool; this helper stays public only
-    because the benchmark's trace list names it, and it goes with the
-    benchmark change of ROADMAP item 1.
+    Rows run by level, then lexicographic on x.  No search of the
+    package reads a pool; this helper stays public only because the
+    benchmark's trace list names it, and it goes with the benchmark
+    change of ROADMAP item 1.
     """
     check_modulus(m)
-    return np.concatenate([level_rows(m, y, budget) for y in range(1, max_level + 1)])
+    levels = range(1, max_level + 1)
+    return np.concatenate([indices_to_rows(level_rows(m, y, budget), m) for y in levels])
 
 
 def is_quasi_decomposable(
@@ -124,7 +124,7 @@ def is_quasi_decomposable(
     if not is_member(x, m):
         raise MembershipError(f"not a member of the degree-{m} monoid: {x}")
     budget = budget or SearchBudget(max_seconds=None, max_candidates=None)
-    found = _witnesses(vectors_to_rows([x], m), budget)
+    found = _witnesses(m, vectors_to_indices([x]), budget)
     if not found:
         raise BudgetExceededError(
             f"the quasi search of {format_vector(x)} was cut short by the budget"
@@ -132,53 +132,52 @@ def is_quasi_decomposable(
     return found[0]
 
 
-def _witnesses(rows: np.ndarray, budget: SearchBudget) -> list[QuasiWitness | None]:
-    """First witnesses of the member rows (x..., y), ordered by level.
+def _witnesses(m: int, levels, budget: SearchBudget) -> list[QuasiWitness | None]:
+    """First witnesses of the degree-m members in ``levels``, in order.
 
-    An element of level y is searched over the subsets of its 2y sorted
-    indices but the empty, the full and the one-element ones, so it
-    takes 2^(2y) - 2y - 2 cells.  A chunk holds at most
+    ``levels`` holds (N, 2y) arrays of ascending index rows, one level
+    each.  An element of level y is searched over the subsets of its 2y
+    sorted indices but the empty, the full and the one-element ones, so
+    it takes 2^(2y) - 2y - 2 cells.  A chunk holds at most
     ``monoid._SUBSET_CELLS`` cells, of several elements or of one block
     of the subsets of one, and each chunk's cells are spent of the
     budget before it is evaluated.  On an overrun the list holds the
     elements decided so far.
     """
     found: list[QuasiWitness | None] = []
-    runs = np.flatnonzero(np.diff(rows[:, -1])) + 1
-    for lo_run, hi_run in zip(np.r_[0, runs], np.r_[runs, len(rows)]):
-        n = 2 * int(rows[lo_run, -1])
+    for idx in levels:
+        n = idx.shape[1]
         step = max(1, monoid._SUBSET_CELLS // max((1 << n) - n - 2, 1))
-        for lo in range(lo_run, hi_run, step):
+        for lo in range(0, len(idx), step):
             try:
-                found += _least_witnesses(rows[lo : min(lo + step, hi_run)], budget.spend)
+                found += _least_witnesses(idx[lo : lo + step], m, budget.spend)
             except BudgetExceededError:
                 return found
     return found
 
 
-def _least_witnesses(X: np.ndarray, spend) -> list[QuasiWitness | None]:
-    """The first witness of each row of X, all of one level.
+def _least_witnesses(idx: np.ndarray, m: int, spend) -> list[QuasiWitness | None]:
+    """The first witness of each index row of ``idx``, all of one level.
 
     The subsets come in the blocks of ``subset_completions``; ``spend`` is
     told each block's cells.  The least candidate of each x, by
     (b, level(c), x(c)), is carried from block to block; within a level,
     ascending x(c) is descending indices of c.
     """
-    m, idx = X.shape[1], rows_to_indices(X)
     n = idx.shape[1]
     best = np.zeros((0, n + 5), dtype=np.int64)
     for bits, size, a in subset_completions(idx, m):
-        spend(len(X) * int(((size > 1) & (size < n)).sum()))
+        spend(len(idx) * int(((size > 1) & (size < n)).sum()))
         best = np.concatenate([best, _candidates(idx, m, bits, size, a)])
         order = np.lexsort(np.c_[best[:, :3], -best[:, 3:]].T[::-1])
         best = best[order[np.diff(best[order, 0], prepend=-1) != 0]]
     rows, b, level, seq = best[:, 0], best[:, 1], best[:, 2], best[:, 3:]
     pair = m // 2 - b
-    b_rows = indices_to_rows(np.c_[pair, m - pair], m, 1)
-    c_rows = indices_to_rows(seq, m, level)
-    d_rows = X[rows] + b_rows - c_rows
+    b_idx = np.c_[pair, m - pair]
+    b_rows, c_rows = indices_to_rows(b_idx, m), indices_to_rows(seq, m)
+    d_rows = indices_to_rows(np.c_[idx[rows], b_idx], m) - c_rows
     parts = rows_to_vectors(np.concatenate([b_rows, c_rows, d_rows]))
-    witnesses: list[QuasiWitness | None] = [None] * len(X)
+    witnesses: list[QuasiWitness | None] = [None] * len(idx)
     for i, x in enumerate(rows.tolist()):
         witnesses[x] = QuasiWitness(*parts[i :: len(rows)])
     return witnesses
@@ -254,7 +253,7 @@ def _standard_rows(m: int) -> tuple[np.ndarray, np.ndarray]:
         else:
             residues = np.column_stack([i[:, None] + d * np.arange(p), m - p * i]) % m
         valid = (residues != 0).all(axis=1)
-        base = indices_to_rows(residues[valid], m, 2 if p == 2 else (p + 1) // 2)
+        base = indices_to_rows(residues[valid], m)
         rows.append(np.stack([base, 2 * base], axis=1).reshape(-1, m))
         seeds = np.repeat(i[valid], 2)
         origin.append(np.stack([np.full_like(seeds, p), seeds, np.arange(len(seeds)) % 2], 1))
@@ -367,8 +366,8 @@ def check_condition(
         return _all_levels_report(hilbert_basis(m, budget=budget), exclude_standard, budget)
     check_dimension(n)
     top = n // 2 + 1
-    rows, sieved = _levelwise(m, top, budget, bottom=3)
-    return _classify(m, n, rows, sieved >= top, exclude_standard, budget)
+    levels, sieved = _levelwise(m, top, budget, bottom=3)
+    return _classify(m, n, levels, sieved >= top, exclude_standard, budget)
 
 
 def _all_levels_report(basis: HilbertBasis, exclude_standard, budget) -> ConditionReport:
@@ -380,12 +379,14 @@ def _all_levels_report(basis: HilbertBasis, exclude_standard, budget) -> Conditi
         raise IncompleteBasisError(
             f"the all-levels condition for m={basis.m} needs a complete basis"
         )
-    rows = vectors_to_rows([b for b in basis.elements if b.y >= 3], basis.m)
-    return _classify(basis.m, None, rows, True, exclude_standard, budget)
+    levels = vectors_to_indices([b for b in basis.elements if b.y >= 3])
+    return _classify(basis.m, None, levels, True, exclude_standard, budget)
 
 
-def _classify(m, n, rows, complete, exclude_standard, budget) -> ConditionReport:
-    """The report on the indecomposable rows of levels >= 3, in canonical order."""
+def _classify(m, n, levels, complete, exclude_standard, budget) -> ConditionReport:
+    """The report on the indecomposables of levels >= 3: their index rows,
+    one array per level, each in canonical order."""
+    rows = np.concatenate([np.zeros((0, m), int)] + [indices_to_rows(i, m) for i in levels])
     elements = rows_to_vectors(rows)
     standards, origin = _standard_rows(m)
     match = np.full(len(rows), -1)  # the equal standard row, if excluded
@@ -393,9 +394,11 @@ def _classify(m, n, rows, complete, exclude_standard, budget) -> ConditionReport
         keys, probe = canonical_keys(standards), canonical_keys(rows)
         at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
         match = np.where(keys[at] == probe, at, -1)
-    searched = rows[match < 0]
-    witnesses = _witnesses(searched, budget) if len(searched) else []
-    complete = complete and len(witnesses) == len(searched)
+    ends = np.cumsum([len(idx) for idx in levels])
+    searched = [idx[match[end - len(idx) : end] < 0] for idx, end in zip(levels, ends)]
+    count = sum(map(len, searched))
+    witnesses = _witnesses(m, searched, budget) if count else []
+    complete = complete and len(witnesses) == count
     decided, outcomes = iter(witnesses), []
     for e, at in zip(elements, match.tolist()):
         provenance = None

@@ -50,13 +50,13 @@ from .monoid import (
     canonical_keys,
     check_modulus,
     indices_to_rows,
+    indices_to_vectors,
     is_member,
     level_rows,
-    rows_to_indices,
     rows_to_vectors,
     subset_completions,
     units,
-    vectors_to_rows,
+    vectors_to_indices,
     weight_table,
 )
 
@@ -489,7 +489,7 @@ def _completion_rows(m: int, budget: SearchBudget) -> np.ndarray:
     # pairs: no domination pass is needed.  Only the self-paired row
     # (x_{m/2} = 2; 1) of even m arrives twice, from level one and from
     # the lattice vector 2e_{m/2}.
-    rows = np.concatenate([level_rows(m, 1), rows])
+    rows = np.concatenate([indices_to_rows(level_rows(m, 1), m), rows])
     return rows[np.unique(canonical_keys(rows), return_index=True)[1]]
 
 
@@ -498,38 +498,40 @@ def _completion_rows(m: int, budget: SearchBudget) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _indecomposable_in_slice(rows: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    """Rows of a level slice not dominating any lower-level basis row.
+def _indecomposable_in_slice(idx: np.ndarray, m: int, basis: list) -> np.ndarray:
+    """Index rows of a level slice not lying above any lower-level basis row.
 
     If v = c + d then some indecomposable of level <= y/2 fits under v,
-    so testing against basis elements of level <= y/2 is exact.  A row
-    dominates b iff it does so on b's support, at most 2k columns at
-    level k.  Level one is the pairs (a, m-a) and, for even m, 2*(m/2),
-    so one step finds the rows above a pair: min(x_a, x_{m-a}) >= 1
-    for some a < m/2, or x_{m/2} >= 2.  Higher levels are compared, one
-    row b at a time, on b's support and only with the rows still left.
+    so testing against basis elements of level <= y/2 is exact.  Level
+    one is the pairs (a, m-a) and, for even m, 2*(m/2), so a row lies
+    above one iff two of its indices sum to m, which each index column
+    tests against the columns after it.  Only the rows left become count
+    rows.  Higher levels are compared, one row b at a time, on b's
+    support, at most 2k columns at level k, and only with the rows still
+    left.
     """
-    y = int(rows[0, -1]) if len(rows) else 0
+    y = idx.shape[1] // 2
     if y < 2:
-        return rows
-    m = rows.shape[1]
-    a = np.arange(1, (m + 1) // 2)
-    over_pair = (np.minimum(rows[:, a - 1], rows[:, m - a - 1]) >= 1).any(axis=1)
-    if m % 2 == 0:
-        over_pair |= rows[:, m // 2 - 1] >= 2
-    left = rows[~over_pair]
+        return idx
+    cols = np.ascontiguousarray(idx.T)
+    over_pair = np.zeros(len(idx), dtype=bool)
+    for p in range(2 * y - 1):
+        over_pair |= (cols[p] + cols[p + 1 :] == m).any(axis=0)
+    idx = idx[~over_pair]
     for level in basis[1 : y // 2]:
-        for b in level:
+        left = indices_to_rows(idx, m)
+        for b in indices_to_rows(level, m):
             support = np.flatnonzero(b[:-1])
-            left = left[(left[:, support] < b[support]).any(axis=1)]
-    return left
+            below = (left[:, support] < b[support]).any(axis=1)
+            left, idx = left[below], idx[below]
+    return idx
 
 
 def _levelwise(
     m: int, top: int, budget: SearchBudget, bottom: int = 1
-) -> tuple[np.ndarray, int]:
-    """Sieve levels up to top; the indecomposable rows of levels
-    bottom..top and the levels sieved.
+) -> tuple[list[np.ndarray], int]:
+    """Sieve levels up to top; the indecomposable index rows of levels
+    bottom..top, one array per level, and the levels sieved.
 
     Only the slices read are built: the levels bottom..top of the result
     and the levels 2..top//2 that sieve them, since a level-y row is
@@ -538,24 +540,23 @@ def _levelwise(
     ``bottom`` is 1.  A skipped level keeps its place in the sieve as an
     empty array and counts as sieved, so a count of ``top`` means every
     level the result needs was read.  Only the budget stops the sieve
-    before ``top``, and the rows, stacked in canonical order, are never
-    a certified basis.  Each slice read past level one spends the budget
-    as ``level_rows`` does, on the caller's meter; level one, the m//2
-    residue pairs, needs no search and is read without the budget.
+    before ``top``, and the rows, each level in canonical order, are
+    never a certified basis.  Each slice read past level one spends the
+    budget as ``level_rows`` does, on the caller's meter; level one, the
+    m//2 residue pairs, needs no search and is read without the budget.
     """
-    empty = np.zeros((0, m), dtype=np.int64)
-    basis: list[np.ndarray] = []  # indecomposable rows, one array per level
+    basis: list[np.ndarray] = []  # indecomposable index rows, one array per level
     while len(basis) < top:
         y = len(basis) + 1
         if y < bottom and not 2 <= y <= top // 2:
-            basis.append(empty)
+            basis.append(np.zeros((0, 2 * y), dtype=np.int16))
             continue
         try:
-            rows = level_rows(m, y, budget=budget if y > 1 else None)
+            idx = level_rows(m, y, budget=budget if y > 1 else None)
         except BudgetExceededError:
             break  # report the last fully sieved level
-        basis.append(_indecomposable_in_slice(rows, basis))
-    return np.concatenate([empty, *basis[bottom - 1 :]]), len(basis)
+        basis.append(_indecomposable_in_slice(idx, m, basis))
+    return basis[bottom - 1 :], len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -589,23 +590,24 @@ def hilbert_basis(
     if algorithm == "levelwise":
         if max_level is None:
             raise ValueError("the levelwise sieve needs a max_level")
-        rows, seen = _levelwise(m, max_level, budget)
+        levels, seen = _levelwise(m, max_level, budget)
+        elements = [v for idx in levels for v in indices_to_vectors(idx, m)]
     elif algorithm != "completion":
         raise ValueError(f"unknown algorithm {algorithm!r}")
     elif max_level is not None:
         raise ValueError("the completion certifies every level; it takes no max_level")
     else:
         try:
-            rows = _completion_rows(m, budget)
+            elements = rows_to_vectors(_completion_rows(m, budget))
         except BudgetExceededError:
             # the meter is spent, so a sieve would read no level past
             # one, which needs no search
-            rows, seen = level_rows(m, 1), 1
+            elements, seen = indices_to_vectors(level_rows(m, 1), m), 1
         else:
-            complete, seen = True, int(rows[-1, -1])  # level one is never empty
+            complete, seen = True, elements[-1].y  # level one is never empty
     return HilbertBasis(
         m=m,
-        elements=tuple(rows_to_vectors(rows)),
+        elements=tuple(elements),
         complete=complete,
         max_level_seen=seen,
         algorithm=algorithm,
@@ -631,7 +633,7 @@ def is_decomposable(
     if not is_member(v, m):
         raise MembershipError(f"not a member of the degree-{m} monoid: {v}")
     budget = budget or SearchBudget()
-    idx = rows_to_indices(vectors_to_rows([v], m))
+    (idx,) = vectors_to_indices([v])
     members = []
     for bits, size, a in subset_completions(idx, m):
         even = (size % 2 == 0) & (size >= 2) & (size <= v.y)
@@ -641,7 +643,7 @@ def is_decomposable(
     seq = np.concatenate(members)
     if not len(seq):
         return None
-    rows = indices_to_rows(seq, m, (seq < m).sum(axis=1) // 2)
+    rows = indices_to_rows(seq, m)
     (c,) = rows_to_vectors(rows[np.argsort(canonical_keys(rows))[:1]])
     return DecompositionWitness(c=c, d=v - c)
 

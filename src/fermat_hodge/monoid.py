@@ -16,12 +16,12 @@ indices followed by its y largest, and the level equations become a
 join of size-y half-multisets on their weight vectors.  The weight
 under the unit t = 1 is the index sum, so the smaller half has
 2*w1 <= m*y and the larger 2*w1 >= m*y: each side of the join reads
-about half of the one table of halves.  The result is one (N, m) int64
-array of rows (x..., y) per level, which the sieve reads directly.
-Indices are int16 and half weights int32 (a weight is at most y*(m-1)).
-This module owns the row format: every module reads the weight table,
-the count/index conversions, the canonical order and the vector view
-of rows from the one row codec below.
+about half of the one table of halves.  A slice is one (N, 2y) int16
+array of ascending index rows, which the sieve, the quasi search and
+the Hodge labels read as it is; count rows (x..., y) are built only
+where rows leave them.  Half weights are int32 (at most y*(m-1)).
+This module owns both formats: every module reads the weight table,
+the index/count/vector codec and the canonical order from here.
 ``subset_completions`` is the one place that decides which
 sub-multisets of rows' indices are members or complete to one by a
 single index: ``is_decomposable``, the quasi search and P2 read its
@@ -35,6 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
+from itertools import groupby
 from math import comb, gcd
 
 import numpy as np
@@ -124,23 +125,17 @@ def weight_table(m: int) -> np.ndarray:
     return np.arange(m, dtype=np.int32)[:, None] * half % m
 
 
-def rows_to_indices(rows: np.ndarray) -> np.ndarray:
-    """The (N, 2y) ascending indices of rows (x..., y) of one level y, i x_i times."""
-    m, width = rows.shape[1], 2 * int(rows[0, -1]) if len(rows) else 0
-    indices = np.repeat(np.tile(np.arange(1, m), len(rows)), rows[:, :-1].ravel())
-    return indices.reshape(len(rows), width)
-
-
-def indices_to_rows(indices: np.ndarray, m: int, level) -> np.ndarray:
-    """Rows (x..., level) counting the indices 1..m-1 in each row; index m pads.
+def indices_to_rows(indices: np.ndarray, m: int) -> np.ndarray:
+    """The int16 count rows (x..., y) of index rows over 1..m-1; index m pads.
 
     One ``bincount``: index i of row r counts in cell r*m + i - 1, so the
-    padding counts in the level column, which ``level`` then overwrites.
+    padding counts in the level column, which then takes half the
+    number of the other indices.
     """
-    n = len(indices)
+    n, width = indices.shape
     flat = indices - 1 + m * np.arange(n)[:, None]
-    rows = np.bincount(flat.ravel(), minlength=n * m).reshape(n, m)
-    rows[:, -1] = level
+    rows = np.bincount(flat.ravel(), minlength=n * m).astype(np.int16).reshape(n, m)
+    rows[:, -1] = (width - rows[:, -1]) // 2
     return rows
 
 
@@ -155,14 +150,22 @@ def canonical_keys(rows: np.ndarray) -> np.ndarray:
     return big.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
 
 
-def vectors_to_rows(vectors, m: int) -> np.ndarray:
-    """The (N, m) int64 rows (x..., y) of degree-m vectors; (0, m) for none."""
-    return np.array([v.row() for v in vectors], dtype=np.int64).reshape(-1, m)
-
-
 def rows_to_vectors(rows: np.ndarray) -> list[MonoidVector]:
     """The vectors of an int array of rows (x..., y); every entry a Python int."""
     return [MonoidVector(x=tuple(r[:-1]), y=r[-1]) for r in rows.tolist()]
+
+
+def indices_to_vectors(indices, m: int) -> list[MonoidVector]:
+    """The vectors of index rows over 1..m-1, through ``indices_to_rows``."""
+    return rows_to_vectors(indices_to_rows(np.asarray(indices), m))
+
+
+def vectors_to_indices(vectors) -> list[np.ndarray]:
+    """The (N, 2y) ascending int16 index rows of vectors, one array per run of level y."""
+    return [
+        np.array([[i for i, c in enumerate(v.x, 1) for _ in range(c)] for v in run], np.int16)
+        for _, run in groupby(vectors, key=lambda v: v.y)
+    ]
 
 
 # subsets per block of ``subset_completions``; (row, subset) cells per quasi-search chunk
@@ -253,10 +256,10 @@ def _halves(m: int, y: int, index_key: np.ndarray) -> tuple[list[np.ndarray], np
 
 
 def level_rows(m: int, y: int, budget=None) -> np.ndarray:
-    """The level-y slice as an (N, m) int64 array of rows (x..., y).
+    """The level-y slice as an (N, 2y) int16 array of ascending index rows.
 
-    Rows are in canonical order: lexicographic on x.  Meet in the
-    middle: the 2y indices of a slice element, sorted, split uniquely
+    Rows are in canonical order: descending lexicographic, which is
+    ascending lexicographic on x.  Meet in the middle: the 2y indices of a slice element, sorted, split uniquely
     into L, the y smallest, and R, the y largest, so max(L) <= min(R).
     Both halves come from one table of the comb(m+y-2, y) multisets of
     size y, and a pair (L, R) is an element iff w(L) + w(R) == m*y for
@@ -281,8 +284,8 @@ def level_rows(m: int, y: int, budget=None) -> np.ndarray:
     The budget is spent the table size before the table is built, and
     then per chunk of L the rows that chunk found.  ``max_candidates``
     counts those rows, not memory: the default 10^8 admits slices past
-    8 GB ((24, 8) holds 7.2 M rows in 3.2 GB).  Bounding slice memory is
-    ROADMAP item 3.
+    8 GB ((24, 8) returns 7.2 M rows in 230 MB, and the join peaks near
+    1.2 GB).  Bounding slice memory is ROADMAP item 3.
     """
     check_modulus(m)
     if y < 1:
@@ -328,13 +331,13 @@ def level_rows(m: int, y: int, budget=None) -> np.ndarray:
     seq = [c[left] for c in cols] + [c[right] for c in cols]
     # equal-length multisets: ascending x is descending sorted sequence
     order = np.lexsort(seq[::-1])[::-1]
-    return indices_to_rows(np.stack(seq, axis=1)[order], m, y)
+    return np.stack(seq, axis=1)[order]
 
 
 def enumerate_level(m: int, y: int) -> list[MonoidVector]:
     """All elements of the level-y slice in canonical lexicographic order.
 
     The ``MonoidVector`` view of ``level_rows``; the package's own
-    searches read the array.
+    searches read the index rows.
     """
-    return rows_to_vectors(level_rows(m, y))
+    return indices_to_vectors(level_rows(m, y), m)

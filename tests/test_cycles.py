@@ -224,7 +224,7 @@ class TestQuasiDecomposable:
             COUNTEREXAMPLE_33, 33, SearchBudget(max_candidates=56)
         ) is None
 
-    @pytest.mark.parametrize("m", [6, 8, 9, 10, 12])
+    @pytest.mark.parametrize("m", [6, 8, 9, 10, pytest.param(12, marks=pytest.mark.slow)])
     def test_matches_literal_triple_loop(self, m, get_basis):
         """The subtraction search agrees with the appendix-style scan."""
         basis = get_basis(m)
@@ -279,8 +279,14 @@ class TestKernelEdgeDegrees:
 class TestBatchedSearch:
     """``check_condition`` searches all its elements in one batch."""
 
-    @pytest.mark.parametrize("cells", [1, 300])
-    @pytest.mark.parametrize("m", [12, 24, 32, 33])
+    @pytest.mark.parametrize(
+        "m,cells",
+        [
+            pytest.param(m, cells, marks=[pytest.mark.slow] if (m, cells) == (24, 1) else [])
+            for m in (12, 24, 32, 33)
+            for cells in (1, 300)
+        ],
+    )
     def test_chunk_size_does_not_change_reports(self, m, cells, monkeypatch):
         default = [check_condition(m, n=4, exclude_standard=ex) for ex in (False, True)]
         monkeypatch.setattr(monoid, "_SUBSET_CELLS", cells)
@@ -350,9 +356,9 @@ class TestSearchBudget:
         budget = overrun_after_sieve()
         search = cycles._witnesses
 
-        def armed_search(rows, budget_given):
+        def armed_search(*args):
             budget.armed = True
-            return search(rows, budget_given)
+            return search(*args)
 
         monkeypatch.setattr(cycles, "_witnesses", armed_search)
         report = check_condition(12, budget=budget)
@@ -383,7 +389,7 @@ class TestSearchBudget:
 
 
 class TestHeavyPins:
-    """Two checks too heavy for a pool scan, pinned by the sha256 of their
+    """Checks too heavy for a pool scan, pinned by the sha256 of their
     ``report_to_dict`` payload."""
 
     @pytest.mark.parametrize(
@@ -393,8 +399,13 @@ class TestHeavyPins:
              "7899cf1a0e97e9ed74ed6f541f79917c3f6e02e080ecf41ffeec3e8e5342392b"),
             (30, 6, {"QUASI": 3990, "STANDARD": 4, "FAIL": 0},
              "274c9e2586dd7fc3eba3de3417595d432d1b86844efcc433193b2f814149831a"),
+            # levels 4 and 5 sieved by level 2
+            (24, 8, {"QUASI": 1032, "STANDARD": 0, "FAIL": 0},
+             "3b2836db51763b10ff01c022140892ce57c0f2f58eda53c35cd97ab154f27a69"),
+            (36, 6, {"QUASI": 3520, "STANDARD": 0, "FAIL": 96},
+             "2ca95cac336c4919bb9b9d2215b8a5d473a4381b6fda034fe0f7d499f60ad696"),
         ],
-        ids=["60-4", "30-6"],
+        ids=["60-4", "30-6", "24-8", "36-6"],
     )
     def test_report_is_pinned(self, m, n, counts, digest):
         report = check_condition(m, n=n, exclude_standard=True)
@@ -453,9 +464,9 @@ class TestCheckCondition:
     def test_skipped_slices_never_change_a_report(self, m, n):
         # the levelwise basis sieves every level 1..n/2+1
         basis = hilbert_basis(m, max_level=n // 2 + 1, algorithm="levelwise")
-        rows = monoid.vectors_to_rows([b for b in basis.elements if b.y >= 3], m)
+        levels = monoid.vectors_to_indices([b for b in basis.elements if b.y >= 3])
         for exclude in (False, True):
-            every_level = cycles._classify(m, n, rows, True, exclude, SearchBudget())
+            every_level = cycles._classify(m, n, levels, True, exclude, SearchBudget())
             assert check_condition(m, n, exclude) == every_level
 
     def test_no_pool_when_every_element_is_standard(self, monkeypatch):

@@ -29,7 +29,7 @@ from fermat_hodge.hilbert import (
     _pair_sums,
     _unique_rows,
 )
-from fermat_hodge.monoid import level_rows, rows_to_vectors
+from fermat_hodge.monoid import indices_to_rows, indices_to_vectors, level_rows
 
 V33 = MonoidVector(
     x=tuple(1 if i in (7, 10, 13, 19, 22, 28) else 0 for i in range(1, 33)), y=3
@@ -402,23 +402,28 @@ class TestPairSums:
         assert fits <= pairs
 
 
-def _all_column_sieve(rows, basis):
-    """The sieve's definition: drop rows dominating any basis row of level <= y/2."""
-    y = int(rows[0, -1]) if len(rows) else 0
+def _all_column_sieve(idx, m, basis):
+    """The sieve's definition: drop the index rows whose count rows
+    dominate any basis row of level <= y/2."""
+    rows = indices_to_rows(idx, m)
     decomposable = np.zeros(len(rows), dtype=bool)
-    for level in basis[: y // 2]:
-        for b in level:
+    for level in basis[: idx.shape[1] // 4]:
+        for b in indices_to_rows(level, m):
             decomposable |= (rows >= b).all(axis=1)
-    return rows[~decomposable]
+    return idx[~decomposable]
 
 
 @cache
 def _reference_levels(m, top):
-    """Indecomposable rows of levels 1..top, one array per level, by the definition."""
+    """Indecomposable index rows of levels 1..top, one array per level, by the definition."""
     basis = []
     for y in range(1, top + 1):
-        basis.append(_all_column_sieve(level_rows(m, y), basis))
+        basis.append(_all_column_sieve(level_rows(m, y), m, basis))
     return tuple(basis)
+
+
+def _same_levels(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 class TestSliceSieve:
@@ -430,9 +435,9 @@ class TestSliceSieve:
     @example(2, 4)
     def test_support_columns_equal_all_columns(self, m, y):
         basis = list(_reference_levels(m, y - 1)) if y > 1 else []
-        rows = level_rows(m, y)
+        idx = level_rows(m, y)
         assert np.array_equal(
-            _indecomposable_in_slice(rows, basis), _all_column_sieve(rows, basis)
+            _indecomposable_in_slice(idx, m, basis), _all_column_sieve(idx, m, basis)
         )
 
     # (levels sieved, rows, sha256 of the canonical text) of the sieve,
@@ -445,9 +450,10 @@ class TestSliceSieve:
         ],
     )
     def test_pinned_levelwise_rows(self, m, top, count, digest):
-        rows, sieved = _levelwise(m, top, SearchBudget())
-        text = "\n".join(format_vector(v) for v in rows_to_vectors(rows))
-        assert sieved == top and len(rows) == count
+        levels, sieved = _levelwise(m, top, SearchBudget())
+        vectors = [v for idx in levels for v in indices_to_vectors(idx, m)]
+        text = "\n".join(format_vector(v) for v in vectors)
+        assert sieved == top and len(vectors) == count
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_levelwise_basis_reads_every_level_once(self, slice_reads):
@@ -458,9 +464,9 @@ class TestSliceSieve:
     @pytest.mark.parametrize("bottom", range(1, 7))
     def test_kept_levels_are_those_of_the_full_sieve(self, bottom):
         full, _ = _levelwise(24, 5, SearchBudget())
-        rows, sieved = _levelwise(24, 5, SearchBudget(), bottom)
+        levels, sieved = _levelwise(24, 5, SearchBudget(), bottom)
         assert sieved == 5
-        assert np.array_equal(rows, full[full[:, -1] >= bottom])
+        assert _same_levels(levels, full[bottom - 1 :])
 
     @pytest.mark.parametrize(
         "cap,sieved",
@@ -470,10 +476,10 @@ class TestSliceSieve:
         # (20, top=4, bottom=3) reads levels 2, 3 and 4, spending 287,
         # 2,078 and 11,798; the skipped level one counts as sieved
         budget = SearchBudget(max_seconds=None, max_candidates=cap)
-        rows, seen = _levelwise(20, 4, budget, bottom=3)
+        levels, seen = _levelwise(20, 4, budget, bottom=3)
         assert seen == sieved
         full, _ = _levelwise(20, 4, SearchBudget(), bottom=3)
-        assert np.array_equal(rows, full[full[:, -1] <= sieved])
+        assert _same_levels(levels, full[: max(sieved - 2, 0)])
 
 
 _slice = cache(enumerate_level)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from itertools import combinations_with_replacement, product
 from math import comb, gcd
 
@@ -15,11 +16,11 @@ from fermat_hodge.monoid import (
     format_vector,
     half_units,
     indices_to_rows,
+    indices_to_vectors,
     level_rows,
     parse_vector,
-    rows_to_indices,
     rows_to_vectors,
-    vectors_to_rows,
+    vectors_to_indices,
     weight_table,
 )
 
@@ -186,15 +187,41 @@ class TestEnumerateLevel:
 
 
 class TestLevelRows:
-    @pytest.mark.parametrize("m,y", [(2, 3), (9, 2), (12, 3), (33, 3)])
-    def test_rows_are_the_slice(self, m, y):
-        rows = level_rows(m, y)
-        assert rows.dtype == np.int64 and rows.shape[1] == m
+    # sha256 of the int64 count rows (x..., y) that level_rows returned
+    # before it returned index rows
+    @pytest.mark.parametrize(
+        "m,y,digest",
+        [
+            (2, 3, "10a266e9cf5c28e627ddc40222c1d38e7f02dc71049b6a31854d6e51ce737eb1"),
+            (9, 2, "aa0a023e82d02c21591b9e565c3a95e92b7fa19262d4423ca033dc573d3c53bf"),
+            (12, 3, "3b04c93125aafa947b14f96d697e8e923991a071eaab47eb9eb7f93c1fb9a43a"),
+            (33, 3, "7b058aea5ac37b68e6626231a401cbaca223b25d5669e38dccd19674ceedda55"),
+        ],
+        ids=["2-3", "9-2", "12-3", "33-3"],
+    )
+    def test_rows_are_the_slice(self, m, y, digest):
+        idx = level_rows(m, y)
+        assert idx.dtype == np.int16 and idx.shape[1] == 2 * y
+        assert (np.diff(idx, axis=1) >= 0).all()
+        rows = indices_to_rows(idx, m)
         assert (rows[:, -1] == y).all()
+        assert hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest() == digest
         vectors = rows_to_vectors(rows)
         assert vectors == enumerate_level(m, y)
         assert {type(c) for v in vectors for c in v.row()} == {int}
-        assert np.array_equal(vectors_to_rows(vectors, m), rows)
+        (back,) = vectors_to_indices(vectors)
+        assert np.array_equal(back, idx)
+
+    def test_traced_peak_stays_small(self):
+        # a slice of index rows holds 2y int16 cells a row; returning
+        # count rows, m int64 cells a row, traces 156 MB for this slice
+        tracemalloc.start()
+        try:
+            level_rows(24, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2**20
 
     def test_budget_checked_with_half_table_before_building_it(self):
         with pytest.raises(BudgetExceededError, match=str(comb(47 + 3 - 2, 3))):
@@ -211,11 +238,17 @@ class TestRowCodec:
     @pytest.mark.parametrize("m", range(2, 48))
     def test_indices_round_trip_the_slices(self, m):
         for y in (1, 2, 3):
-            rows = level_rows(m, y)
-            indices = rows_to_indices(rows)
-            assert indices.shape == (len(rows), 2 * y)
+            indices = level_rows(m, y)
+            assert indices.dtype == np.int16 and indices.shape[1] == 2 * y
             assert (np.diff(indices, axis=1) >= 0).all()
-            assert np.array_equal(indices_to_rows(indices, m, y), rows)
+            rows = indices_to_rows(indices, m)
+            counted = [[r.count(i) for i in range(1, m)] + [y] for r in indices.tolist()]
+            assert rows.tolist() == counted
+            # canonical order: strictly ascending lexicographic on x
+            assert counted == sorted(counted) and len(set(map(tuple, counted))) == len(rows)
+            vectors = indices_to_vectors(indices, m)
+            assert vectors == rows_to_vectors(rows)
+            assert all(np.array_equal(a, indices) for a in vectors_to_indices(vectors))
 
     @pytest.mark.parametrize("m", [2, 7, 12, 33])
     def test_weight_table_is_the_definition(self, m):
@@ -223,7 +256,7 @@ class TestRowCodec:
         assert table.tolist() == [[t * i % m for t in half_units(m)] for i in range(m)]
 
     def test_canonical_keys_order_by_level_then_x(self):
-        rows = np.concatenate([level_rows(9, y) for y in (3, 1, 2)])
+        rows = np.concatenate([indices_to_rows(level_rows(9, y), 9) for y in (3, 1, 2)])
         rows = rows[np.random.default_rng(0).permutation(len(rows))]
         ordered = rows[np.argsort(canonical_keys(rows))].tolist()
         assert ordered == sorted(rows.tolist(), key=lambda r: (r[-1], r[:-1]))
@@ -241,7 +274,7 @@ class TestRowCodec:
 
         for y in range(1, 5):
             rows = level_rows(m, y)
-            idx = rows_to_indices(rows[np.unique(np.linspace(0, len(rows) - 1, 3, dtype=int))])
+            idx = rows[np.unique(np.linspace(0, len(rows) - 1, 3, dtype=int))]
             n = idx.shape[1]
             seen = []
             for bits, size, a in monoid.subset_completions(idx, m):
@@ -288,7 +321,7 @@ class TestJoin:
                 x[i - 1] += 1
             if is_member(MonoidVector(tuple(x), y), m):
                 expected.append(tuple(x))
-        assert [v.x for v in rows_to_vectors(level_rows(m, y))] == sorted(expected)
+        assert [v.x for v in indices_to_vectors(level_rows(m, y), m)] == sorted(expected)
 
     @pytest.mark.parametrize("m,y", [(12, 3), (33, 3), (15, 4)])
     def test_forced_key_collisions_keep_the_slice(self, m, y, monkeypatch):
