@@ -454,67 +454,54 @@ def _prime_square(n: int) -> bool:
     return len(factors) == 1 and factors[0] ** 2 == n
 
 
+# the recorded theorems, tried in order: (applies to (m, n), status, justification)
+_THEOREMS = (
+    (lambda m, n: n <= 2, VerdictStatus.PROVEN_DIM_LE_2,
+     "classes of degree (1,1) are algebraic, settling dimensions <= 2"),
+    (lambda m, n: _is_prime(m) or m == 4, VerdictStatus.PROVEN_PRIME_OR_4,
+     "for prime degree or degree 4 the monoid is generated in level 1"),
+    (lambda m, n: _prime_square(m), VerdictStatus.PROVEN_PRIME_SQUARE,
+     "for a squared prime every Hodge class is spanned by standard cycles"),
+    (lambda m, n: m <= 20, VerdictStatus.PROVEN_M_LE_20,
+     "recorded verification of the all-levels condition for degrees <= 20"),
+    (lambda m, n: m in (21, 27), VerdictStatus.PROVEN_M_21_27,
+     "recorded verification of the all-levels condition for degrees 21 and 27"),
+    (lambda m, n: n == 4 and gcd(m, 6) == 1, VerdictStatus.PROVEN_FOURFOLD_COPRIME_6,
+     "fourfolds of degree coprime to 6 are settled by the induced structure"),
+)
+
+
 def verdict(m: int, n: int, budget: SearchBudget | None = None) -> VerdictReport:
     """Strongest applicable Hodge-conjecture status for dimension n, degree m.
 
-    Theorem facts are recorded, not re-proved; the computational path
-    runs the level-range condition with standard exclusion (both the
+    Theorem facts are recorded in ``_THEOREMS``, not re-proved, and the
+    first that applies answers; otherwise the computational path runs
+    the level-range condition with standard exclusion (both the
     quasi-decomposable and the standard classes are algebraic, so the
     exclusion is sound).  A check cut short by the budget is UNDETERMINED
     and its justification says so.
     """
     check_modulus(m)
     check_dimension(n)
-    if n <= 2:
-        return VerdictReport(
-            m, n, VerdictStatus.PROVEN_DIM_LE_2,
-            "classes of degree (1,1) are algebraic, settling dimensions <= 2",
-        )
-    if _is_prime(m) or m == 4:
-        return VerdictReport(
-            m, n, VerdictStatus.PROVEN_PRIME_OR_4,
-            "for prime degree or degree 4 the monoid is generated in level 1",
-        )
-    if _prime_square(m):
-        return VerdictReport(
-            m, n, VerdictStatus.PROVEN_PRIME_SQUARE,
-            "for a squared prime every Hodge class is spanned by standard cycles",
-        )
-    if m <= 20:
-        return VerdictReport(
-            m, n, VerdictStatus.PROVEN_M_LE_20,
-            "recorded verification of the all-levels condition for degrees <= 20",
-        )
-    if m in (21, 27):
-        return VerdictReport(
-            m, n, VerdictStatus.PROVEN_M_21_27,
-            "recorded verification of the all-levels condition for degrees 21 and 27",
-        )
-    if n == 4 and gcd(m, 6) == 1:
-        return VerdictReport(
-            m, n, VerdictStatus.PROVEN_FOURFOLD_COPRIME_6,
-            "fourfolds of degree coprime to 6 are settled by the induced structure",
-        )
+    for applies, status, justification in _THEOREMS:
+        if applies(m, n):
+            return VerdictReport(m, n, status, justification)
     report = check_condition(m, n=n, exclude_standard=True, budget=budget)
     if not report.complete:
-        return VerdictReport(
-            m, n, VerdictStatus.UNDETERMINED,
+        status, justification = VerdictStatus.UNDETERMINED, (
             "no recorded theorem applies and the level-range check was cut "
-            "short by the budget",
-            condition_report=report,
+            "short by the budget"
         )
-    if report.verdict:
-        return VerdictReport(
-            m, n, VerdictStatus.PROVEN_BY_PNM_CHECK,
+    elif report.verdict:
+        status, justification = VerdictStatus.PROVEN_BY_PNM_CHECK, (
             "every indecomposable in the level range is quasi-decomposable "
-            "or standard",
-            condition_report=report,
+            "or standard"
         )
-    return VerdictReport(
-        m, n, VerdictStatus.UNDETERMINED,
-        "no recorded theorem applies and the level-range check does not close",
-        condition_report=report,
-    )
+    else:
+        status, justification = VerdictStatus.UNDETERMINED, (
+            "no recorded theorem applies and the level-range check does not close"
+        )
+    return VerdictReport(m, n, status, justification, condition_report=report)
 
 
 # ---------------------------------------------------------------------------

@@ -278,10 +278,10 @@ def _pair_sums(
 class _Closure:
     """Sum-and-reduce closure of a lattice basis under the sign order.
 
-    Vectors are stored with their positive/negative parts and packed
-    support bitmasks; ``reduce`` subtracts any stored vector whose
-    positive and negative parts both fit inside the target's, and it is
-    the only reduction.  Only cancelling pairs (opposite strict signs
+    Vectors are stored with packed support bitmasks; ``reduce``
+    subtracts any stored vector g that fits a target w (g+ <= w+ and
+    g- <= w-, tested as one sign product by ``_fits``), and it is the
+    only reduction.  Only cancelling pairs (opposite strict signs
     somewhere) need processing: a sum without cancellation reduces to
     zero through its own summands.  ``_pair_sums`` finds them for blocks
     of representatives at once from one mask over their exact sign
@@ -347,8 +347,6 @@ class _Closure:
         self.reps = self.G[least]
         self.rep_of_row = np.empty(len(self.G), dtype=np.int64)
         self.rep_of_row[inv] = orbit.reshape(k, 1)
-        self.Gp = np.maximum(self.G, 0)
-        self.Gm = self.Gp - self.G
         self.keys = self._keys(self.G)
 
     def _chunks(self, V: np.ndarray):
@@ -365,11 +363,14 @@ class _Closure:
             yield lo, W, *np.nonzero(cand)
 
     def _fits(self, W: np.ndarray, rows: np.ndarray, gs: np.ndarray) -> np.ndarray:
-        Wp = np.maximum(W, 0)
-        Wm = Wp - W
-        return (self.Gp[gs] <= Wp[rows]).all(axis=1) & (
-            self.Gm[gs] <= Wm[rows]
-        ).all(axis=1)
+        """Whether store row gs fits under W[rows]: g+ <= w+ and g- <= w-.
+
+        Column by column that is g * (w - g) >= 0: g > 0 needs w >= g,
+        g < 0 needs w <= g and g = 0 always fits.  Closure rows have L1
+        norms below 2^31, so the product cannot overflow int64.
+        """
+        g = self.G[gs]
+        return (g * (W[rows] - g) >= 0).all(axis=1)
 
     def orbit_rows(self, V: np.ndarray) -> np.ndarray:
         """Each row of V mapped to one fixed member of its orbit.

@@ -284,8 +284,8 @@ def level_rows(m: int, y: int, budget=None) -> np.ndarray:
     The budget is spent the table size before the table is built, and
     then per chunk of L the rows that chunk found.  ``max_candidates``
     counts those rows, not memory: the default 10^8 admits slices past
-    8 GB ((24, 8) returns 7.2 M rows in 230 MB, and the join peaks near
-    1.2 GB).  Bounding slice memory is ROADMAP item 3.
+    8 GB ((24, 8) returns 7.2 M rows in 230 MB, and the process peaks
+    near 960 MB).  Bounding slice memory is ROADMAP item 3.
     """
     check_modulus(m)
     if y < 1:
@@ -328,10 +328,11 @@ def level_rows(m: int, y: int, budget=None) -> np.ndarray:
             budget.spend(len(lefts[-1]))
     # L is never empty: y ones have 2*w1 = 2y <= m*y
     left, right = np.concatenate(lefts), np.concatenate(rights)
-    seq = [c[left] for c in cols] + [c[right] for c in cols]
+    del lefts, rights
+    rows = np.stack([c[left] for c in cols] + [c[right] for c in cols], axis=1)
+    del left, right
     # equal-length multisets: ascending x is descending sorted sequence
-    order = np.lexsort(seq[::-1])[::-1]
-    return np.stack(seq, axis=1)[order]
+    return rows[np.lexsort(rows.T[::-1])[::-1]]
 
 
 def enumerate_level(m: int, y: int) -> list[MonoidVector]:

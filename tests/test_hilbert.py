@@ -289,6 +289,36 @@ class TestClosure:
             orbits = {_orbit_id(m, v) for v in V}
             assert len(orbits) == len(V)
 
+    @pytest.mark.parametrize("m", [12, 44, 80])
+    def test_fits_is_the_part_wise_fit(self, m):
+        C = m // 2
+        rng = np.random.default_rng(C)
+
+        def draw(k):
+            # mostly zero columns; about one row in three with an entry near +-2^30
+            V = _sparse_rows(rng, k, C)
+            big = np.flatnonzero(rng.random(k) < 0.35)
+            V[big, rng.integers(0, C, len(big))] = rng.choice([-1, 1], len(big)) * (
+                (1 << 30) - rng.integers(0, 4, len(big))
+            )
+            return V
+
+        closure = _Closure(C, SearchBudget(), _class_transforms(m))
+        closure.set_reps(draw(6))
+        G = closure.G
+        picked = G[rng.integers(0, len(G), 150)]
+        # store rows as they are, moved a little, and fresh rows
+        W = np.vstack([picked, picked + _sparse_rows(rng, len(picked), C), draw(100)])
+        rows, gs = np.divmod(np.arange(len(W) * len(G)), len(G))
+        g, w = G[gs], W[rows]
+        literal = (np.maximum(g, 0) <= np.maximum(w, 0)).all(axis=1) & (
+            np.maximum(-g, 0) <= np.maximum(-w, 0)
+        ).all(axis=1)
+        fit = closure._fits(W, rows, gs)
+        assert np.array_equal(fit, literal)
+        assert literal.any() and not literal.all()
+        assert (np.abs(g[literal]) > 1 << 29).any()
+
 
 def _literal_pair_sums(reps, new, block, block_rep_idx):
     """The closure's pair batches by one mask per representative, literally."""
