@@ -169,13 +169,13 @@ def _least_witnesses(idx: np.ndarray, m: int, spend) -> list[QuasiWitness | None
     for bits, size, a in subset_completions(idx, m):
         spend(len(idx) * int(((size > 1) & (size < n)).sum()))
         best = np.concatenate([best, _candidates(idx, m, bits, size, a)])
-        order = np.lexsort(np.c_[best[:, :3], -best[:, 3:]].T[::-1])
+        order = np.lexsort(np.concatenate([best[:, :3], -best[:, 3:]], axis=1).T[::-1])
         best = best[order[np.diff(best[order, 0], prepend=-1) != 0]]
     rows, b, level, seq = best[:, 0], best[:, 1], best[:, 2], best[:, 3:]
     pair = m // 2 - b
-    b_idx = np.c_[pair, m - pair]
+    b_idx = np.column_stack([pair, m - pair])
     b_rows, c_rows = indices_to_rows(b_idx, m), indices_to_rows(seq, m)
-    d_rows = indices_to_rows(np.c_[idx[rows], b_idx], m) - c_rows
+    d_rows = indices_to_rows(np.concatenate([idx[rows], b_idx], axis=1), m) - c_rows
     parts = rows_to_vectors(np.concatenate([b_rows, c_rows, d_rows]))
     witnesses: list[QuasiWitness | None] = [None] * len(idx)
     for i, x in enumerate(rows.tolist()):
@@ -204,18 +204,19 @@ def _candidates(idx, m, bits, size, a) -> np.ndarray:
     a = a[r, k]
     # c = s with b = 0, 1, then c = s + b with b = 0, 1
     pairs = half_m - np.arange(2)
-    t_even = np.r_[np.full((2, 2), m), np.c_[pairs, m - pairs]]
-    rows = np.r_[r, np.repeat(r_even, 4)]
-    seq = np.where(bits[np.r_[k, np.repeat(k_even, 4)]], idx[rows], m)
-    t = np.r_[np.c_[a, np.full_like(a, m)], np.tile(t_even, (len(r_even), 1))]
-    seq = np.sort(np.c_[seq, t], axis=1)
+    t_even = np.concatenate([np.full((2, 2), m), np.column_stack([pairs, m - pairs])])
+    rows = np.concatenate([r, np.repeat(r_even, 4)])
+    seq = np.where(bits[np.concatenate([k, np.repeat(k_even, 4)])], idx[rows], m)
+    t_odd = np.column_stack([a, np.full_like(a, m)])
+    t = np.concatenate([t_odd, np.tile(t_even, (len(r_even), 1))])
+    seq = np.sort(np.concatenate([seq, t], axis=1), axis=1)
     level = (seq < m).sum(axis=1) // 2
-    b = np.r_[half_m - np.minimum(a, m - a), np.tile([0, 1, 0, 1], len(r_even))]
+    b = np.concatenate([half_m - np.minimum(a, m - a), np.tile([0, 1, 0, 1], len(r_even))])
     pair = half_m - b
     is_x = (level == n // 2) & (seq[:, :n] == idx[rows]).all(axis=1)
     is_b = (level == 1) & (seq[:, 0] == pair) & (seq[:, 1] == m - pair)
     keep = (b < half_m) & ~is_x & ~is_b
-    return np.c_[rows, b, level, seq][keep]
+    return np.column_stack([rows, b, level, seq])[keep]
 
 
 def _prime_factors(n: int) -> list[int]:

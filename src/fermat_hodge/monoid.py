@@ -12,14 +12,18 @@ enumerated exhaustively.
 
 Slices are enumerated once, by meet in the middle (Horowitz and Sahni,
 J. ACM 21(2), 1974): each sorted multiset of size 2y is its y smallest
-indices followed by its y largest, and the level equations become a
-join of size-y half-multisets on their weight vectors.  The weight
-under the unit t = 1 is the index sum, so the smaller half has
-2*w1 <= m*y and the larger 2*w1 >= m*y: each side of the join reads
-about half of the one table of halves.  A slice is one (N, 2y) int16
-array of ascending index rows, which the sieve, the quasi search and
-the Hodge labels read as it is; count rows (x..., y) are built only
-where rows leave them.  Half weights are int32 (at most y*(m-1)).
+indices L followed by its y largest R, and the level equations become
+a join of size-y half-multisets on their weight vectors.  The weight
+under the unit t = 1 is the index sum, and every index of R is at
+least max L, so w1(L) + y*max(L) <= m*y.  Only the halves meeting that
+bound are built, a quarter of all comb(m+y-2, y) halves at level 3, a
+sixth at level 4 and fewer above.  The one pruned table is joined to
+itself: m - R, reversed, is again such a half, and its weights under
+the half units are m*y minus those of R.  Every joined pair is checked
+exactly on its weights, packed into one to a few uint64 words a half.
+A slice is one (N, 2y) int16 array of ascending index rows, which the
+sieve, the quasi search and the Hodge labels read as it is; count rows
+(x..., y) are built only where rows leave them.
 This module owns both formats: every module reads the weight table,
 the index/count/vector codec and the canonical order from here.
 ``subset_completions`` is the one place that decides which
@@ -234,103 +238,110 @@ def is_member(v: MonoidVector, m: int) -> bool:
     )
 
 
-def _halves(m: int, y: int, index_key: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Every size-y multiset of indices 1..m-1 with its weight key.
+def _halves(m: int, y: int, index_values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The size-y multisets L of indices 1..m-1 with w1(L) + y*max(L) <= m*y.
 
-    Returns the sorted index positions as y int16 columns (column p
-    holds the (p+1)-th smallest index) and the uint64 keys.  Both grow
-    one position at a time: each row is extended by every index at
-    least its last one, and the key adds the new index's key.
+    Returns their index positions as y int16 columns (column p holds the
+    (p+1)-th smallest index) and the sums of their indices' rows of the
+    (m, d) uint64 ``index_values``.  The table grows one position at a
+    time from the empty prefix: a prefix of k indices with index sum s
+    and last index l takes a next index v in l..(m*y - s) // (2y - k).
+    Its least completion repeats v, so exactly the prefixes that can
+    complete are kept.
     """
-    cols = [np.arange(1, m, dtype=np.int16)]
-    key = index_key[1:]
-    for _ in range(1, y):
-        last = cols[-1]
-        fan = (m - last).astype(np.int64)
-        parent = np.repeat(np.arange(len(last)), fan)
+    cols, last, w1 = [], np.ones(1, dtype=np.int16), np.zeros(1, dtype=np.int32)
+    values = np.zeros((1, index_values.shape[1]), dtype=np.uint64)
+    for k in range(y):
+        fan = ((m * y - w1) // (2 * y - k) - last + 1).astype(np.int64)
+        parent = np.repeat(np.arange(len(fan)), fan)
         offset = np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)
-        new = (last[parent] + offset).astype(np.int16)
-        cols = [c[parent] for c in cols] + [new]
-        key = key[parent] + index_key[new]
-    return cols, key
+        last = (last[parent] + offset).astype(np.int16)
+        cols = [c[parent] for c in cols] + [last]
+        w1 = w1[parent] + last
+        values = values[parent] + index_values[last]
+    return cols, values
 
 
 def level_rows(m: int, y: int, budget=None) -> np.ndarray:
     """The level-y slice as an (N, 2y) int16 array of ascending index rows.
 
     Rows are in canonical order: descending lexicographic, which is
-    ascending lexicographic on x.  Meet in the middle: the 2y indices of a slice element, sorted, split uniquely
-    into L, the y smallest, and R, the y largest, so max(L) <= min(R).
-    Both halves come from one table of the comb(m+y-2, y) multisets of
-    size y, and a pair (L, R) is an element iff w(L) + w(R) == m*y for
-    the weight vectors w over ``half_units(m)``.  Under the unit t = 1
-    a weight is the sum of the indices, and L lies under R position by
-    position, so w1(L) <= w1(R): L comes only from halves with
-    2*w1 <= m*y and R only from halves with 2*w1 >= m*y, about half
-    the table each (a half with 2*w1 == m*y is on both sides).
+    ascending lexicographic on x.  Meet in the middle: the 2y indices of
+    a slice element, sorted, split uniquely into L, the y smallest, and
+    R, the y largest, so max(L) <= min(R), and the element's weight
+    vector over ``half_units(m)`` is w(L) + w(R) == m*y.  Under the
+    unit 1 a weight is the index sum, so w1(L) + y*max(L) <= m*y: only
+    the halves meeting that bound are built (``_halves``).  One table
+    serves both sides: L' = m - R, reversed, has w_t(R) = m*y - w_t(L')
+    for every half unit t, because <t*(m-i)> = m - <t*i>, and it meets
+    the same bound.  So an element is a pair (L, L') of the table with
+    w(L) == w(L') and max(L) + max(L') <= m, and its row is L followed
+    by m - L' reversed.
 
-    The join runs on a 64-bit linear key of the weight vector: L is
-    keyed by key(w), R by its complement key(m*y - w).  The low
-    bit_length(m) bits of a key are cleared, so the high bits alone
-    group the halves.  R puts min R in those bits, and one sort orders
-    R by (group, min R): the groups come from R alone.  L is walked in
-    key order and looks up its group with max L in those bits, so the
-    two ``searchsorted`` lookups per chunk get ascending queries.  Keys
-    equal in their high bits only collide like equal keys: a collision
-    can only add pairs, never hide one, and the int32 weights of every
-    joined pair, added position by position, are checked, so the
-    result is exact.
+    The join runs on a 64-bit linear key of the weight vector.  The
+    low bit_length(m) bits of a key are cleared and hold the half's
+    max, and one sort orders the table by (key group, max): the
+    partners of L are the range of its own group with max at most
+    m - max(L), two ``searchsorted`` lookups per chunk.  Keys equal in
+    their high bits only collide like equal keys: a collision can only
+    add pairs, never hide one.  Every joined pair is checked exactly on
+    packed weight words: a unit weight of a half is below 2^b for
+    b = bit_length(y*(m-1)), so 64 // b units share a uint64 word
+    without carries, and w(L) == w(L') is an equality of one to a few
+    words.
 
-    The budget is spent the table size before the table is built, and
-    then per chunk of L the rows that chunk found.  ``max_candidates``
-    counts those rows, not memory: the default 10^8 admits slices past
-    8 GB ((24, 8) returns 7.2 M rows in 230 MB, and the process peaks
-    near 960 MB).  Bounding slice memory is ROADMAP item 3.
+    The budget is spent comb(m+y-2, y), the count of all size-y halves
+    and a conservative bound on the pruned table, before the table is
+    built, and then per chunk of L the rows that chunk found.
+    ``max_candidates`` counts those rows, not memory: the default 10^8
+    admits slices past 8 GB ((24, 8) returns 7.2 M rows in 230 MB from a
+    table of 311,928 halves, and the process peaks near 640 MB).
+    Bounding slice memory, and a meter that counts the pruned table, is
+    ROADMAP item 3.
     """
     check_modulus(m)
     if y < 1:
         raise ValueError(f"level must be >= 1, got {y}")
-    size = comb(m + y - 2, y)
     if budget is not None:
-        budget.spend(size)
-    res = weight_table(m)
+        budget.spend(comb(m + y - 2, y))
+    res = weight_table(m).astype(np.uint64)
+    units = res.shape[1]
     # fixed odd multipliers of the weight key, one per half unit
     draw = random.Random(0)
-    mix = np.asarray([draw.getrandbits(64) | 1 for _ in res[0]], dtype=np.uint64)
-    cols, key = _halves(m, y, res.astype(np.uint64) @ mix)
-    target = m * y
-    target_key = np.full(len(mix), target, dtype=np.uint64) @ mix
-    twice_w1 = 2 * sum(c.astype(np.int32) for c in cols)
-    # high key bits group the halves; the low bits hold min R or max L
+    mix = np.asarray([draw.getrandbits(64) | 1 for _ in range(units)], dtype=np.uint64)
+    # then the weight words: 64 // b unit weights a word, b bits each
+    b = (y * (m - 1)).bit_length()
+    per = 64 // b
+    t, n_words = np.arange(units), -(-units // per)
+    place = np.zeros((units, 1 + n_words), dtype=np.uint64)
+    place[:, 0] = mix
+    place[t, 1 + t // per] = np.uint64(1) << (t % per * b).astype(np.uint64)
+    cols, values = _halves(m, y, res @ place)
+    # high key bits group the halves; the low bits hold the max
     low = np.uint64((1 << m.bit_length()) - 1)
-    r_order = np.flatnonzero(twice_w1 >= target)
-    r_key = (target_key - key[r_order]) & ~low | cols[0][r_order].astype(np.uint64)
-    r_sort = np.argsort(r_key)
-    r_order, r_key = r_order[r_sort], r_key[r_sort]
-    l_order = np.flatnonzero(twice_w1 <= target)
-    l_order = l_order[np.argsort(key[l_order])]
-    l_key = key[l_order] & ~low
+    key = values[:, 0] & ~low | cols[-1].astype(np.uint64)
+    order = np.argsort(key)
+    key, words = key[order], values[order, 1:]
+    cols = [c[order] for c in cols]
+    del order, values
     lefts, rights = [], []
-    for lo in range(0, len(l_order), _CHUNK):
-        left_rows, g = l_order[lo : lo + _CHUNK], l_key[lo : lo + _CHUNK]
-        start = np.searchsorted(r_key, g | cols[-1][left_rows].astype(np.uint64))
-        fan = np.searchsorted(r_key, g | low, side="right") - start
-        left = np.repeat(left_rows, fan)
-        first = np.repeat(start - (np.cumsum(fan) - fan), fan)
-        right = r_order[first + np.arange(len(left))]
-        weights = res[cols[0][left]] + res[cols[0][right]]
-        for c in cols[1:]:
-            weights += res[c[left]] + res[c[right]]
-        exact = (weights == target).all(axis=1)
+    for lo in range(0, len(key), _CHUNK):
+        group = key[lo : lo + _CHUNK] & ~low
+        start = np.searchsorted(key, group)
+        bound = group | (m - cols[-1][lo : lo + _CHUNK]).astype(np.uint64)
+        fan = np.searchsorted(key, bound, side="right") - start
+        left = np.repeat(np.arange(lo, lo + len(group)), fan)
+        right = np.repeat(start - (np.cumsum(fan) - fan), fan) + np.arange(len(left))
+        exact = (words[left] == words[right]).all(axis=1)
         lefts.append(left[exact])
         rights.append(right[exact])
         if budget is not None:
             budget.spend(len(lefts[-1]))
-    # L is never empty: y ones have 2*w1 = 2y <= m*y
+    # the table is never empty: y ones meet the bound
     left, right = np.concatenate(lefts), np.concatenate(rights)
-    del lefts, rights
-    rows = np.stack([c[left] for c in cols] + [c[right] for c in cols], axis=1)
-    del left, right
+    del lefts, rights, key, words
+    rows = np.stack([c[left] for c in cols] + [m - c[right] for c in cols[::-1]], axis=1)
+    del left, right, cols
     # equal-length multisets: ascending x is descending sorted sequence
     return rows[np.lexsort(rows.T[::-1])[::-1]]
 

@@ -368,8 +368,8 @@ class TestSearchBudget:
         """``max_candidates`` bounds the request: the sieve and the search
         spend one meter.
 
-        The sieve of (24, n=4) spends 3,778: the half table of level 3
-        (2,300) and the rows found (1,478); it builds no level-2 slice,
+        The sieve of (24, n=4) spends 3,778: the count of all halves of
+        level 3 (2,300) and the rows found (1,478); it builds no level-2 slice,
         which a level-3 row is not sieved against.  The search evaluates
         56 subsets (sizes 2 to 5 of the 6 sorted indices) of each of its
         298 level-3 elements, 16,688 cells.

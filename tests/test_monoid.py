@@ -212,17 +212,48 @@ class TestLevelRows:
         (back,) = vectors_to_indices(vectors)
         assert np.array_equal(back, idx)
 
+    # sha256 of the little-endian int16 index rows, recorded from the
+    # join of the whole half table, at levels where the prune cuts deepest
+    @pytest.mark.parametrize(
+        "m,y,count,digest",
+        [
+            (24, 5, 73484, "12c4ef0a6fec961ac4ef4c0cea54acfb7f45a7ba8b6b90fd2b233c3ccf7e1010"),
+            (13, 6, 462, "a377c84cf1257197c2cf596236fbb39fed515f5714d70bc94462d4889259ae7d"),
+            (60, 3, 25250, "0f0189c3ef7184abd8322e9ff37b042e08e8d4d58fbac54753710405390c819d"),
+            (10, 8, 4283, "a90c56a6f76ee46621743f0468f751b16800880583f88f92fd11866105c48b8c"),
+            (30, 4, 43824, "dd239dd50c7066a1ea00e09649d822faf344115060d14e7ca8bc2f20a1fc42f1"),
+        ],
+        ids=["24-5", "13-6", "60-3", "10-8", "30-4"],
+    )
+    def test_index_bytes_are_pinned(self, m, y, count, digest):
+        idx = level_rows(m, y)
+        assert idx.shape == (count, 2 * y)
+        assert hashlib.sha256(idx.astype("<i2").tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("m,y", [(m, y) for m in range(2, 21) for y in range(1, 5)])
+    def test_pruned_halves_are_the_definition(self, m, y):
+        expected = {
+            half
+            for half in combinations_with_replacement(range(1, m), y)
+            if sum(half) + y * max(half) <= m * y
+        }
+        cols, sums = monoid._halves(m, y, np.arange(m, dtype=np.uint64)[:, None])
+        halves = list(zip(*(c.tolist() for c in cols)))
+        assert len(halves) == len(expected) and set(halves) == expected
+        assert sums[:, 0].tolist() == [sum(half) for half in halves]
+
     def test_traced_peak_stays_small(self):
         # a slice of index rows holds 2y int16 cells a row; returning
         # count rows, m int64 cells a row, traces 156 MB for this slice,
-        # and keeping the pair indices through the final sort 58 MB
+        # keeping the pair indices through the final sort 58 MB, and
+        # joining the whole half table on two sides 40 MB
         tracemalloc.start()
         try:
             level_rows(24, 6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 48 * 2**20
+        assert peak < 32 * 2**20
 
     def test_budget_checked_with_half_table_before_building_it(self):
         with pytest.raises(BudgetExceededError, match=str(comb(47 + 3 - 2, 3))):
