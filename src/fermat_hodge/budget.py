@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError
 
@@ -12,7 +11,6 @@ DEFAULT_MAX_SECONDS = 600.0
 DEFAULT_MAX_CANDIDATES = 10**8
 
 
-@dataclass
 class SearchBudget:
     """Wall-clock and candidate-count caps for one request.
 
@@ -22,13 +20,21 @@ class SearchBudget:
     the caps bound the request, not each search on its own.  ``check``
     raises BudgetExceededError when either cap is exceeded; the clock
     starts at the first check.  A value of None disables the
-    corresponding cap.
+    corresponding cap.  A plain class, so that a cache hit, which builds
+    one, imports no ``dataclasses``.
     """
 
-    max_seconds: float | None = DEFAULT_MAX_SECONDS
-    max_candidates: int | None = DEFAULT_MAX_CANDIDATES
-    spent: int = field(default=0, init=False)
-    _started: float | None = field(default=None, init=False, repr=False)
+    __slots__ = ("max_seconds", "max_candidates", "spent", "_started")
+
+    def __init__(
+        self,
+        max_seconds: float | None = DEFAULT_MAX_SECONDS,
+        max_candidates: int | None = DEFAULT_MAX_CANDIDATES,
+    ):
+        self.max_seconds = max_seconds
+        self.max_candidates = max_candidates
+        self.spent = 0
+        self._started: float | None = None
 
     def spend(self, count: int) -> None:
         """Add ``count`` candidates to the total, then check both caps."""

@@ -48,7 +48,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 # Annotations name classes of ``cycles``, ``hilbert`` and ``monoid``, which
@@ -67,14 +66,17 @@ def default_cache_dir() -> Path:
     return base / "fermat-hodge"
 
 
-@dataclass(frozen=True)
 class Entry:
     """A result as the cache stores it: meta, ``--format json`` body and,
-    when it was computed or parsed, the payload."""
+    when it was computed or parsed, the payload.  A plain class, so that
+    a hit imports no ``dataclasses``."""
 
-    meta: dict
-    body: str
-    payload: dict | None = None
+    __slots__ = ("meta", "body", "payload")
+
+    def __init__(self, meta: dict, body: str, payload: dict | None = None):
+        self.meta = meta
+        self.body = body
+        self.payload = payload
 
     @classmethod
     def of(cls, kind: str, m: int, payload: dict, **key) -> "Entry":
@@ -320,7 +322,8 @@ def report_to_dict(report: ConditionReport) -> dict:
         if o.witness is not None:
             item["witness"] = {k: format_vector(getattr(o.witness, k)) for k in "bcd"}
         if o.provenance is not None:
-            item["provenance"] = asdict(o.provenance)
+            p = o.provenance
+            item["provenance"] = {"p": p.p, "i": p.i, "doubled": p.doubled}
         outcomes.append(item)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -350,7 +353,7 @@ def _parsed(entry: Entry, valid) -> Entry | None:
         payload = json.loads(entry.body)
     except ValueError:
         return None
-    return replace(entry, payload=payload) if valid(payload) else None
+    return Entry(entry.meta, entry.body, payload) if valid(payload) else None
 
 
 def _strings(items) -> bool:

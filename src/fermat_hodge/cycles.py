@@ -18,7 +18,7 @@ call.  Rows convert through the codec of ``monoid``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd
 
@@ -103,7 +103,7 @@ def build_pool(
     Rows run by level, then lexicographic on x.  No search of the
     package reads a pool; this helper stays public only because the
     benchmark's trace list names it, and it goes with the benchmark
-    change of ROADMAP item 1.
+    change of ROADMAP item 4.
     """
     check_modulus(m)
     levels = range(1, max_level + 1)
@@ -437,11 +437,12 @@ def scan_fourfolds(
     """
     if m_from < 2 or m_from > m_to:
         raise ValueError(f"invalid range {m_from}..{m_to}")
+    caps = budget_per_m or SearchBudget()
     reports = []
     for m in range(m_from, m_to + 1):
         if coprime_to is not None and gcd(m, coprime_to) != 1:
             continue
-        budget = replace(budget_per_m or SearchBudget())
+        budget = SearchBudget(caps.max_seconds, caps.max_candidates)
         reports.append(check_condition(m, n=4, exclude_standard=True, budget=budget))
     return reports
 

@@ -73,6 +73,10 @@ __all__ = [
 # batch handed to the reducer reaches before it closes
 _PAIR_CELLS = 1 << 16
 _PAIR_FLUSH = 1 << 17
+# (row, store row) cells of one chunk's support-key test
+_KEY_CELLS = 1 << 18
+# index cells of one row block of a slice's level-one pair test
+_SLICE_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -354,8 +358,11 @@ class _Closure:
 
         Sign-compatible subtraction only shrinks both parts of a row, so
         the pairs stay a superset of the fits while a chunk is reduced.
+        A chunk holds about ``_KEY_CELLS`` cells, and at least 32 rows;
+        each chunk's rows are spent, so the chunk size does not change
+        the total.
         """
-        chunk = max(32, (1 << 20) // max(len(self.G), 1))
+        chunk = max(32, _KEY_CELLS // max(len(self.G), 1))
         for lo in range(0, len(V), chunk):
             W = V[lo : lo + chunk].copy()
             self.budget.spend(len(W))
@@ -506,19 +513,25 @@ def _indecomposable_in_slice(idx: np.ndarray, m: int, basis: list) -> np.ndarray
     so testing against basis elements of level <= y/2 is exact.  Level
     one is the pairs (a, m-a) and, for even m, 2*(m/2), so a row lies
     above one iff two of its indices sum to m, which each index column
-    tests against the columns after it.  Only the rows left become count
-    rows.  Higher levels are compared, one row b at a time, on b's
-    support, at most 2k columns at level k, and only with the rows still
-    left.
+    tests against the columns after it, in row blocks of about
+    ``_SLICE_CELLS`` index cells transposed one at a time.  Only the rows
+    left become count rows.  Higher levels are compared, one row b at a
+    time, on b's support, at most 2k columns at level k, and only with
+    the rows still left.
     """
     y = idx.shape[1] // 2
     if y < 2:
         return idx
-    cols = np.ascontiguousarray(idx.T)
-    over_pair = np.zeros(len(idx), dtype=bool)
-    for p in range(2 * y - 1):
-        over_pair |= (cols[p] + cols[p + 1 :] == m).any(axis=0)
-    idx = idx[~over_pair]
+    step = max(1, _SLICE_CELLS // (2 * y))
+    kept = [idx[:0]]
+    for lo in range(0, len(idx), step):
+        block = idx[lo : lo + step]
+        cols = np.ascontiguousarray(block.T)
+        over_pair = np.zeros(len(block), dtype=bool)
+        for p in range(2 * y - 1):
+            over_pair |= (cols[p] + cols[p + 1 :] == m).any(axis=0)
+        kept.append(block[~over_pair])
+    idx = np.concatenate(kept)
     for level in basis[1 : y // 2]:
         left = indices_to_rows(idx, m)
         for b in indices_to_rows(level, m):

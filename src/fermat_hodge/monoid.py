@@ -290,14 +290,17 @@ def level_rows(m: int, y: int, budget=None) -> np.ndarray:
     without carries, and w(L) == w(L') is an equality of one to a few
     words.
 
+    The joined pairs fill one preallocated slice column by column, so
+    beside the slice only one gathered column is alive at a time.
+
     The budget is spent comb(m+y-2, y), the count of all size-y halves
     and a conservative bound on the pruned table, before the table is
     built, and then per chunk of L the rows that chunk found.
     ``max_candidates`` counts those rows, not memory: the default 10^8
     admits slices past 8 GB ((24, 8) returns 7.2 M rows in 230 MB from a
-    table of 311,928 halves, and the process peaks near 640 MB).
-    Bounding slice memory, and a meter that counts the pruned table, is
-    ROADMAP item 3.
+    table of 311,928 halves; the call's traced peak is 496 MiB, most of
+    it the final sort and its sorted copy).  Bounding slice memory, and
+    a meter that counts the pruned table, is ROADMAP item 2.
     """
     check_modulus(m)
     if y < 1:
@@ -340,7 +343,10 @@ def level_rows(m: int, y: int, budget=None) -> np.ndarray:
     # the table is never empty: y ones meet the bound
     left, right = np.concatenate(lefts), np.concatenate(rights)
     del lefts, rights, key, words
-    rows = np.stack([c[left] for c in cols] + [m - c[right] for c in cols[::-1]], axis=1)
+    rows = np.empty((len(left), 2 * y), dtype=np.int16)
+    for p, c in enumerate(cols):
+        rows[:, p] = c[left]
+        rows[:, 2 * y - 1 - p] = m - c[right]
     del left, right, cols
     # equal-length multisets: ascending x is descending sorted sequence
     return rows[np.lexsort(rows.T[::-1])[::-1]]

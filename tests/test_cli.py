@@ -711,6 +711,13 @@ class TestFreshProcess:
         hot, loaded = _in_fresh_process([argv], "-S", watch=["tempfile", *_COMPUTING])
         assert hot == [cold] and loaded == []
 
+    def test_hits_load_no_dataclasses_or_inspect(self, capsys, tmp_path):
+        # the meter and the cache entry of a hit are plain classes
+        requests = [argv + ["--cache-dir", str(tmp_path)] for argv in _hot_requests(12)]
+        cold = [run_cli(argv, capsys) for argv in requests]
+        hot, loaded = _in_fresh_process(requests, "-S", watch=["dataclasses", "inspect"])
+        assert hot == cold and loaded == []
+
 
 class TestParserReuse:
     def test_parser_is_built_once(self):

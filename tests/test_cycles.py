@@ -1,6 +1,11 @@
 import hashlib
 import inspect
 import json
+import os
+import resource
+import subprocess
+import sys
+import tracemalloc
 from itertools import product
 from math import gcd
 
@@ -412,6 +417,41 @@ class TestHeavyPins:
         assert report.complete and report.counts == counts
         payload = json.dumps(report_to_dict(report), sort_keys=True)
         assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+class TestHighLevelMemory:
+    """The sieve's pair test runs on row blocks of a slice, so a high
+    level-range check stays within a fixed memory."""
+
+    @pytest.mark.slow
+    def test_level_range_check_traced_peak(self):
+        # 544 MiB traced; 757 MiB when the pair test transposed whole slices
+        tracemalloc.start()
+        try:
+            report = check_condition(24, n=14, exclude_standard=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.complete
+        assert report.counts == {"QUASI": 1244, "STANDARD": 0, "FAIL": 0}
+        assert peak < 600 << 20
+
+    @pytest.mark.slow
+    def test_sixteen_fold_verdict_under_3_gib(self):
+        # the check builds and sieves the 26.3 M-row level-9 slice of degree 24
+        root = os.path.dirname(os.path.dirname(os.path.abspath(cycles.__file__)))
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+        limit = 3 << 30
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from fermat_hodge import verdict; print(verdict(24, 16).status.value)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "PROVEN_BY_PNM_CHECK"
 
 
 class TestPoolBudget:

@@ -1,5 +1,6 @@
 import hashlib
 import time
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -65,6 +66,23 @@ def _slow_at_30(degrees):
     return [pytest.param(m, marks=pytest.mark.slow) if m == 30 else m for m in degrees]
 
 
+def _small_blocks(monkeypatch):
+    """Set the block sizes of the sieve and the closure to a few rows.
+
+    A slice's pair test then runs on blocks of 2 to 20 rows, and the
+    closure's key test on chunks of 32 rows, its floor.
+    """
+    monkeypatch.setattr(hilbert, "_SLICE_CELLS", 40)
+    monkeypatch.setattr(hilbert, "_KEY_CELLS", 1)
+
+
+def _basis_pin(basis):
+    """(count, sha256 of the canonical text sorted by (level, x)) of a basis."""
+    elements = sorted(basis.elements, key=lambda v: (v.y, v.x))
+    text = "\n".join(format_vector(v) for v in elements)
+    return len(elements), hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 class TestHilbertBasis:
     def test_m5_both_level_one(self, get_basis):
         basis = get_basis(5)
@@ -114,11 +132,22 @@ class TestHilbertBasis:
         assert sieve.elements == low
 
     @pytest.mark.parametrize("m", _slow_at_30(sorted(BASIS_PINS)))
-    def test_pinned_basis(self, m, get_basis):
-        elements = sorted(get_basis(m).elements, key=lambda v: (v.y, v.x))
-        text = "\n".join(format_vector(v) for v in elements)
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        assert (len(elements), digest) == BASIS_PINS[m]
+    def test_pinned_basis(self, m, get_basis, monkeypatch):
+        assert _basis_pin(get_basis(m)) == BASIS_PINS[m]
+        if m != 30:  # a second degree-30 closure would take minutes more
+            _small_blocks(monkeypatch)
+            assert _basis_pin(hilbert_basis(m)) == BASIS_PINS[m]
+
+    def test_completion_temporaries_are_bounded_by_blocks(self):
+        # the closure's key test allocates about _KEY_CELLS cells a chunk:
+        # 4.6 MiB traced, 11.6 MiB with chunks of 2^20 cells
+        tracemalloc.start()
+        try:
+            basis = hilbert_basis(28)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert basis.complete and peak < 6 << 20
 
     @pytest.mark.parametrize("m", [2, 12, 22, 25, 26, 33])
     def test_completion_elements_are_distinct_and_canonical(self, m, get_basis):
@@ -176,12 +205,15 @@ class TestHilbertBasis:
                 reachable.add(row)
 
     @pytest.mark.parametrize("m", range(2, 13))
-    def test_levelwise_equals_completion(self, m, get_basis):
+    def test_levelwise_equals_completion(self, m, get_basis, monkeypatch):
         completion = get_basis(m)
-        levelwise = hilbert_basis(
-            m, algorithm="levelwise", max_level=completion.max_element_level
-        )
+        top = completion.max_element_level
+        levelwise = hilbert_basis(m, algorithm="levelwise", max_level=top)
         assert not levelwise.complete
+        assert levelwise.elements == completion.elements
+        _small_blocks(monkeypatch)
+        assert hilbert_basis(m).elements == completion.elements
+        levelwise = hilbert_basis(m, algorithm="levelwise", max_level=top)
         assert levelwise.elements == completion.elements
 
     def test_levelwise_without_bound_is_uncertified(self):
@@ -479,12 +511,16 @@ class TestSliceSieve:
             (24, 5, 1112, "40098f9266bb6b57a53615eddd6d4250dfdf08ca673845971a69f20cbe7a4f0b"),
         ],
     )
-    def test_pinned_levelwise_rows(self, m, top, count, digest):
-        levels, sieved = _levelwise(m, top, SearchBudget())
-        vectors = [v for idx in levels for v in indices_to_vectors(idx, m)]
-        text = "\n".join(format_vector(v) for v in vectors)
-        assert sieved == top and len(vectors) == count
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    def test_pinned_levelwise_rows(self, m, top, count, digest, monkeypatch):
+        def sieve():
+            levels, sieved = _levelwise(m, top, SearchBudget())
+            vectors = [v for idx in levels for v in indices_to_vectors(idx, m)]
+            text = "\n".join(format_vector(v) for v in vectors)
+            return sieved, len(vectors), hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+        assert sieve() == (top, count, digest)
+        _small_blocks(monkeypatch)
+        assert sieve() == (top, count, digest)
 
     def test_levelwise_basis_reads_every_level_once(self, slice_reads):
         basis = hilbert_basis(12, max_level=4, algorithm="levelwise")
