@@ -12,12 +12,12 @@ and name, in three parts:
    indent=1)`` plus a newline, which is what ``--format json`` prints.
 
 A read hashes the bytes after line 1 and parses only the meta line; an
-entry whose digest, ``kind`` or key does not match the request is a
-miss, and the caller recomputes.  So the CLI prints a JSON hit as the
-stored body and answers ``phi`` from the meta, decoding and encoding
-nothing.  A write encodes the body once, to a temporary file renamed
-into place under an advisory lock, so a crashed writer never leaves a
-torn entry.  Entries of the earlier layout (one JSON object named
+entry whose digest, ``kind`` or key does not match the request, in
+value and JSON type, is a miss, and the caller recomputes.  So the CLI
+prints a JSON hit as the stored body and answers ``phi`` from the
+meta, decoding and encoding nothing.  A write encodes the body once,
+to a temporary file renamed into place under an advisory lock, so a
+crashed writer never leaves a torn entry.  Entries of the earlier layout (one JSON object named
 ``<name>.json``, digest over the re-serialized payload) are not read;
 their keys are recomputed and rewritten, removing the ``<name>.json`` file.
 
@@ -116,10 +116,7 @@ class ResultCache:
             body = body.decode("utf-8")
         except ValueError:
             return None
-        key["kind"] = kind
-        if not isinstance(meta, dict) or any(
-            k not in meta or meta[k] != v for k, v in key.items()
-        ):
+        if not _matches(meta, kind=kind, **key):
             return None
         return Entry(meta, body)
 
@@ -190,7 +187,7 @@ class ResultCache:
         fields the text form prints; without, the body is not decoded.
         """
         entry = self._read("BASIS", f"m{m}", m=m, complete=True)
-        if entry is None or not isinstance(entry.meta.get("phi"), int):
+        if entry is None or type(entry.meta.get("phi")) is not int:  # a bool is no phi
             return None
         if not parse:
             return entry
@@ -338,13 +335,17 @@ def report_to_dict(report: ConditionReport) -> dict:
     }
 
 
+def _matches(obj, **key) -> bool:
+    """Whether ``obj`` is a dict holding each value of ``key`` with its JSON
+    type: in Python 1 == True, but a stored 1 is not the key's true."""
+    return isinstance(obj, dict) and all(
+        k in obj and type(obj[k]) is type(v) and obj[k] == v for k, v in key.items()
+    )
+
+
 def _complete(payload, **key) -> bool:
     """Whether ``payload`` is a complete result stored under ``key``."""
-    return (
-        isinstance(payload, dict)
-        and payload.get("complete") is True
-        and all(k in payload and payload[k] == v for k, v in key.items())
-    )
+    return _matches(payload, complete=True, **key)
 
 
 def _parsed(entry: Entry, valid) -> Entry | None:

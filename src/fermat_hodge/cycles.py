@@ -12,8 +12,9 @@ There is one quasi search, ``_witnesses``, and it reads the rows of x
 alone: a witness c is a sub-multiset of x plus a part of the level-1 b,
 so the search runs in numpy over the subsets of the sorted indices of
 each x, and ``monoid.subset_completions`` decides which of them are
-members or complete to one.  ``is_quasi_decomposable`` is its one-row
-call.  Rows convert through the codec of ``monoid``.
+members or complete to one.  It returns witness rows, and ``_classify``
+is the one place that builds report objects from them;
+``is_quasi_decomposable`` is its one-row call.
 """
 
 from __future__ import annotations
@@ -124,16 +125,15 @@ def is_quasi_decomposable(
     if not is_member(x, m):
         raise MembershipError(f"not a member of the degree-{m} monoid: {x}")
     budget = budget or SearchBudget(max_seconds=None, max_candidates=None)
-    found = _witnesses(m, vectors_to_indices([x]), budget)
-    if not found:
+    if not len(found := _witnesses(m, vectors_to_indices([x]), budget)):
         raise BudgetExceededError(
             f"the quasi search of {format_vector(x)} was cut short by the budget"
         )
-    return found[0]
+    return QuasiWitness(*rows_to_vectors(found[0])) if found[0, 0, -1] else None
 
 
-def _witnesses(m: int, levels, budget: SearchBudget) -> list[QuasiWitness | None]:
-    """First witnesses of the degree-m members in ``levels``, in order.
+def _witnesses(m: int, levels, budget: SearchBudget) -> np.ndarray:
+    """The witness rows (``_least_witnesses``) of the members in ``levels``, in order.
 
     ``levels`` holds (N, 2y) arrays of ascending index rows, one level
     each.  An element of level y is searched over the subsets of its 2y
@@ -141,23 +141,24 @@ def _witnesses(m: int, levels, budget: SearchBudget) -> list[QuasiWitness | None
     it takes 2^(2y) - 2y - 2 cells.  A chunk holds at most
     ``monoid._SUBSET_CELLS`` cells, of several elements or of one block
     of the subsets of one, and each chunk's cells are spent of the
-    budget before it is evaluated.  On an overrun the list holds the
-    elements decided so far.
+    budget before it is evaluated.  On an overrun the rows are those of
+    the elements decided so far.
     """
-    found: list[QuasiWitness | None] = []
-    for idx in levels:
-        n = idx.shape[1]
-        step = max(1, monoid._SUBSET_CELLS // max((1 << n) - n - 2, 1))
-        for lo in range(0, len(idx), step):
-            try:
-                found += _least_witnesses(idx[lo : lo + step], m, budget.spend)
-            except BudgetExceededError:
-                return found
-    return found
+    found = [np.zeros((0, 3, m), dtype=np.int16)]
+    try:
+        for idx in levels:
+            n = idx.shape[1]
+            step = max(1, monoid._SUBSET_CELLS // max((1 << n) - n - 2, 1))
+            for lo in range(0, len(idx), step):
+                found.append(_least_witnesses(idx[lo : lo + step], m, budget.spend))
+    except BudgetExceededError:
+        pass  # the decided prefix
+    return np.concatenate(found)
 
 
-def _least_witnesses(idx: np.ndarray, m: int, spend) -> list[QuasiWitness | None]:
-    """The first witness of each index row of ``idx``, all of one level.
+def _least_witnesses(idx: np.ndarray, m: int, spend) -> np.ndarray:
+    """The first witness of each index row of ``idx``, all of one level, as
+    (N, 3, m) int16 count rows of b, c, d; zero rows (level(b) = 0) if none.
 
     The subsets come in the blocks of ``subset_completions``; ``spend`` is
     told each block's cells.  The least candidate of each x, by
@@ -171,15 +172,12 @@ def _least_witnesses(idx: np.ndarray, m: int, spend) -> list[QuasiWitness | None
         best = np.concatenate([best, _candidates(idx, m, bits, size, a)])
         order = np.lexsort(np.concatenate([best[:, :3], -best[:, 3:]], axis=1).T[::-1])
         best = best[order[np.diff(best[order, 0], prepend=-1) != 0]]
-    rows, b, level, seq = best[:, 0], best[:, 1], best[:, 2], best[:, 3:]
-    pair = m // 2 - b
+    rows, pair, seq = best[:, 0], m // 2 - best[:, 1], best[:, 3:]
     b_idx = np.column_stack([pair, m - pair])
     b_rows, c_rows = indices_to_rows(b_idx, m), indices_to_rows(seq, m)
     d_rows = indices_to_rows(np.concatenate([idx[rows], b_idx], axis=1), m) - c_rows
-    parts = rows_to_vectors(np.concatenate([b_rows, c_rows, d_rows]))
-    witnesses: list[QuasiWitness | None] = [None] * len(idx)
-    for i, x in enumerate(rows.tolist()):
-        witnesses[x] = QuasiWitness(*parts[i :: len(rows)])
+    witnesses = np.zeros((len(idx), 3, m), dtype=np.int16)
+    witnesses[rows] = np.stack([b_rows, c_rows, d_rows], axis=1)
     return witnesses
 
 
@@ -386,9 +384,10 @@ def _all_levels_report(basis: HilbertBasis, exclude_standard, budget) -> Conditi
 
 def _classify(m, n, levels, complete, exclude_standard, budget) -> ConditionReport:
     """The report on the indecomposables of levels >= 3: their index rows,
-    one array per level, each in canonical order."""
+    one array per level, each in canonical order.  The one place that
+    builds report objects, from one ``rows_to_vectors`` call on the count
+    rows of the elements and of their witnesses."""
     rows = np.concatenate([np.zeros((0, m), int)] + [indices_to_rows(i, m) for i in levels])
-    elements = rows_to_vectors(rows)
     standards, origin = _standard_rows(m)
     match = np.full(len(rows), -1)  # the equal standard row, if excluded
     if exclude_standard and len(standards):
@@ -398,19 +397,20 @@ def _classify(m, n, levels, complete, exclude_standard, budget) -> ConditionRepo
     ends = np.cumsum([len(idx) for idx in levels])
     searched = [idx[match[end - len(idx) : end] < 0] for idx, end in zip(levels, ends)]
     count = sum(map(len, searched))
-    witnesses = _witnesses(m, searched, budget) if count else []
-    complete = complete and len(witnesses) == count
-    decided, outcomes = iter(witnesses), []
-    for e, at in zip(elements, match.tolist()):
-        provenance = None
+    witnesses = _witnesses(m, searched, budget) if count else np.zeros((0, 3, m), np.int16)
+    quasi = witnesses[:, 0, -1] > 0  # level(b) = 0 marks a FAIL
+    vectors = rows_to_vectors(np.concatenate([rows, witnesses[quasi].reshape(-1, m)]))
+    parts, decided = zip(*[iter(vectors[len(rows) :])] * 3), iter(quasi.tolist())
+    outcomes = []
+    for e, at in zip(vectors[: len(rows)], match.tolist()):
+        witness = provenance = None
         if at >= 0:
-            kind, witness = "STANDARD", None
             p, i, doubled = origin[at].tolist()
-            provenance = StandardProvenance(p=p, i=i, doubled=bool(doubled))
-        elif (witness := next(decided, False)) is False:
+            kind, provenance = "STANDARD", StandardProvenance(p, i, bool(doubled))
+        elif (found := next(decided, None)) is None:
             break  # the budget ran out before this element's search
         else:
-            kind = "FAIL" if witness is None else "QUASI"
+            kind, witness = ("QUASI", QuasiWitness(*next(parts))) if found else ("FAIL", None)
         outcomes.append(ConditionOutcome(e, kind, witness, provenance))
     return ConditionReport(
         m=m,
@@ -418,7 +418,7 @@ def _classify(m, n, levels, complete, exclude_standard, budget) -> ConditionRepo
         exclude_standard=exclude_standard,
         outcomes=tuple(outcomes),
         verdict=all(o.kind != "FAIL" for o in outcomes),
-        complete=complete,
+        complete=complete and len(witnesses) == count,
         standard_count=len(standards),
     )
 

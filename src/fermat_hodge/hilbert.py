@@ -337,8 +337,7 @@ class _Closure:
         return ((V > 0) @ self.bits) | (((V < 0) @ self.bits) << 32)
 
     def set_reps(self, R: np.ndarray) -> None:
-        """Rebuild the store from the orbits of the nonzero rows of R."""
-        R = R[R.any(axis=1)]
+        """Rebuild the store from the orbits of the rows of R, all nonzero."""
         k, T = len(R), len(self.orbit_perm)
         W = np.zeros((k, T, self.C), dtype=np.int64)
         W[np.arange(k)[:, None, None], np.arange(T)[None, :, None], self.orbit_perm] = (

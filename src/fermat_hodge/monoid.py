@@ -104,7 +104,7 @@ class MonoidVector:
     y: int
 
     def row(self) -> tuple[int, ...]:
-        """Flat (x..., y) tuple; the representation used by searches."""
+        """Flat (x..., y) tuple; a convenience view (the searches read index rows)."""
         return self.x + (self.y,)
 
     def __add__(self, other: "MonoidVector") -> "MonoidVector":

@@ -516,13 +516,16 @@ class TestCacheLayouts:
             (_BASIS_12, ["basis", "--m", "12", "--format", "json"],
              _set("m", 13), _set("m", 13)),
             (_BASIS_12, ["phi", "--m", "12"], _set("phi", "5"), _nothing),
+            (_BASIS_12, ["phi", "--m", "12"], _set("phi", True), _nothing),
+            (_BASIS_12, ["phi-table", "--from", "12", "--to", "12"],
+             _set("complete", 1), _nothing),
             (_REPORT_12, ["check", "--m", "12"], _nothing, lambda p: p.pop("counts")),
             (_REPORT_12, ["check", "--m", "12", "--format", "json"],
              _set("exclude_standard", True), _set("exclude_standard", True)),
         ],
         ids=["incomplete", "non-string-element", "elements-not-a-list",
-             "another-degree", "phi-not-an-int", "report-without-counts",
-             "report-of-another-key"],
+             "another-degree", "phi-not-an-int", "phi-a-bool", "complete-an-int",
+             "report-without-counts", "report-of-another-key"],
     )
     def test_entry_failing_the_check_is_recomputed(
         self, entry, argv, edit_meta, edit_payload, capsys, tmp_path

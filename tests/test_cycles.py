@@ -41,6 +41,7 @@ from fermat_hodge.errors import (
 )
 from fermat_hodge.cache import report_to_dict
 import fermat_hodge.cycles as cycles
+import fermat_hodge.hilbert as hilbert
 import fermat_hodge.monoid as monoid
 from fermat_hodge.cycles import _is_prime, _prime_square
 
@@ -318,6 +319,51 @@ class TestBatchedSearch:
             assert COUNTEREXAMPLE_33 in [
                 o.element for o in report.outcomes if o.kind == "FAIL"
             ]
+
+
+def _searched_levels(m, n):
+    """The index rows ``check_condition(m, n)`` searches, one array per level."""
+    return hilbert._levelwise(m, n // 2 + 1, SearchBudget(), bottom=3)[0]
+
+
+class TestWitnessRows:
+    """The search returns (N, 3, m) int16 count rows of b, c and d; a zero
+    row is an element without a witness."""
+
+    @pytest.mark.parametrize("m,n", [(24, 4), (33, 4), (18, 6)])
+    def test_zero_rows_are_exactly_the_fails(self, m, n):
+        levels = _searched_levels(m, n)
+        rows = cycles._witnesses(m, levels, SearchBudget())
+        elements = np.concatenate([monoid.indices_to_rows(idx, m) for idx in levels])
+        assert rows.dtype == np.int16 and rows.shape == (len(elements), 3, m)
+        report = check_condition(m, n=n)
+        fail = ~rows.any(axis=(1, 2))
+        assert fail.tolist() == [o.kind == "FAIL" for o in report.outcomes]
+        b, c, d = rows[~fail].transpose(1, 0, 2)
+        assert (b[:, -1] == 1).all()
+        assert (elements[~fail] + b == c + d).all()
+        assert ((c != elements[~fail]).any(axis=1) & (d != elements[~fail]).any(axis=1)).all()
+
+    @pytest.mark.parametrize("cap", [1, 560, 1_500, 5_000])
+    def test_a_candidate_cap_returns_a_prefix(self, cap, monkeypatch):
+        monkeypatch.setattr(monoid, "_SUBSET_CELLS", 560)  # ten level-3 elements a chunk
+        levels = _searched_levels(24, 4)
+        full = cycles._witnesses(24, levels, SearchBudget())
+        capped = cycles._witnesses(24, levels, SearchBudget(None, cap))
+        assert capped.dtype == np.int16 and len(capped) == 10 * (cap // 560)
+        assert np.array_equal(capped, full[: len(capped)])
+
+    def test_a_report_converts_its_rows_once(self, monkeypatch):
+        calls = []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return monoid.rows_to_vectors(rows)
+
+        monkeypatch.setattr(cycles, "rows_to_vectors", counted)
+        report = check_condition(24, n=4, exclude_standard=True)
+        assert report.counts == {"QUASI": 298, "STANDARD": 0, "FAIL": 0}
+        assert calls == [298 * 4]
 
 
 class TestSearchBudget:

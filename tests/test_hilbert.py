@@ -336,7 +336,8 @@ class TestClosure:
             return V
 
         closure = _Closure(C, SearchBudget(), _class_transforms(m))
-        closure.set_reps(draw(6))
+        R = draw(6)
+        closure.set_reps(R[R.any(axis=1)])  # set_reps takes nonzero rows
         G = closure.G
         picked = G[rng.integers(0, len(G), 150)]
         # store rows as they are, moved a little, and fresh rows
@@ -451,7 +452,8 @@ class TestPairSums:
         m = 80
         rng = np.random.default_rng(m)
         closure = _Closure(m // 2, SearchBudget(), _class_transforms(m))
-        closure.set_reps(_sparse_rows(rng, 12, m // 2))
+        R = _sparse_rows(rng, 12, m // 2)
+        closure.set_reps(R[R.any(axis=1)])  # set_reps takes nonzero rows
         W = rng.integers(-3, 4, size=(300, m // 2))
         pairs = set()
         for lo, _, rows, gs in closure._chunks(W):
