@@ -311,16 +311,17 @@ def basis_from_dict(payload: dict) -> HilbertBasis:
 
 
 def report_to_dict(report: ConditionReport) -> dict:
-    from .monoid import format_vector
+    """The payload of a report, formatted from its rows (``ConditionReport.walk``)."""
+    from .monoid import format_rows
 
     outcomes = []
-    for o in report.outcomes:
-        item = {"element": format_vector(o.element), "kind": o.kind}
-        if o.witness is not None:
-            item["witness"] = {k: format_vector(getattr(o.witness, k)) for k in "bcd"}
-        if o.provenance is not None:
-            p = o.provenance
-            item["provenance"] = {"p": p.p, "i": p.i, "doubled": p.doubled}
+    for element, kind, parts, origin in report.walk(format_rows):
+        item = {"element": element, "kind": kind}
+        if parts is not None:
+            item["witness"] = dict(zip("bcd", parts))
+        if origin is not None:
+            p, i, doubled = origin
+            item["provenance"] = {"p": p, "i": i, "doubled": bool(doubled)}
         outcomes.append(item)
     return {
         "schema_version": SCHEMA_VERSION,

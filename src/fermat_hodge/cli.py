@@ -224,13 +224,15 @@ def cmd_scan_fourfolds(args) -> int:
         print(
             f"m={report.m} verdict={str(report.verdict).lower()} "
             f"complete={str(report.complete).lower()} "
-            f"checked={len(report.outcomes)} quasi={counts['QUASI']} "
+            f"checked={sum(counts.values())} quasi={counts['QUASI']} "
             f"standard={counts['STANDARD']} fail={counts['FAIL']}"
         )
     failures = [report.m for report in reports if not report.verdict]
     incomplete = [report.m for report in reports if not report.complete]
     if failures:
         print(f"summary: {len(reports)} degrees, failures at {failures}")
+    elif incomplete:
+        print(f"summary: {len(reports)} degrees, no failure found among the decided elements")
     else:
         print(f"summary: {len(reports)} degrees, all conditions hold")
     if incomplete:

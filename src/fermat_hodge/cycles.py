@@ -12,15 +12,19 @@ There is one quasi search, ``_witnesses``, and it reads the rows of x
 alone: a witness c is a sub-multiset of x plus a part of the level-1 b,
 so the search runs in numpy over the subsets of the sorted indices of
 each x, and ``monoid.subset_completions`` decides which of them are
-members or complete to one.  It returns witness rows, and ``_classify``
-is the one place that builds report objects from them;
-``is_quasi_decomposable`` is its one-row call.
+members or complete to one.  It returns witness rows;
+``is_quasi_decomposable`` is its one-row call.  A ``ConditionReport``
+stays arrays: ``_classify`` keeps the element count rows, their kind
+codes, the QUASI witness rows and the standard provenance rows, which
+``verdict``, ``counts`` and the cache's JSON form read directly.  Its
+``outcomes`` objects are built from them on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -302,22 +306,78 @@ class ConditionOutcome:
     provenance: StandardProvenance | None = None
 
 
-@dataclass(frozen=True)
+# the outcome kinds, indexed by the codes of ``ConditionReport.kinds``
+_KINDS = ("QUASI", "STANDARD", "FAIL")
+_QUASI, _STANDARD, _FAIL = range(3)
+
+
+@dataclass(frozen=True, eq=False)
 class ConditionReport:
+    """A level-range check's outcomes, kept as the arrays ``_classify`` found.
+
+    ``rows`` holds the (N, m) int16 count rows (x..., y) of the decided
+    elements in canonical order and ``kinds`` their (N,) int8 codes into
+    ``_KINDS``; ``witnesses`` holds the (Q, 3, m) int16 count rows of b,
+    c and d of the QUASI elements and ``provenance`` the (S, 3) int64
+    (p, i, doubled) rows of the STANDARD ones, each in element order.
+    ``counts`` and ``verdict`` read ``kinds``.  ``outcomes``, the
+    objects, is built from the rows on first read, by one
+    ``rows_to_vectors`` call, and kept; two reports are equal when
+    their fields are, whether or not either was read.
+    """
+
     m: int
     n: int | None  # None means the all-levels condition
     exclude_standard: bool
-    outcomes: tuple[ConditionOutcome, ...]
-    verdict: bool
     complete: bool
     standard_count: int  # elements in the standard set regardless of exclusion
+    rows: np.ndarray
+    kinds: np.ndarray
+    witnesses: np.ndarray
+    provenance: np.ndarray
 
     @property
     def counts(self) -> dict[str, int]:
-        out = {"QUASI": 0, "STANDARD": 0, "FAIL": 0}
-        for o in self.outcomes:
-            out[o.kind] += 1
-        return out
+        return dict(zip(_KINDS, np.bincount(self.kinds, minlength=len(_KINDS)).tolist()))
+
+    @property
+    def verdict(self) -> bool:
+        """True iff no decided element is left unexplained."""
+        return not (self.kinds == _FAIL).any()
+
+    def walk(self, convert):
+        """Per outcome in order: element, kind, (b, c, d) or None and
+        [p, i, doubled] or None, every count row given by one ``convert``
+        call on all of them (``rows_to_vectors``, ``format_rows``)."""
+        items = convert(np.concatenate([self.rows, self.witnesses.reshape(-1, self.m)]))
+        parts = zip(*[iter(items[len(self.rows) :])] * 3)
+        origin = iter(self.provenance.tolist())
+        for e, k in zip(items, self.kinds.tolist()):
+            yield (e, _KINDS[k], next(parts) if k == _QUASI else None,
+                   next(origin) if k == _STANDARD else None)
+
+    @cached_property
+    def outcomes(self) -> tuple[ConditionOutcome, ...]:
+        return tuple(
+            ConditionOutcome(
+                e, kind, QuasiWitness(*parts) if parts else None,
+                StandardProvenance(*origin[:2], bool(origin[2])) if origin else None,
+            )
+            for e, kind, parts, origin in self.walk(rows_to_vectors)
+        )
+
+    def _key(self) -> tuple:
+        arrays = (self.rows, self.kinds, self.witnesses, self.provenance)
+        return (self.m, self.n, self.exclude_standard, self.complete, self.standard_count,
+                *(a.tobytes() for a in arrays))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConditionReport):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -384,10 +444,12 @@ def _all_levels_report(basis: HilbertBasis, exclude_standard, budget) -> Conditi
 
 def _classify(m, n, levels, complete, exclude_standard, budget) -> ConditionReport:
     """The report on the indecomposables of levels >= 3: their index rows,
-    one array per level, each in canonical order.  The one place that
-    builds report objects, from one ``rows_to_vectors`` call on the count
-    rows of the elements and of their witnesses."""
-    rows = np.concatenate([np.zeros((0, m), int)] + [indices_to_rows(i, m) for i in levels])
+    one array per level, each in canonical order.  It stays arrays: the
+    count rows of the elements, their kind codes, the witness rows of
+    the QUASI ones and the provenance rows of the standard matches.  After
+    a budget overrun they end before the first element left unsearched.
+    No object is built here (see ``ConditionReport.outcomes``)."""
+    rows = np.concatenate([np.zeros((0, m), np.int16)] + [indices_to_rows(i, m) for i in levels])
     standards, origin = _standard_rows(m)
     match = np.full(len(rows), -1)  # the equal standard row, if excluded
     if exclude_standard and len(standards):
@@ -397,29 +459,26 @@ def _classify(m, n, levels, complete, exclude_standard, budget) -> ConditionRepo
     ends = np.cumsum([len(idx) for idx in levels])
     searched = [idx[match[end - len(idx) : end] < 0] for idx, end in zip(levels, ends)]
     count = sum(map(len, searched))
-    witnesses = _witnesses(m, searched, budget) if count else np.zeros((0, 3, m), np.int16)
+    report = dict(m=m, n=n, exclude_standard=exclude_standard, standard_count=len(standards))
+    if not count:  # every element is standard: nothing to search
+        return ConditionReport(
+            **report, complete=complete, rows=rows, kinds=np.full(len(rows), _STANDARD, np.int8),
+            witnesses=np.zeros((0, 3, m), np.int16), provenance=origin[match],
+        )
+    witnesses = _witnesses(m, searched, budget)
     quasi = witnesses[:, 0, -1] > 0  # level(b) = 0 marks a FAIL
-    vectors = rows_to_vectors(np.concatenate([rows, witnesses[quasi].reshape(-1, m)]))
-    parts, decided = zip(*[iter(vectors[len(rows) :])] * 3), iter(quasi.tolist())
-    outcomes = []
-    for e, at in zip(vectors[: len(rows)], match.tolist()):
-        witness = provenance = None
-        if at >= 0:
-            p, i, doubled = origin[at].tolist()
-            kind, provenance = "STANDARD", StandardProvenance(p, i, bool(doubled))
-        elif (found := next(decided, None)) is None:
-            break  # the budget ran out before this element's search
-        else:
-            kind, witness = ("QUASI", QuasiWitness(*next(parts))) if found else ("FAIL", None)
-        outcomes.append(ConditionOutcome(e, kind, witness, provenance))
+    at = np.flatnonzero(match < 0)
+    size = at[len(witnesses)] if len(witnesses) < count else len(rows)  # the decided prefix
+    kinds = np.full(size, _STANDARD, np.int8)
+    kinds[at[: len(witnesses)]] = np.where(quasi, _QUASI, _FAIL)
+    match = match[:size]
     return ConditionReport(
-        m=m,
-        n=n,
-        exclude_standard=exclude_standard,
-        outcomes=tuple(outcomes),
-        verdict=all(o.kind != "FAIL" for o in outcomes),
+        **report,
         complete=complete and len(witnesses) == count,
-        standard_count=len(standards),
+        rows=rows[:size],
+        kinds=kinds,
+        witnesses=witnesses[quasi],
+        provenance=origin[match[match >= 0]],
     )
 
 

@@ -156,7 +156,7 @@ def canonical_keys(rows: np.ndarray) -> np.ndarray:
 
 def rows_to_vectors(rows: np.ndarray) -> list[MonoidVector]:
     """The vectors of an int array of rows (x..., y); every entry a Python int."""
-    return [MonoidVector(x=tuple(r[:-1]), y=r[-1]) for r in rows.tolist()]
+    return list(map(MonoidVector, map(tuple, rows[:, :-1].tolist()), rows[:, -1].tolist()))
 
 
 def indices_to_vectors(indices, m: int) -> list[MonoidVector]:
@@ -211,6 +211,14 @@ def subset_completions(idx: np.ndarray, m: int):
 def format_vector(v: MonoidVector) -> str:
     """Canonical text form ``x1,...,x_{m-1};y``."""
     return ",".join(str(c) for c in v.x) + ";" + str(v.y)
+
+
+def format_rows(rows: np.ndarray) -> list[str]:
+    """``format_vector`` of each count row (x..., y) of a non-negative int
+    array, with no vector built: the text of each x entry is looked up."""
+    x = rows[:, :-1]
+    text = list(map(str, range(int(x.max(initial=0)) + 1))).__getitem__
+    return [f"{','.join(map(text, r))};{y}" for r, y in zip(x.tolist(), rows[:, -1].tolist())]
 
 
 def parse_vector(text: str) -> MonoidVector:

@@ -258,7 +258,7 @@ class TestScanCommand:
             (["--from", "5", "--to", "13", "--coprime-to", "6"], 0,
              ["summary: 4 degrees, all conditions hold"]),
             (["--from", "28", "--to", "33", "--max-candidates", "6000"], 3,
-             ["summary: 6 degrees, all conditions hold",
+             ["summary: 6 degrees, no failure found among the decided elements",
               "summary: incomplete at [28, 30, 32, 33]"]),
             (["--from", "9", "--to", "5"], 2, []),
             (["--from", "1", "--to", "5"], 2, []),

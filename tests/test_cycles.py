@@ -353,17 +353,78 @@ class TestWitnessRows:
         assert capped.dtype == np.int16 and len(capped) == 10 * (cap // 560)
         assert np.array_equal(capped, full[: len(capped)])
 
-    def test_a_report_converts_its_rows_once(self, monkeypatch):
-        calls = []
-
-        def counted(rows):
-            calls.append(len(rows))
-            return monoid.rows_to_vectors(rows)
-
-        monkeypatch.setattr(cycles, "rows_to_vectors", counted)
+    def test_a_report_converts_its_rows_once(self, conversions):
         report = check_condition(24, n=4, exclude_standard=True)
         assert report.counts == {"QUASI": 298, "STANDARD": 0, "FAIL": 0}
-        assert calls == [298 * 4]
+        assert conversions == []
+        first = report.outcomes
+        assert conversions == [298 * 4]
+        assert report.outcomes is first and conversions == [298 * 4]
+
+
+@pytest.fixture
+def conversions(monkeypatch):
+    """The row counts of the ``rows_to_vectors`` calls of ``cycles`` and ``monoid``."""
+    calls, convert = [], monoid.rows_to_vectors
+
+    def counted(rows):
+        calls.append(len(rows))
+        return convert(rows)
+
+    monkeypatch.setattr(cycles, "rows_to_vectors", counted)
+    monkeypatch.setattr(monoid, "rows_to_vectors", counted)
+    return calls
+
+
+class TestLazyOutcomes:
+    """A report stays rows: only a read of ``outcomes`` builds objects."""
+
+    def test_a_verdict_converts_no_row(self, conversions):
+        report = verdict(33, 4)
+        checked = report.condition_report
+        assert report.status == VerdictStatus.UNDETERMINED
+        assert checked.complete and not checked.verdict
+        assert checked.counts == {"QUASI": 10, "STANDARD": 0, "FAIL": 4}
+        assert conversions == []
+
+    def test_a_check_read_through_its_arrays_converts_no_row(self, conversions):
+        report = check_condition(24, n=4, exclude_standard=True)
+        assert report.complete and report.verdict and report.counts["QUASI"] == 298
+        assert report.rows.shape == (298, 24) and report.witnesses.shape == (298, 3, 24)
+        assert conversions == []
+
+    @pytest.mark.parametrize("m,cap", [(24, None), (15, None), (33, None), (15, 600), (36, 3_000)])
+    def test_a_read_report_equals_a_fresh_one(self, m, cap, conversions):
+        def check():
+            budget = SearchBudget(None, cap) if cap else None
+            return check_condition(m, n=4, exclude_standard=True, budget=budget)
+
+        read = check()
+        outcomes = read.outcomes
+        conversions.clear()
+        fresh = check()
+        assert fresh == read and hash(fresh) == hash(read)
+        assert conversions == []
+        assert fresh.outcomes == outcomes
+        assert (cap is None) == read.complete
+
+    def test_a_truncated_report_keeps_the_decided_prefix(self, monkeypatch):
+        monkeypatch.setattr(monoid, "_SUBSET_CELLS", 64)  # one level-3 element a chunk
+        spent = SearchBudget(None, None)
+        full = check_condition(15, n=4, exclude_standard=True, budget=spent)
+        kinds = [o.kind for o in full.outcomes]
+        assert kinds == ["QUASI", "STANDARD", "QUASI", "QUASI", "STANDARD", "QUASI"]
+        sizes = set()
+        for cap in range(spent.spent - 5 * 56, spent.spent + 1, 28):  # 56 cells an element
+            report = check_condition(15, n=4, exclude_standard=True, budget=SearchBudget(None, cap))
+            size = int(report.kinds.size)
+            sizes.add(size)
+            assert sum(report.counts.values()) == size
+            assert report.outcomes == full.outcomes[:size]
+            assert report.complete == (size == len(kinds))
+            # the prefix ends before the first element left unsearched
+            assert report.complete or kinds[size] != "STANDARD"
+        assert sizes == {0, 2, 3, 5, 6}
 
 
 class TestSearchBudget:

@@ -13,6 +13,7 @@ from fermat_hodge.errors import BudgetExceededError, InvalidModulusError, ShapeE
 from fermat_hodge import monoid
 from fermat_hodge.monoid import (
     canonical_keys,
+    format_rows,
     format_vector,
     half_units,
     indices_to_rows,
@@ -380,3 +381,13 @@ class TestSerialization:
 
     def test_format(self):
         assert format_vector(MonoidVector((1, 0, 1), 1)) == "1,0,1;1"
+
+    @pytest.mark.parametrize("high", [1, 3, 12, 1000])
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    def test_format_rows_is_format_vector_of_each_row(self, high, dtype):
+        rows = np.random.default_rng(high).integers(0, high, size=(50, 9)).astype(dtype)
+        assert format_rows(rows) == [format_vector(v) for v in rows_to_vectors(rows)]
+        assert format_rows(rows[:0]) == []
+        assert [(v.x, v.y) for v in rows_to_vectors(rows)] == [
+            (tuple(r[:-1]), r[-1]) for r in rows.tolist()
+        ]
