@@ -127,16 +127,23 @@ def cmd_phi_table(args) -> int:
     return EXIT_INCOMPLETE if any_incomplete else EXIT_OK
 
 
+def _tally(verdict: bool, complete: bool, checked: int, counts: dict) -> str:
+    """The ``verdict=... fail=...`` segment of ``check``'s header and of
+    ``scan-fourfolds``' lines."""
+    return (
+        f"verdict={str(verdict).lower()} complete={str(complete).lower()} "
+        f"checked={checked} quasi={counts['QUASI']} "
+        f"standard={counts['STANDARD']} fail={counts['FAIL']}"
+    )
+
+
 def _report_text(report: dict) -> str:
     """The text form of a ``report_to_dict`` payload."""
-    counts, n = report["counts"], report["n"]
+    n = report["n"]
+    tally = _tally(report["verdict"], report["complete"], len(report["outcomes"]), report["counts"])
     lines = [
         f"m={report['m']} n={'all' if n is None else n} "
-        f"exclude_standard={str(report['exclude_standard']).lower()} "
-        f"verdict={str(report['verdict']).lower()} "
-        f"complete={str(report['complete']).lower()} "
-        f"checked={len(report['outcomes'])} quasi={counts['QUASI']} "
-        f"standard={counts['STANDARD']} fail={counts['FAIL']} "
+        f"exclude_standard={str(report['exclude_standard']).lower()} {tally} "
         f"standard_set={report['standard_set']}"
     ]
     for o in report["outcomes"]:
@@ -221,12 +228,8 @@ def cmd_scan_fourfolds(args) -> int:
     reports = scan_fourfolds(args.m_from, args.m_to, args.coprime_to, _budget(args))
     for report in reports:
         counts = report.counts
-        print(
-            f"m={report.m} verdict={str(report.verdict).lower()} "
-            f"complete={str(report.complete).lower()} "
-            f"checked={sum(counts.values())} quasi={counts['QUASI']} "
-            f"standard={counts['STANDARD']} fail={counts['FAIL']}"
-        )
+        tally = _tally(report.verdict, report.complete, sum(counts.values()), counts)
+        print(f"m={report.m} {tally}")
     failures = [report.m for report in reports if not report.verdict]
     incomplete = [report.m for report in reports if not report.complete]
     if failures:
@@ -244,19 +247,17 @@ def cmd_scan_fourfolds(args) -> int:
 def cmd_hodge(args) -> int:
     from .characters import enumerate_hodge_labels
 
-    labels = enumerate_hodge_labels(args.m, args.n, expand_permutations=args.expand)
+    labels = [
+        ",".join(map(str, lab.entries))
+        for lab in enumerate_hodge_labels(args.m, args.n, expand_permutations=args.expand)
+    ]
     if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "m": args.m,
-            "n": args.n,
-            "labels": [",".join(str(a) for a in lab.entries) for lab in labels],
-        }
+        payload = {"schema_version": SCHEMA_VERSION, "m": args.m, "n": args.n, "labels": labels}
         print(json.dumps(payload, sort_keys=True, indent=1))
     else:
         print(f"m={args.m} n={args.n} labels={len(labels)}")
-        for lab in labels:
-            print(",".join(str(a) for a in lab.entries))
+        for label in labels:
+            print(label)
     return EXIT_OK
 
 
@@ -277,26 +278,21 @@ def cmd_verify_33(args) -> int:
     from .hilbert import is_decomposable
     from .monoid import is_member
 
-    budget = _budget(args)
-    failures = []
-    x = COUNTEREXAMPLE_33
+    budget, x = _budget(args), COUNTEREXAMPLE_33
     member = is_member(x, 33)
-    print(f"membership: {'confirmed' if member else 'FAILED'}")
-    if not member:
-        failures.append("membership")
-    indec = member and is_decomposable(x, 33, budget=budget) is None
-    print(f"indecomposable: {'confirmed' if indec else 'FAILED'}")
-    if not indec:
-        failures.append("indecomposable")
-    non_standard = x not in standard_elements(33)
-    print(f"non-standard: {'confirmed' if non_standard else 'FAILED'}")
-    if not non_standard:
-        failures.append("non-standard")
-    not_quasi = member and is_quasi_decomposable(x, 33, budget) is None
-    print(f"not-quasi-decomposable: {'confirmed' if not_quasi else 'FAILED'}")
-    if not not_quasi:
-        failures.append("not-quasi-decomposable")
-    return EXIT_OK if not failures else EXIT_VERIFY_FAILED
+    # each claim is decided when its line is printed; a non-member is not searched
+    claims = (
+        ("membership", lambda: member),
+        ("indecomposable", lambda: member and is_decomposable(x, 33, budget=budget) is None),
+        ("non-standard", lambda: x not in standard_elements(33)),
+        ("not-quasi-decomposable", lambda: member and is_quasi_decomposable(x, 33, budget) is None),
+    )
+    failed = False
+    for name, holds in claims:
+        confirmed = holds()
+        print(f"{name}: {'confirmed' if confirmed else 'FAILED'}")
+        failed |= not confirmed
+    return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
 def cmd_newton(args) -> int:

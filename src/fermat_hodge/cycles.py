@@ -240,8 +240,9 @@ def _standard_rows(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct standard rows (x..., y) in canonical order, with the
     (p, i, doubled) columns of the first candidate giving each row.
 
-    Candidates come per prime p, then seed i, each followed by its
-    double; the construction is described in ``standard_elements``.
+    Candidates come per prime p, then seed i = 1..m/p - 1, each followed
+    by its double; the construction, and why these seeds give every
+    candidate, is described in ``standard_elements``.
     """
     check_modulus(m)
     rows, origin = [np.zeros((0, m), dtype=np.int64)], [np.zeros((0, 3), dtype=np.int64)]
@@ -249,16 +250,14 @@ def _standard_rows(m: int) -> tuple[np.ndarray, np.ndarray]:
         if p == m:
             continue
         d = m // p
-        i = np.arange(1, m)
-        i = i[p * i % m != 0]
+        i = np.arange(1, d)
         if p == 2:
-            residues = np.stack([i, i + d, m - i, m - i - d], axis=1) % m
+            residues = np.stack([i, i + d, m - i, d - i], axis=1)
         else:
-            residues = np.column_stack([i[:, None] + d * np.arange(p), m - p * i]) % m
-        valid = (residues != 0).all(axis=1)
-        base = indices_to_rows(residues[valid], m)
+            residues = np.column_stack([i[:, None] + d * np.arange(p), m - p * i])
+        base = indices_to_rows(residues, m)
         rows.append(np.stack([base, 2 * base], axis=1).reshape(-1, m))
-        seeds = np.repeat(i[valid], 2)
+        seeds = np.repeat(i, 2)
         origin.append(np.stack([np.full_like(seeds, p), seeds, np.arange(len(seeds)) % 2], 1))
     rows, origin = np.concatenate(rows), np.concatenate(origin)
     _, first = np.unique(canonical_keys(rows), return_index=True)  # first candidate
@@ -277,6 +276,13 @@ def standard_elements(m: int) -> StandardSet:
     exclusion role this set plays).  Zero residues invalidate a
     candidate.  The vectors of ``_standard_rows``, in canonical order,
     each with the provenance of its first candidate.
+
+    A candidate depends only on i mod d: the residues i + k*d run over
+    the class of i mod d, and p*i = p*(i mod d) mod m.  A seed i = 0
+    mod d is exactly one with p*i = 0, or a zero residue.  So the seeds
+    1..d-1, which come first in every class, give each candidate with
+    its first provenance; their residues lie in 1..m-1 unreduced (for
+    p = 2, m-i-d is d-i), so none is zero.
     """
     rows, origin = _standard_rows(m)
     vectors = rows_to_vectors(rows)
@@ -448,6 +454,8 @@ def _classify(m, n, levels, complete, exclude_standard, budget) -> ConditionRepo
     count rows of the elements, their kind codes, the witness rows of
     the QUASI ones and the provenance rows of the standard matches.  After
     a budget overrun they end before the first element left unsearched.
+    One constructor builds every report; when every element is standard
+    (or there is none) the search is skipped, not the classification.
     No object is built here (see ``ConditionReport.outcomes``)."""
     rows = np.concatenate([np.zeros((0, m), np.int16)] + [indices_to_rows(i, m) for i in levels])
     standards, origin = _standard_rows(m)
@@ -459,13 +467,7 @@ def _classify(m, n, levels, complete, exclude_standard, budget) -> ConditionRepo
     ends = np.cumsum([len(idx) for idx in levels])
     searched = [idx[match[end - len(idx) : end] < 0] for idx, end in zip(levels, ends)]
     count = sum(map(len, searched))
-    report = dict(m=m, n=n, exclude_standard=exclude_standard, standard_count=len(standards))
-    if not count:  # every element is standard: nothing to search
-        return ConditionReport(
-            **report, complete=complete, rows=rows, kinds=np.full(len(rows), _STANDARD, np.int8),
-            witnesses=np.zeros((0, 3, m), np.int16), provenance=origin[match],
-        )
-    witnesses = _witnesses(m, searched, budget)
+    witnesses = _witnesses(m, searched, budget) if count else np.zeros((0, 3, m), np.int16)
     quasi = witnesses[:, 0, -1] > 0  # level(b) = 0 marks a FAIL
     at = np.flatnonzero(match < 0)
     size = at[len(witnesses)] if len(witnesses) < count else len(rows)  # the decided prefix
@@ -473,12 +475,9 @@ def _classify(m, n, levels, complete, exclude_standard, budget) -> ConditionRepo
     kinds[at[: len(witnesses)]] = np.where(quasi, _QUASI, _FAIL)
     match = match[:size]
     return ConditionReport(
-        **report,
-        complete=complete and len(witnesses) == count,
-        rows=rows[:size],
-        kinds=kinds,
-        witnesses=witnesses[quasi],
-        provenance=origin[match[match >= 0]],
+        m=m, n=n, exclude_standard=exclude_standard, standard_count=len(standards),
+        complete=complete and len(witnesses) == count, rows=rows[:size], kinds=kinds,
+        witnesses=witnesses[quasi], provenance=origin[match[match >= 0]],
     )
 
 

@@ -514,9 +514,10 @@ def _indecomposable_in_slice(idx: np.ndarray, m: int, basis: list) -> np.ndarray
     above one iff two of its indices sum to m, which each index column
     tests against the columns after it, in row blocks of about
     ``_SLICE_CELLS`` index cells transposed one at a time.  Only the rows
-    left become count rows.  Higher levels are compared, one row b at a
-    time, on b's support, at most 2k columns at level k, and only with
-    the rows still left.
+    left become count rows, once per slice and only when a level from 2
+    to y/2 is there to compare with.  Those levels are compared, one row
+    b at a time, on b's support, at most 2k columns at level k, and only
+    with the rows still left.
     """
     y = idx.shape[1] // 2
     if y < 2:
@@ -531,8 +532,9 @@ def _indecomposable_in_slice(idx: np.ndarray, m: int, basis: list) -> np.ndarray
             over_pair |= (cols[p] + cols[p + 1 :] == m).any(axis=0)
         kept.append(block[~over_pair])
     idx = np.concatenate(kept)
-    for level in basis[1 : y // 2]:
-        left = indices_to_rows(idx, m)
+    lower = basis[1 : y // 2]
+    left = indices_to_rows(idx, m) if lower else None  # filtered in step with idx
+    for level in lower:
         for b in indices_to_rows(level, m):
             support = np.flatnonzero(b[:-1])
             below = (left[:, support] < b[support]).any(axis=1)

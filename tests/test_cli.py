@@ -457,6 +457,22 @@ class TestVerify33:
         )
         assert code == 0 and out.count(": confirmed\n") == 4
 
+    def test_a_non_member_fails_without_a_search(self, capsys, monkeypatch, tmp_path):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched a non-member")
+
+        monkeypatch.setattr(cycles, "COUNTEREXAMPLE_33", cycles.MonoidVector((1,) + (0,) * 31, 1))
+        monkeypatch.setattr(hilbert, "is_decomposable", no_search)
+        monkeypatch.setattr(cycles, "is_quasi_decomposable", no_search)
+        code, out = run_cli(["verify-33", "--cache-dir", str(tmp_path)], capsys)
+        assert code == 1
+        assert out.splitlines() == [
+            "membership: FAILED",
+            "indecomposable: FAILED",
+            "non-standard: confirmed",
+            "not-quasi-decomposable: FAILED",
+        ]
+
 
 _BASIS_12 = ("BASIS", "m12", lambda cache: cache.get_basis(12, parse=True))
 _REPORT_12 = (

@@ -169,6 +169,20 @@ class TestStandardElements:
         for prov in std.provenance.values():
             assert (type(prov.p), type(prov.i), type(prov.doubled)) == (int, int, bool)
 
+    @pytest.mark.parametrize("m", [24, 33, 45, 60])
+    def test_seeds_run_below_m_over_p(self, m, monkeypatch):
+        # a candidate depends only on its seed mod m/p; the seeds at or
+        # past m/p only repeat candidates
+        sizes = []
+
+        def counted(indices, m):
+            sizes.append(len(indices))
+            return monoid.indices_to_rows(indices, m)
+
+        monkeypatch.setattr(cycles, "indices_to_rows", counted)
+        cycles._standard_rows(m)
+        assert sizes == [m // p - 1 for p in cycles._prime_factors(m)]
+
     @pytest.mark.parametrize("m", [15, 21, 24, 25, 27, 33, 35, 45])
     def test_check_excludes_exactly_the_standard_rows(self, m):
         std = standard_elements(m)
@@ -627,6 +641,43 @@ class TestCheckCondition:
         assert report.verdict and report.outcomes
         assert all(o.kind == "STANDARD" for o in report.outcomes)
 
+
+    # (m, n, STANDARD, standard_set, sha256 of the JSON report) of checks
+    # in which every element is standard, so nothing is searched
+    @pytest.mark.parametrize(
+        "m,n,standard,standard_set,digest",
+        [
+            (25, 4, 4, 8, "9a9f73d09676cb4304c7e87ef1b9e42c45ed12317a5df6daf634472fe5f7a7f3"),
+            (35, 4, 6, 20, "a39279f8e5603852febe7b4ed6b4bd6c0a38676cbbf69f0622217806265f5f4a"),
+            (49, 6, 6, 12, "13ce3e3de9bad1c026d9fccce46b664c8a7d1623b667fb3f043edd64539a1a34"),
+        ],
+    )
+    def test_all_standard_reports(self, m, n, standard, standard_set, digest):
+        report = check_condition(m, n=n, exclude_standard=True)
+        assert report.complete and report.verdict
+        assert report.counts == {"QUASI": 0, "STANDARD": standard, "FAIL": 0}
+        assert report.standard_count == standard_set
+        std = standard_elements(m)
+        assert [o.provenance for o in report.outcomes] == [
+            std.provenance[o.element] for o in report.outcomes
+        ]
+        text = json.dumps(report_to_dict(report), sort_keys=True)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def test_each_slice_becomes_count_rows_once(self, monkeypatch):
+        # (20, 12) sieves levels 4..7 against levels 2 and 3; a slice's
+        # pair-free rows become count rows once, not once per lower level
+        widths = []
+
+        def counted(indices, m):
+            widths.append(indices.shape[1])
+            return monoid.indices_to_rows(indices, m)
+
+        monkeypatch.setattr(hilbert, "indices_to_rows", counted)
+        report = check_condition(20, n=12, exclude_standard=True)
+        assert report.complete
+        slices = sorted(w for w in widths if w >= 8)  # 4 and 6: the rows compared with
+        assert slices == [8, 10, 12, 14]
 
     def test_sieve_rows_are_not_proved_again(self, count_member_calls):
         import fermat_hodge.hilbert as hilbert
